@@ -14,7 +14,8 @@ python-level per-point loops. It is the dispatch layer behind
 * :mod:`repro.engine.cache` — content-addressed memo cache for
   repeated grid evaluations;
 * :mod:`repro.engine.parallel` — chunked ``ProcessPoolExecutor`` path
-  for grids above a size threshold, supervised by
+  for grids above a size threshold (100M points by default, past the
+  measured crossover, so callers opt in by lowering it), supervised by
   :mod:`repro.robust.supervision` (chunk deadlines, crash-recovery
   retries, circuit-breaker degradation, checkpointed resume);
 * :mod:`repro.engine.backend` — ``auto``/``numpy``/``python`` mode

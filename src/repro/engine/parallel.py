@@ -1,11 +1,15 @@
-"""Supervised chunked ``ProcessPoolExecutor`` path for very large grids.
+"""Supervised chunked ``ProcessPoolExecutor`` path, opt-in for large grids.
 
-Vectorized NumPy already saturates one core; the pool only pays for
-itself when a grid is large enough that splitting it across processes
-beats the pickling + IPC overhead. The threshold is deliberately high
-(100k points) — every paper-figure grid stays far below it and runs
-single-process — but roadmap-scale parameter studies (and the tests,
-which lower the threshold) exercise the chunked path.
+The pool only pays for itself when splitting a grid across processes
+beats pickling the chunks through the executor. For the engine's
+kernels it never does at the sizes measured: on a 2-CPU host the
+blocked in-process loop of :mod:`repro.engine.core` evaluates eq. (4)
+over 1e5, 1e6 and 1e7 points 2-4x faster than a 2-worker pool
+(``tools/pool_crossover.py`` prints the table). The default threshold
+(``_DEFAULT_THRESHOLD``, 100M points) therefore sits past the measured
+range, so every grid runs in-process unless a caller opts in with
+``configure(threshold=...)``; the tests do, and exercise the chunked
+path with its supervision, checkpoint and chaos features.
 
 The pool is created lazily on first use, sized ``min(4, cpu)`` by
 default, and shut down at interpreter exit. Kernels are plain frozen
@@ -57,8 +61,9 @@ __all__ = [
     "reset_supervision",
 ]
 
-#: Grid size at or above which the chunked pool path engages.
-_DEFAULT_THRESHOLD = 100_000
+#: Grid size at or above which the chunked pool path engages: past the
+#: largest measured size (1e7), since the pool won at none of them.
+_DEFAULT_THRESHOLD = 100_000_000
 #: Minimum points per chunk — below this, IPC overhead dominates.
 _MIN_CHUNK = 10_000
 #: Seconds shutdown() waits for a wedged worker before terminating it.

@@ -8,6 +8,7 @@ minimum, and convenience accessors used by the plots/benches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,17 @@ class SweepResult:
         """Grid points masked to NaN by the error policy."""
         return int(np.count_nonzero(np.isnan(self.cost)))
 
-    @property
+    @cached_property
     def argmin(self) -> int:
-        """Index of the cheapest (unmasked) grid point."""
+        """Index of the cheapest (unmasked) grid point.
+
+        The first minimum on ties, as ``np.nanargmin``. ``np.argmin``
+        returns the first NaN when there is one, so a non-NaN answer
+        from it is already the NaN-ignoring minimum.
+        """
+        i = int(np.argmin(self.cost))
+        if not np.isnan(self.cost[i]):
+            return i
         if np.all(np.isnan(self.cost)):
             raise DomainError(
                 f"every grid point of the {self.parameter!r} sweep is masked; "

@@ -87,6 +87,37 @@ class TestSweepResultValidation:
             SweepResult("sd", np.array([1.0]), np.array([1.0]), {})
 
 
+class TestSweepResultArgmin:
+    """``argmin`` equals ``np.nanargmin``: the first minimum on ties."""
+
+    @staticmethod
+    def make(cost):
+        cost = np.asarray(cost, dtype=float)
+        return SweepResult("sd", np.arange(cost.size, dtype=float), cost, {})
+
+    @pytest.mark.parametrize("cost", [
+        [3.0, 1.0, 2.0, 1.0, 5.0],             # tie: first minimum wins
+        [np.nan, 4.0, 2.0, 2.0, 3.0],          # NaN at index 0
+        [4.0, 2.0, np.nan, 1.0, 1.0],          # NaN elsewhere, tie after it
+        [np.nan, np.nan, 7.0, np.nan, 7.0],    # NaN on both sides of a tie
+    ])
+    def test_matches_nanargmin(self, cost):
+        result = self.make(cost)
+        assert result.argmin == int(np.nanargmin(result.cost))
+        assert result.x_opt == result.x[result.argmin]
+        assert result.cost_opt == np.nanmin(result.cost)
+
+    def test_all_nan_raises(self):
+        result = self.make([np.nan, np.nan, np.nan])
+        with pytest.raises(DomainError, match="every grid point"):
+            result.argmin
+
+    def test_computed_once(self):
+        result = self.make([3.0, 1.0, 2.0])
+        assert result.argmin == 1
+        assert result.__dict__["argmin"] == 1
+
+
 class TestGeneralizedSweep:
     def test_u_curve(self):
         sweep = sd_sweep_generalized(DEFAULT_GENERALIZED_MODEL, 1e7, 0.18, 5000)
