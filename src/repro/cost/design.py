@@ -30,6 +30,7 @@ With the default constants and ``N_tr = 10⁷`` (the Figure 4 workload),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,10 @@ class DesignCostModel:
             If any ``s_d ≤ s_d0``: the model says no finite design
             budget reaches or beats the full-custom bound.
         """
+        if type(sd) is float and sd < math.inf:
+            m = sd - self.sd0  # the same IEEE subtraction as the array path
+            if m > 0:
+                return m
         sd = check_positive(sd, "sd")
         m = np.asarray(sd, dtype=float) - self.sd0
         if np.any(m <= 0):

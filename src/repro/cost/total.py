@@ -14,6 +14,8 @@ into this structure and optionally folds in the §2.5 extensions (test
 cost and hardware utilization ``u``, the latter by the paper's own
 ``Y → u·Y`` substitution). :meth:`TotalCostModel.breakdown` exposes the
 per-component split the Figure 4 discussion reasons about.
+:meth:`TotalCostModel.sd_curve` binds eq. (4) to one operating point,
+so a solver over ``s_d`` validates the fixed arguments only once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._compat import renamed_kwargs
+from ..errors import DomainError
 from ..obs.instrument import traced
 from ..units import um_to_cm
 from ..validation import check_fraction, check_positive
@@ -127,23 +130,60 @@ class TotalCostModel:
         cost_per_cm2:
             Manufacturing cost per cm² ``Cm_sq`` ($/cm²).
         """
-        sd_arr = check_positive(sd, "sd")
+        sd = check_positive(sd, "sd")
+        return self.sd_curve(n_transistors, feature_um, n_wafers,
+                             yield_fraction, cost_per_cm2)(sd)
+
+    @traced(equation="4")
+    def sd_curve(self, n_transistors, feature_um, n_wafers, yield_fraction,
+                 cost_per_cm2):
+        """Eq. (4) at a fixed operating point, as a function of ``s_d`` alone.
+
+        Validates the fixed arguments once, precomputes the factors that
+        do not depend on ``s_d`` (``A0·N_tr^p1``, ``C_MA``, ``N_w·A_w``,
+        ``λ²``, ``u·Y``) and returns ``curve(sd)``, which evaluates
+        eqs. (4)–(6) for a scalar or array ``sd``. :meth:`transistor_cost`
+        is ``sd_curve(...)(sd)``; a solver that evaluates eq. (4) many
+        times at one operating point builds the curve once instead.
+        """
         feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
-        yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-        cost_per_cm2 = check_positive(cost_per_cm2, "cost_per_cm2")
-        cd_sq = self.design_cost_per_cm2(n_transistors, sd, feature_um, n_wafers)
-        ct_sq = 0.0
-        if self.test_model is not None:
-            ct_sq = self.test_model.cost_per_cm2(sd, feature_um, n_transistors)
-        effective_yield = np.asarray(yield_fraction, dtype=float) * self.utilization
-        result = (
-            np.asarray(feature_cm, dtype=float) ** 2
-            * np.asarray(sd_arr, dtype=float)
-            / effective_yield
-            * (np.asarray(cost_per_cm2, dtype=float) + np.asarray(cd_sq) + np.asarray(ct_sq))
-        )
-        args = (sd, n_transistors, feature_um, n_wafers, yield_fraction, cost_per_cm2)
-        return result if any(np.ndim(a) for a in args) else float(result)
+        effective_yield = (np.asarray(check_fraction(yield_fraction, "yield_fraction"),
+                                      dtype=float) * self.utilization)
+        cm_sq = check_positive(cost_per_cm2, "cost_per_cm2")
+        wafer_cm2 = (np.asarray(check_positive(n_wafers, "n_wafers"), dtype=float)
+                     * self.wafer.area_cm2)
+        design = self.design_model
+        amplitude = design.a0 * np.asarray(
+            check_positive(n_transistors, "n_transistors"), dtype=float) ** design.p1
+        try:
+            c_ma = self.mask_cost(feature_um)
+        except DomainError as exc:
+            # Raised per call, after the margin check, as eq. (5) orders it.
+            c_ma = exc
+        lambda_sq = np.asarray(feature_cm, dtype=float) ** 2
+        fixed_ndim = any(np.ndim(a) for a in (n_transistors, feature_um, n_wafers,
+                                              yield_fraction, cost_per_cm2))
+        test_model = self.test_model
+
+        def curve(sd):
+            m = design.margin(sd)  # a float exactly when ``sd`` is a scalar
+            scalar = isinstance(m, float)
+            c_de = amplitude / np.asarray(m) ** design.p2
+            if isinstance(c_ma, DomainError):
+                raise c_ma
+            cd_sq = (c_de + c_ma) / wafer_cm2
+            ct_sq = 0.0
+            if test_model is not None:
+                ct_sq = test_model.cost_per_cm2(sd, feature_um, n_transistors)
+            result = (
+                lambda_sq
+                * (float(sd) if scalar else np.asarray(sd, dtype=float))
+                / effective_yield
+                * (cm_sq + cd_sq + ct_sq)
+            )
+            return float(result) if scalar and not fixed_ndim else result
+
+        return curve
 
     @renamed_kwargs(cm_sq="cost_per_cm2")
     @traced(equation="4", attach_result=True)

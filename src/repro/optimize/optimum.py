@@ -9,8 +9,10 @@ has a unique interior optimum balancing
 * design cost, diverging as ``s_d → s_d0⁺`` (denser design = more
   failed iterations).
 
-:func:`optimal_sd` finds it with a golden-section search (the curve is
-strictly unimodal on ``(s_d0, ∞)``); :func:`optimal_sd_condition`
+:func:`optimal_sd` finds it with a golden-section search over
+:meth:`~repro.cost.total.TotalCostModel.sd_curve`, eq. (4) bound to the
+operating point once per solve (the curve is strictly unimodal on
+``(s_d0, ∞)``); :func:`optimal_sd_condition`
 verifies the analytic first-order condition; :func:`optimum_vs_volume`
 traces how the optimum migrates with wafer volume — the paper's
 Figure 4(a)→(b) contrast.
@@ -87,6 +89,12 @@ def optimal_sd(
     physically, design cost dominates so completely that ever-sparser
     design keeps paying; widen ``sd_max``).
 
+    The objective is :meth:`TotalCostModel.sd_curve`, built once per
+    solve: the operating point is validated and its ``s_d``-independent
+    factors computed before the first golden-section step, so each step
+    costs only the ``s_d`` part of eqs. (4)–(6) and the trace records
+    one ``sd_curve`` span per solve rather than one per evaluation.
+
     With a :class:`repro.robust.RetryBudget` the solver rides through
     both failure modes before giving up: a convergence stall restarts
     with a grown iteration cap and perturbed lower bound, and a clipped
@@ -100,10 +108,11 @@ def optimal_sd(
     if sd_max <= lo:
         raise DomainError(f"sd_max={sd_max} must exceed sd0={sd0}")
 
+    curve = model.sd_curve(n_transistors, feature_um, n_wafers,
+                           yield_fraction, cost_per_cm2)
+
     def fn(sd: float) -> float:
-        return float(model.transistor_cost(sd, n_transistors, feature_um,
-                                           n_wafers, yield_fraction,
-                                           cost_per_cm2))
+        return float(curve(sd))
 
     solver = "optimize.optimum.optimal_sd"
     hi = sd_max

@@ -27,6 +27,10 @@ from .sweep import sd_grid
 
 __all__ = ["DesignPoint", "evaluate_points", "pareto_front", "knee_point"]
 
+#: Cells per (rows, n) dominance mask in :func:`pareto_front`; bounds its
+#: memory to a few MB however many points are compared.
+_DOMINANCE_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -75,12 +79,11 @@ def evaluate_points(
                                where="optimize.pareto.evaluate_points",
                                equation="4", parameter="sd")
     area, cost, design = evaluation.values
+    kept = ~(np.isnan(area) & np.isnan(cost) & np.isnan(design))
     points = [
-        DesignPoint(sd=float(sd_values[i]), die_area_cm2=float(area[i]),
-                    transistor_cost_usd=float(cost[i]),
-                    design_cost_usd=float(design[i]))
-        for i in range(sd_values.size)
-        if not (np.isnan(area[i]) and np.isnan(cost[i]) and np.isnan(design[i]))
+        DesignPoint(sd=sd, die_area_cm2=a, transistor_cost_usd=c, design_cost_usd=d)
+        for sd, a, c, d in zip(sd_values[kept].tolist(), area[kept].tolist(),
+                               cost[kept].tolist(), design[kept].tolist())
     ]
     if diagnostics is not None:
         diagnostics.extend(evaluation.diagnostics)
@@ -91,18 +94,27 @@ def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:
     """Non-dominated subset (all objectives minimised), sorted by ``s_d``.
 
     Point A dominates B when A is ≤ B in every objective and < in at
-    least one.
+    least one. The test runs on ``(rows, n)`` boolean masks built one
+    objective column at a time, in row blocks of at most
+    ``_DOMINANCE_CELLS`` cells.
     """
     if not points:
         raise DomainError("cannot take the Pareto front of an empty set")
     objs = np.array([p.objectives() for p in points])
-    keep = []
-    for i, p in enumerate(points):
-        dominated = np.any(
-            np.all(objs <= objs[i], axis=1) & np.any(objs < objs[i], axis=1)
-        )
-        if not dominated:
-            keep.append(p)
+    n = len(points)
+    dominated = np.empty(n, dtype=bool)
+    rows = max(1, _DOMINANCE_CELLS // n)
+    for start in range(0, n, rows):
+        # le[i, j]: point j is <= point i in every objective so far;
+        # lt[i, j]: point j is < point i in at least one.
+        block = objs[start:start + rows]
+        le = np.ones((len(block), n), dtype=bool)
+        lt = np.zeros((len(block), n), dtype=bool)
+        for col, mine in zip(objs.T, block.T):
+            le &= col[None, :] <= mine[:, None]
+            lt |= col[None, :] < mine[:, None]
+        dominated[start:start + rows] = (le & lt).any(axis=1)
+    keep = [p for p, d in zip(points, dominated.tolist()) if not d]
     keep.sort(key=lambda p: p.sd)
     return keep
 

@@ -11,6 +11,11 @@ All checkers accept scalars or numpy arrays; for arrays the condition
 must hold element-wise. Each returns the validated value coerced to
 ``float`` (scalars) or ``np.ndarray`` (arrays) so call sites can write
 ``y = check_fraction(y, "Y")``.
+
+A plain ``float`` that passes its check returns before any numpy call:
+scalar solvers validate on every objective evaluation, and the 0-d
+numpy path costs microseconds each time. Every other type, and every
+float that fails, takes the general path, so messages are unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ __all__ = [
 
 def _coerce(value, name: str):
     """Coerce to float scalar or float ndarray, rejecting non-numerics."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
     if np.ndim(value):
         arr = np.asarray(value, dtype=float)
         if not np.all(np.isfinite(arr)):
@@ -55,6 +62,8 @@ def check_finite(value, name: str):
 
 def check_positive(value, name: str):
     """Require ``value > 0`` element-wise."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     out = _coerce(value, name)
     if np.any(np.asarray(out) <= 0):
         raise DomainError(f"{name} must be > 0; got {value!r}")
@@ -71,6 +80,8 @@ def check_nonnegative(value, name: str):
 
 def check_fraction(value, name: str):
     """Require ``0 < value <= 1`` element-wise (yields, utilizations)."""
+    if type(value) is float and 0.0 < value <= 1.0:
+        return value
     out = _coerce(value, name)
     arr = np.asarray(out)
     if np.any(arr <= 0) or np.any(arr > 1):

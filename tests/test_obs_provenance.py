@@ -133,6 +133,8 @@ class TestCostModelCoverage:
             ("total.TotalCostModel.transistor_cost", "4",
              lambda: PAPER_FIGURE4_MODEL.transistor_cost(
                  300, 1e7, 0.18, 5000, 0.4, 8.0)),
+            ("total.TotalCostModel.sd_curve", "4",
+             lambda: PAPER_FIGURE4_MODEL.sd_curve(1e7, 0.18, 5000, 0.4, 8.0)),
             ("total.TotalCostModel.design_cost_per_cm2", "5",
              lambda: PAPER_FIGURE4_MODEL.design_cost_per_cm2(1e7, 300, 0.18, 5000)),
             ("total.TotalCostModel.breakdown", "4",

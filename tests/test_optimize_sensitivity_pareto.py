@@ -1,10 +1,13 @@
 """Sensitivity and Pareto analysis tests."""
 
+import numpy as np
 import pytest
 
 from repro.cost import PAPER_FIGURE4_MODEL
 from repro.errors import DomainError
+from repro.optimize import pareto as pareto_mod
 from repro.optimize import (
+    DesignPoint,
     evaluate_points,
     knee_point,
     parameter_elasticities,
@@ -120,3 +123,63 @@ class TestPareto:
             pareto_front([])
         with pytest.raises(DomainError):
             knee_point([])
+
+
+def _loop_front(points):
+    """The per-point dominance loop ``pareto_front`` replaced."""
+    objs = np.array([p.objectives() for p in points])
+    keep = [p for i, p in enumerate(points)
+            if not np.any(np.all(objs <= objs[i], axis=1)
+                          & np.any(objs < objs[i], axis=1))]
+    keep.sort(key=lambda p: p.sd)
+    return keep
+
+
+class TestParetoAgainstLoop:
+    @staticmethod
+    def _random_points(seed, n, levels):
+        # Few objective levels force ties; repeated rows force duplicates.
+        rng = np.random.default_rng(seed)
+        objs = rng.integers(0, levels, size=(n, 3)).astype(float)
+        dup = min(5, n - n // 2)
+        objs[n // 2:n // 2 + dup] = objs[:dup]
+        sds = rng.permutation(n) + 101.0
+        return [DesignPoint(float(sd), *map(float, row)) for sd, row in zip(sds, objs)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n, levels", [(1, 3), (7, 2), (60, 4), (250, 9)])
+    def test_kept_points_and_order_match_loop(self, seed, n, levels):
+        points = self._random_points(seed, n, levels)
+        assert pareto_front(points) == _loop_front(points)
+
+    def test_row_blocks_match_loop(self, monkeypatch):
+        points = self._random_points(11, 97, 5)
+        expected = _loop_front(points)
+        for cells in (1, 97, 300, 97 * 97):
+            monkeypatch.setattr(pareto_mod, "_DOMINANCE_CELLS", cells)
+            assert pareto_front(points) == expected
+
+    def test_nan_objectives_match_loop(self):
+        points = self._random_points(5, 40, 6)
+        points[3] = DesignPoint(points[3].sd, np.nan, 1.0, 1.0)
+        points[9] = DesignPoint(points[9].sd, 0.0, np.nan, 0.0)
+        assert pareto_front(points) == _loop_front(points)
+
+    def test_equal_sd_keeps_input_order(self):
+        a = DesignPoint(200.0, 1.0, 2.0, 3.0)
+        b = DesignPoint(200.0, 3.0, 2.0, 1.0)
+        assert pareto_front([b, a]) == [b, a]
+
+
+class TestEvaluatePointsMask:
+    def test_masked_candidates_dropped_in_grid_order(self):
+        sd_values = np.array([50.0, 150.0, 90.0, 300.0, 100.0, 1200.0])
+        diagnostics = []
+        points = evaluate_points(PAPER_FIGURE4_MODEL, **POINT, sd_values=sd_values,
+                                 policy="mask", diagnostics=diagnostics)
+        assert [p.sd for p in points] == [150.0, 300.0, 1200.0]
+        assert len(diagnostics) == 3
+        full = evaluate_points(PAPER_FIGURE4_MODEL, **POINT,
+                               sd_values=[150.0, 300.0, 1200.0])
+        assert points == full
+        assert all(type(v) is float for p in points for v in (p.sd, *p.objectives()))

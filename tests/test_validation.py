@@ -144,3 +144,65 @@ class TestCheckFinite:
     def test_rejects_nan_array(self):
         with pytest.raises(DomainError):
             v.check_finite(np.array([np.inf]), "x")
+
+
+class TestFloatFastPath:
+    """Plain floats skip numpy; every other input, and every failure, keeps
+    the general path and its exact message."""
+
+    @pytest.mark.parametrize("check", [v.check_positive, v.check_fraction,
+                                       v.check_finite])
+    def test_valid_float_is_returned_as_is(self, check):
+        value = 0.25
+        assert check(value, "x") is value
+
+    @pytest.mark.parametrize("check, value, message", [
+        (v.check_positive, float("nan"), "x must be finite; got nan"),
+        (v.check_positive, float("inf"), "x must be finite; got inf"),
+        (v.check_positive, float("-inf"), "x must be finite; got -inf"),
+        (v.check_positive, -1.5, "x must be > 0; got -1.5"),
+        (v.check_positive, 0.0, "x must be > 0; got 0.0"),
+        (v.check_positive, -0.0, "x must be > 0; got -0.0"),
+        (v.check_fraction, float("nan"), "x must be finite; got nan"),
+        (v.check_fraction, float("inf"), "x must be finite; got inf"),
+        (v.check_fraction, -0.5, "x must lie in (0, 1]; got -0.5"),
+        (v.check_fraction, 0.0, "x must lie in (0, 1]; got 0.0"),
+        (v.check_fraction, 1.5, "x must lie in (0, 1]; got 1.5"),
+        (v.check_finite, float("nan"), "x must be finite; got nan"),
+        (v.check_finite, float("-inf"), "x must be finite; got -inf"),
+    ])
+    def test_float_failure_messages(self, check, value, message):
+        with pytest.raises(DomainError) as exc_info:
+            check(value, "x")
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("value, expected", [
+        (3, 3.0), (True, 1.0), (np.float64(2.5), 2.5), ("4", 4.0),
+    ])
+    def test_non_float_scalars_coerce_to_float(self, value, expected):
+        out = v.check_positive(value, "x")
+        assert type(out) is float and out == expected
+
+    @pytest.mark.parametrize("check, value, message", [
+        (v.check_positive, 0, "x must be > 0; got 0"),
+        (v.check_positive, -2, "x must be > 0; got -2"),
+        (v.check_positive, False, "x must be > 0; got False"),
+        (v.check_positive, np.float64(-1.0), "x must be > 0; got np.float64(-1.0)"),
+        (v.check_positive, np.float64("nan"), "x must be finite; got nan"),
+        (v.check_positive, "abc", "x must be a real number; got 'abc'"),
+        (v.check_positive, None, "x must be a real number; got None"),
+        (v.check_positive, np.array([1.0, 0.0]), "x must be > 0; got array([1., 0.])"),
+        (v.check_positive, np.array([1.0, np.inf]),
+         "x must be finite; got non-finite entries"),
+        (v.check_fraction, 2, "x must lie in (0, 1]; got 2"),
+        (v.check_fraction, np.float64(0.0), "x must lie in (0, 1]; got np.float64(0.0)"),
+    ])
+    def test_non_float_messages(self, check, value, message):
+        with pytest.raises(DomainError) as exc_info:
+            check(value, "x")
+        assert str(exc_info.value) == message
+
+    def test_arrays_keep_the_array_path(self):
+        out = v.check_fraction([0.5, 1.0], "x")
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, [0.5, 1.0])
