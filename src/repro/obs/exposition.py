@@ -12,10 +12,10 @@ The machine-scrapable half of the observability layer. Three outputs:
 * :func:`spans_to_otlp` — completed spans as OTLP/JSON
   (``resourceSpans`` → ``scopeSpans`` → ``spans`` with hex ids and
   unix-nano times), importable by any OTLP-compatible viewer;
-* :func:`start_metrics_endpoint` — a stdlib ``http.server`` endpoint
-  serving ``GET /metrics`` (bridged + rendered live) and ``GET
-  /healthz``, the stepping stone to the ROADMAP's serve layer. The
-  server runs daemon-threaded; :meth:`MetricsEndpoint.close` stops it.
+* :func:`start_metrics_endpoint` — an HTTP endpoint serving ``GET
+  /metrics`` (bridged + rendered live) and ``GET /healthz``, on the
+  same :mod:`repro.obs.transport` event loop server as
+  :mod:`repro.serve`. :meth:`MetricsEndpoint.close` stops it.
 
 :func:`write_snapshot` bundles everything (``metrics.prom``,
 ``spans.otlp.json``, ``provenance.json``) into a directory — what the
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 import time
 from pathlib import Path
 
@@ -413,26 +412,22 @@ class MetricsEndpoint:
     """Handle on a running metrics HTTP server (see
     :func:`start_metrics_endpoint`)."""
 
-    def __init__(self, server, thread: threading.Thread):
+    def __init__(self, server):
         self._server = server
-        self._thread = thread
 
     @property
     def port(self) -> int:
         """The bound TCP port (useful with ``port=0`` auto-assignment)."""
-        return self._server.server_address[1]
+        return self._server.port
 
     @property
     def url(self) -> str:
         """Base URL of the endpoint (``http://host:port``)."""
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}"
+        return self._server.url
 
     def close(self) -> None:
         """Stop serving and release the port (idempotent)."""
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
+        self._server.close()
 
     def __enter__(self) -> "MetricsEndpoint":
         return self
@@ -452,43 +447,38 @@ def start_metrics_endpoint(host: str = "127.0.0.1", port: int = 0,
     versions, uptime). ``port=0`` binds an ephemeral port — read it back
     from :attr:`MetricsEndpoint.port`. The caller owns the returned
     endpoint and should :meth:`~MetricsEndpoint.close` it (or use it as
-    a context manager).
+    a context manager). Both routes run on the transport's worker
+    pool, off the :mod:`repro.obs.transport` event loop.
     """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+    import asyncio
+
+    from . import transport as _transport
 
     reg = registry if registry is not None else _metrics.get_registry()
 
-    class _Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            if self.path == "/metrics":
-                _telemetry.bridge_engine_metrics(reg)
-                body = render_prometheus(reg).encode("utf-8")
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-                status = 200
-            elif self.path == "/healthz":
-                body = (json.dumps(health_payload(), sort_keys=True)
-                        + "\n").encode("utf-8")
-                content_type = "application/json"
-                status = 200
-            else:
-                body = b"not found\n"
-                content_type = "text/plain; charset=utf-8"
-                status = 404
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    def render_metrics() -> _transport.Reply:
+        _telemetry.bridge_engine_metrics(reg)
+        return _transport.Reply(
+            200, render_prometheus(reg).encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8")
 
-        def log_message(self, format, *args):  # noqa: A002 - http.server API
-            pass  # scrapes should not spam stderr
+    def render_health() -> _transport.Reply:
+        return _transport.Reply(
+            200, (json.dumps(health_payload(), sort_keys=True)
+                  + "\n").encode("utf-8"))
 
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-metrics-endpoint", daemon=True)
-    thread.start()
-    return MetricsEndpoint(server, thread)
+    routes = {"/metrics": render_metrics, "/healthz": render_health}
+
+    def handle(request):
+        render = routes.get(request.path) if request.method == "GET" \
+            else None
+        if render is None:
+            return _transport.Reply(404, b"not found\n",
+                                    "text/plain; charset=utf-8")
+        return asyncio.to_thread(render)
+
+    return MetricsEndpoint(_transport.HttpServer(
+        host, port, handle, name="repro-metrics-endpoint"))
 
 
 def write_snapshot(directory,

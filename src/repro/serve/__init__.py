@@ -12,8 +12,9 @@ means a service, not a script. This package serves the
   error-policy semantics);
 * :mod:`repro.serve.app` — the routes (``POST /evaluate`` /
   ``/sweep`` / ``/pareto`` / ``/sensitivity`` / ``/optimal_sd``,
-  ``GET /healthz`` / ``/metrics``), rate limiting, and the
-  error-taxonomy → status-code mapping;
+  ``GET /healthz`` / ``/metrics``) on the :mod:`repro.obs.transport`
+  event-loop server, rate limiting, and the error-taxonomy →
+  status-code mapping;
 * :mod:`repro.serve.client` — :class:`ServeClient`, typed stdlib
   access to a running instance;
 * ``python -m repro.serve`` — the CLI entry point.
@@ -29,7 +30,8 @@ Start in-process (tests, notebooks)::
 See ``docs/serving.md`` for the endpoint and error-contract reference.
 """
 
-from .app import ServerHandle, start_server
+from typing import TYPE_CHECKING
+
 from .batcher import MicroBatcher
 from .client import ServeClient, ServeError
 from .ratelimit import TokenBucket
@@ -52,6 +54,19 @@ from .schemas import (
     SweepResponse,
 )
 from .service import CostService
+
+if TYPE_CHECKING:
+    from .app import ServerHandle, start_server
+
+
+def __getattr__(name):
+    # The HTTP layer imports asyncio; load it on first use, so importing
+    # the wire schemas (as ``repro.api`` does) does not pay for it.
+    if name in ("ServerHandle", "start_server"):
+        from . import app
+        return getattr(app, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SCENARIO_ROUTES",

@@ -1,8 +1,8 @@
-"""The HTTP surface: stdlib routes over :class:`CostService`.
+"""The HTTP surface: routes over :class:`CostService`.
 
-``start_server`` binds a :class:`http.server.ThreadingHTTPServer` on a
-daemon thread (the :func:`repro.obs.start_metrics_endpoint` idiom) and
-returns a :class:`ServerHandle`. Routes:
+``start_server`` runs the routes on :class:`repro.obs.transport.HttpServer`,
+one :mod:`asyncio` event loop on a daemon thread, and returns a
+:class:`ServerHandle`. Routes:
 
 * ``POST /evaluate`` / ``/sweep`` / ``/pareto`` / ``/sensitivity`` /
   ``/optimal_sd`` — one per public :class:`repro.api.Scenario` method,
@@ -12,6 +12,14 @@ returns a :class:`ServerHandle`. Routes:
 * ``GET /metrics`` — the Prometheus registry, bridged live with both
   engine-side and serve-side (cache/batcher/rate-limiter) state.
 
+Concurrency: the loop thread frames and parses every request. A
+RAISE-policy ``/evaluate`` stays on the loop: cache hits are answered
+there and then, and misses wait on the micro-batcher without holding
+a thread. Everything that calls the engine or may block (MASK/COLLECT
+``/evaluate``, the stdlib-only fallback, the grid routes, ``/healthz``
+and ``/metrics``) runs on the transport's bounded worker pool, so no
+engine call ever runs on the loop.
+
 The error contract maps the :mod:`repro.errors` taxonomy onto status
 codes — the body is always an :class:`ErrorResponse` whose ``code`` is
 the exception class name:
@@ -20,31 +28,41 @@ the exception class name:
 condition                                    status
 ===========================================  ======
 malformed JSON / unknown field / bad type    400
+malformed HTTP framing (see the transport)   400
 evaluation failure under RAISE               422
 rate limit exceeded (``Retry-After`` set)    429
 backend unavailable (``ExecutionError``)     503
 unknown route                                404
+unexpected exception (logged)                500
 ===========================================  ======
 
 MASK/COLLECT failures are *not* errors: they return 200 with a
 ``diagnostics`` array (see :mod:`repro.serve.service`).
 
-Every evaluation request runs inside a ``serve.<route>`` span — when
-tracing is enabled, span durations feed the p50/p90/p99 sketches that
-``/metrics`` renders as ``repro_span_duration_seconds`` — and counts
-into the gated ``serve_requests_total{route,status}`` counter.
+Every evaluation request makes one ``serve.<route>`` span covering the
+service call — when tracing is enabled, span durations feed the
+p50/p90/p99 sketches that ``/metrics`` renders as
+``repro_span_duration_seconds`` — and counts once into the gated
+``serve_requests_total{route,status}`` counter. Three stage timings
+join the same sketches without making spans: ``serve.parse`` (body to
+request dataclass), ``serve.batch_wait`` (a miss waiting on the
+micro-batcher) and ``serve.encode`` (response dataclass to bytes).
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-import threading
+import math
+from time import perf_counter
 
 from ..errors import ExecutionError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
 from ..obs.exposition import health_payload, render_prometheus
+from ..obs.trace import record_span
 from ..obs.trace import span as obs_span
+from ..obs.transport import HttpServer, Reply
 from .ratelimit import TokenBucket
 from .schemas import (
     SCENARIO_ROUTES,
@@ -71,37 +89,31 @@ _REQUEST_TYPES = {
 }
 assert set(_REQUEST_TYPES) == set(SCENARIO_ROUTES)
 
-#: Cap on accepted request bodies (1 MiB) — a batch of thousands of
-#: scenarios fits; anything larger is a client error, not a job.
-_MAX_BODY_BYTES = 1 << 20
+_METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class ServerHandle:
     """Handle on a running serve instance (close it when done)."""
 
-    def __init__(self, server, thread: threading.Thread,
-                 service: CostService, limiter: "TokenBucket | None"):
+    def __init__(self, server: HttpServer, service: CostService,
+                 limiter: "TokenBucket | None"):
         self._server = server
-        self._thread = thread
         self.service = service
         self.limiter = limiter
 
     @property
     def port(self) -> int:
         """The bound TCP port (useful with ``port=0`` auto-assignment)."""
-        return self._server.server_address[1]
+        return self._server.port
 
     @property
     def url(self) -> str:
         """Base URL of the server (``http://host:port``)."""
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}"
+        return self._server.url
 
     def close(self) -> None:
         """Stop serving, release the port, stop the batcher (idempotent)."""
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
+        self._server.close()
         self.service.close()
 
     def __enter__(self) -> "ServerHandle":
@@ -111,10 +123,16 @@ class ServerHandle:
         self.close()
 
 
-def _error_body(exc: BaseException, retry_after_s=None) -> ErrorResponse:
+def _error_reply(status: int, exc: BaseException,
+                 retry_after_s: "float | None" = None) -> Reply:
     """The wire form of a failure: taxonomy class name + message."""
-    return ErrorResponse(code=type(exc).__name__, message=str(exc),
-                         retry_after_s=retry_after_s)
+    headers = ()
+    if retry_after_s is not None:
+        headers = (("Retry-After", str(max(1, math.ceil(retry_after_s)))),)
+    error = ErrorResponse(code=type(exc).__name__, message=str(exc),
+                          retry_after_s=retry_after_s)
+    return Reply(status, (error.to_json() + "\n").encode("utf-8"),
+                 headers=headers)
 
 
 def _bridge_serve_metrics(registry, service: CostService,
@@ -139,6 +157,155 @@ def _bridge_serve_metrics(registry, service: CostService,
     return registry
 
 
+def _count(route: str, status: int) -> None:
+    obs_metrics.inc("serve_requests_total",
+                    labels={"route": route, "status": str(status)})
+
+
+def _stage(name: str, seconds: float) -> None:
+    """Fold one request stage's duration into the span sketches."""
+    obs_metrics.observe_duration(f"serve.{name}", seconds)
+
+
+class _Routes:
+    """The transport handler: one call per framed request, on the loop."""
+
+    def __init__(self, service: CostService, registry,
+                 limiter: "TokenBucket | None") -> None:
+        self._service = service
+        self._registry = registry
+        self._limiter = limiter
+
+    def __call__(self, request):
+        if request.method == "POST":
+            return self._post(request)
+        if request.method == "GET":
+            if request.path == "/metrics":
+                return self._metrics()
+            if request.path == "/healthz":
+                return self._healthz()
+        return _error_reply(404, ExecutionError(
+            f"no such route: {request.method} {request.path}"))
+
+    # -- GET --------------------------------------------------------------
+
+    async def _metrics(self) -> Reply:
+        body = await asyncio.to_thread(self._render_metrics)
+        return Reply(200, body, _METRICS_CONTENT_TYPE)
+
+    def _render_metrics(self) -> bytes:
+        obs_telemetry.bridge_engine_metrics(self._registry)
+        _bridge_serve_metrics(self._registry, self._service, self._limiter)
+        return render_prometheus(self._registry).encode("utf-8")
+
+    async def _healthz(self) -> Reply:
+        payload = await asyncio.to_thread(health_payload)
+        return Reply(200, (json.dumps(payload, sort_keys=True)
+                           + "\n").encode("utf-8"))
+
+    # -- POST -------------------------------------------------------------
+
+    def _post(self, request):
+        route = request.path.lstrip("/")
+        request_type = _REQUEST_TYPES.get(route)
+        if request_type is None:
+            return _error_reply(404, ExecutionError(
+                f"no such route: POST {request.path}"))
+        if self._limiter is not None:
+            wait_s = self._limiter.try_acquire()
+            if wait_s > 0.0:
+                _count(route, 429)
+                return _error_reply(429, ExecutionError(
+                    f"rate limit exceeded; retry after {wait_s:.3f}s"),
+                    retry_after_s=wait_s)
+        began = perf_counter()
+        try:
+            parsed = request_type.from_json(request.body)
+        except ReproError as exc:
+            _count(route, 400)
+            return _error_reply(400, exc)
+        _stage("parse", perf_counter() - began)
+        if route == "evaluate" and self._service.batched(parsed):
+            return self._evaluate_on_loop(parsed)
+        return self._in_pool(route, parsed)
+
+    def _evaluate_on_loop(self, request: EvaluateRequest):
+        """RAISE ``/evaluate``: hits answer here, misses await the batcher.
+
+        The ``serve.evaluate`` span is timed by hand: a miss crosses an
+        ``await``, where a context-managed span cannot follow.
+        """
+        began = perf_counter()
+        service = self._service
+        try:
+            pending = service.lookup(request)
+            if pending.misses:
+                return self._await_batch(began, pending,
+                                         service.submit(pending))
+            response = service.finish(pending, ())
+        except Exception as exc:
+            record_span("serve.evaluate", began, perf_counter(),
+                        error=type(exc).__name__)
+            if not isinstance(exc, ReproError):
+                raise
+            return self._failed("evaluate", exc)
+        record_span("serve.evaluate", began, perf_counter())
+        return self._ok("evaluate", response)
+
+    async def _await_batch(self, began: float, pending, futures) -> Reply:
+        waited = perf_counter()
+        try:
+            fresh = [await asyncio.wrap_future(f) for f in futures]
+            _stage("batch_wait", perf_counter() - waited)
+            response = self._service.finish(pending, fresh)
+        except Exception as exc:
+            record_span("serve.evaluate", began, perf_counter(),
+                        error=type(exc).__name__)
+            if not isinstance(exc, ReproError):
+                raise
+            return self._failed("evaluate", exc)
+        record_span("serve.evaluate", began, perf_counter())
+        return self._ok("evaluate", response)
+
+    async def _in_pool(self, route: str, request) -> Reply:
+        """Run one blocking service call on the worker pool."""
+        try:
+            with obs_span(f"serve.{route}"):
+                response = await asyncio.to_thread(
+                    getattr(self._service, route), request)
+        except ReproError as exc:
+            return self._failed(route, exc)
+        return self._ok(route, response)
+
+    @staticmethod
+    def _ok(route: str, response) -> Reply:
+        began = perf_counter()
+        body = (response.to_json() + "\n").encode("utf-8")
+        _stage("encode", perf_counter() - began)
+        _count(route, 200)
+        return Reply(200, body)
+
+    @staticmethod
+    def _failed(route: str, exc: ReproError) -> Reply:
+        status = 503 if isinstance(exc, ExecutionError) else 422
+        _count(route, status)
+        return _error_reply(status, exc)
+
+
+def _transport_error(status: int, exc: BaseException, request) -> Reply:
+    """The replies the transport makes itself, counted like the rest.
+
+    A 400 when the HTTP framing is malformed (``request`` is ``None``:
+    there is no route yet) and a 500, logged by the transport, when an
+    unexpected exception escapes a route.
+    """
+    if request is not None and request.method == "POST":
+        route = request.path.lstrip("/")
+        if route in _REQUEST_TYPES:
+            _count(route, status)
+    return _error_reply(status, exc)
+
+
 def start_server(host: str = "127.0.0.1", port: int = 0, *,
                  service: "CostService | None" = None,
                  registry=None,
@@ -157,111 +324,11 @@ def start_server(host: str = "127.0.0.1", port: int = 0, *,
     one is built from the ``cache_entries``/``batch_*`` knobs and owned
     (closed) by the handle.
     """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
     svc = service if service is not None else CostService(
         cache_entries=cache_entries, batch_max=batch_max,
         batch_wait_s=batch_wait_s, batching=batching)
     reg = registry if registry is not None else obs_metrics.get_registry()
     limiter = TokenBucket(rate, burst) if rate is not None else None
-
-    class _Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            if self.path == "/metrics":
-                obs_telemetry.bridge_engine_metrics(reg)
-                _bridge_serve_metrics(reg, svc, limiter)
-                self._reply(200, render_prometheus(reg).encode("utf-8"),
-                            "text/plain; version=0.0.4; charset=utf-8")
-            elif self.path == "/healthz":
-                body = (json.dumps(health_payload(), sort_keys=True)
-                        + "\n").encode("utf-8")
-                self._reply(200, body, "application/json")
-            else:
-                self._reply_error(404, _error_body(
-                    ExecutionError(f"no such route: GET {self.path}")))
-
-        def do_POST(self):  # noqa: N802 - http.server API
-            route = self.path.lstrip("/")
-            if route not in _REQUEST_TYPES:
-                self._reply_error(404, _error_body(
-                    ExecutionError(f"no such route: POST {self.path}")))
-                return
-            if limiter is not None:
-                wait_s = limiter.try_acquire()
-                if wait_s > 0.0:
-                    exc = ExecutionError(
-                        "rate limit exceeded; retry after "
-                        f"{wait_s:.3f}s")
-                    self._reply_error(
-                        429, _error_body(exc, retry_after_s=wait_s),
-                        retry_after_s=wait_s)
-                    self._count(route, 429)
-                    return
-            try:
-                request = _REQUEST_TYPES[route].from_json(self._body())
-            except ReproError as exc:
-                self._reply_error(400, _error_body(exc))
-                self._count(route, 400)
-                return
-            try:
-                with obs_span(f"serve.{route}"):
-                    response = getattr(svc, route)(request)
-            except ExecutionError as exc:
-                self._reply_error(503, _error_body(exc))
-                self._count(route, 503)
-                return
-            except ReproError as exc:
-                self._reply_error(422, _error_body(exc))
-                self._count(route, 422)
-                return
-            body = (response.to_json() + "\n").encode("utf-8")
-            self._reply(200, body, "application/json")
-            self._count(route, 200)
-
-        def _body(self) -> str:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > _MAX_BODY_BYTES:
-                raise ExecutionError(
-                    f"request body too large ({length} bytes; "
-                    f"limit {_MAX_BODY_BYTES})")
-            return self.rfile.read(length).decode("utf-8")
-
-        def _reply(self, status: int, body: bytes, content_type: str,
-                   extra_headers=()) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in extra_headers:
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _reply_error(self, status: int, error: ErrorResponse,
-                         retry_after_s: "float | None" = None) -> None:
-            headers = []
-            if retry_after_s is not None:
-                import math
-                headers.append(("Retry-After",
-                                str(max(1, math.ceil(retry_after_s)))))
-            self._reply(status, (error.to_json() + "\n").encode("utf-8"),
-                        "application/json", extra_headers=headers)
-
-        @staticmethod
-        def _count(route: str, status: int) -> None:
-            obs_metrics.inc("serve_requests_total",
-                            labels={"route": route, "status": str(status)})
-
-        def log_message(self, format, *args):  # noqa: A002 - http.server API
-            pass  # request logging goes through metrics, not stderr
-
-    class _Server(ThreadingHTTPServer):
-        daemon_threads = True
-        # A coalescing server exists to absorb concurrent bursts; the
-        # http.server default backlog of 5 resets connections under one.
-        request_queue_size = 128
-
-    server = _Server((host, port), _Handler)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-serve", daemon=True)
-    thread.start()
-    return ServerHandle(server, thread, svc, limiter)
+    server = HttpServer(host, port, _Routes(svc, reg, limiter),
+                        error_reply=_transport_error, name="repro-serve")
+    return ServerHandle(server, svc, limiter)

@@ -70,7 +70,11 @@ def _float_value(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"field {name!r} must be a number, "
                           f"got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError(f"field {name!r} is too large for a float") \
+            from None
 
 
 def _converter(fn, name):
@@ -148,14 +152,22 @@ def _as_items(item_from_dict, name):
     return convert
 
 
-def _jsonable(value):
-    """Recursively replace non-finite floats with ``None`` (JSON null)."""
+def _plain(value):
+    """One field value in JSON-safe form, as :meth:`_Wire.to_dict` needs.
+
+    Nested records become dicts, tuples become lists, and non-finite
+    floats become ``None``: the same result as ``dataclasses.asdict``
+    followed by a non-finite-to-``None`` pass, without the per-call
+    field reflection and deep copies.
+    """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, _Wire):
+        return value.to_dict()
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     return value
 
 
@@ -164,26 +176,57 @@ class _Wire:
 
     Subclasses may provide ``_CONVERT`` — a ``{field name: callable}``
     plain class attribute (not a dataclass field) used by
-    :meth:`from_dict` to validate and rebuild nested values.
+    :meth:`from_dict` to validate and rebuild nested values. Each
+    class's field layout is read once, on first use, into ``_LAYOUT``:
+    the field names in order, the same names as a set, and one
+    ``(name, required, converter)`` triple per field.
     """
 
     _CONVERT: dict = {}
 
+    @classmethod
+    def _layout(cls) -> tuple:
+        """This class's ``_LAYOUT``, built on first use."""
+        layout = cls.__dict__.get("_LAYOUT")
+        if layout is None:
+            fields = dataclasses.fields(cls)
+            names = tuple(f.name for f in fields)
+            parse = tuple(
+                (f.name,
+                 f.default is dataclasses.MISSING
+                 and f.default_factory is dataclasses.MISSING,
+                 cls._CONVERT.get(f.name))
+                for f in fields)
+            layout = cls._LAYOUT = (names, frozenset(names), parse)
+        return layout
+
     def to_dict(self) -> dict:
         """The record as a JSON-safe dict (NaN/Inf become ``null``)."""
-        return _jsonable(dataclasses.asdict(self))
+        return {name: _plain(getattr(self, name))
+                for name in self._layout()[0]}
 
     def to_json(self) -> str:
         """The record as a canonical (sorted-key) JSON document."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str):
-        """Parse a JSON document; :class:`DomainError` on malformed input."""
+    def from_json(cls, text: "str | bytes"):
+        """Parse a JSON document (text, or UTF-8 bytes); :class:`DomainError`
+        on malformed input."""
+        if isinstance(text, (bytes, bytearray)):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DomainError(
+                    f"{cls.__name__}: invalid JSON: not UTF-8: {exc}") \
+                    from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"{cls.__name__}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise DomainError(
+                f"{cls.__name__}: invalid JSON: nested too deeply") from None
         return cls.from_dict(data)
 
     @classmethod
@@ -192,22 +235,20 @@ class _Wire:
         if not isinstance(data, dict):
             raise DomainError(f"{cls.__name__}: expected a JSON object, "
                               f"got {type(data).__name__}")
-        fields = dataclasses.fields(cls)
-        unknown = sorted(set(data) - {f.name for f in fields})
-        if unknown:
+        _, known, parse = cls._layout()
+        if not known.issuperset(data):
+            unknown = sorted(set(data) - known)
             raise DomainError(
                 f"{cls.__name__}: unknown field(s) {', '.join(unknown)}")
         kwargs = {}
-        for f in fields:
-            if f.name not in data:
-                if (f.default is dataclasses.MISSING
-                        and f.default_factory is dataclasses.MISSING):
+        for name, required, convert in parse:
+            if name not in data:
+                if required:
                     raise DomainError(
-                        f"{cls.__name__}: missing required field {f.name!r}")
+                        f"{cls.__name__}: missing required field {name!r}")
                 continue
-            convert = cls._CONVERT.get(f.name)
-            value = data[f.name]
-            kwargs[f.name] = convert(value) if convert is not None else value
+            value = data[name]
+            kwargs[name] = convert(value) if convert is not None else value
         return cls(**kwargs)
 
 

@@ -26,7 +26,9 @@ interpreter the service still answers ``/evaluate`` through the
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 import threading
 from pathlib import Path
 
@@ -56,6 +58,9 @@ __all__ = ["CostService"]
 #: the stdlib-only fallback needs no import of the NumPy-backed wafer
 #: package; equals ``WAFER_200MM.area_cm2`` bit-for-bit.
 _WAFER_200MM_AREA_CM2 = math.pi * 10.0 ** 2
+
+#: The six operating-point floats of a serve cache key, as IEEE bytes.
+_OPERATING_POINT = struct.Struct("<6d")
 
 #: Lazily file-loaded ``repro.engine.pykernels`` for interpreters where
 #: importing ``repro.engine`` itself fails (NumPy absent).
@@ -97,6 +102,23 @@ def _diag_payloads(diagnostics) -> tuple:
     return tuple(DiagnosticPayload.from_diagnostic(d) for d in diagnostics)
 
 
+class _Pending:
+    """A RAISE ``/evaluate`` between its cache lookup and its response.
+
+    ``values[i]`` is ``(cost, area)`` for a cache hit and ``None`` for
+    a miss; ``misses`` lists the missed indices in request order.
+    """
+
+    __slots__ = ("payloads", "keys", "values", "misses", "backend")
+
+    def __init__(self, payloads, keys, values, misses, backend) -> None:
+        self.payloads = payloads
+        self.keys = keys
+        self.values = values
+        self.misses = misses
+        self.backend = backend
+
+
 def _point_from_result(result) -> EvaluatedPoint:
     ok = result.ok
     return EvaluatedPoint(
@@ -111,12 +133,12 @@ def _point_from_result(result) -> EvaluatedPoint:
 class CostService:
     """Evaluate wire requests against the Scenario facade.
 
-    One instance is shared by every server thread: the memo cache and
-    batcher are the cross-request state. ``batch_wait_s`` bounds the
-    extra latency a single evaluation pays for coalescing; ``0``
-    batches only what is already queued. Construct with
-    ``batching=False`` to price every request directly (the
-    no-coalescing baseline the benchmarks compare against).
+    One instance is shared by the server's event loop and its worker
+    threads: the memo cache and batcher are the cross-request state.
+    ``batch_wait_s`` bounds the extra latency a single evaluation pays
+    for coalescing; ``0`` batches only what is already queued.
+    Construct with ``batching=False`` to price every request directly
+    (the no-coalescing baseline the benchmarks compare against).
     """
 
     def __init__(self, *, cache_entries: int = 256, batch_max: int = 64,
@@ -124,13 +146,17 @@ class CostService:
         self.numpy_backend = _numpy_available()
         self._cache = None
         # GridCache is not internally synchronised; the serve layer
-        # shares one across handler threads, so all access goes
-        # through this lock.
+        # shares one between the event loop and the worker threads, so
+        # all access goes through this lock.
         self._cache_lock = threading.Lock()
         self._batcher = None
         if self.numpy_backend:
+            from ..cost.total import PAPER_FIGURE4_MODEL
             from ..engine.cache import GridCache
             self._cache = GridCache(cache_entries)
+            self._key_prefix = hashlib.sha256(
+                b"serve.evaluate\x00"
+                + repr(PAPER_FIGURE4_MODEL).encode("utf-8") + b"\x00")
             if batching:
                 self._batcher = MicroBatcher(self._price_batch,
                                              max_batch=batch_max,
@@ -158,79 +184,101 @@ class CostService:
                 for r in results]
 
     def _scenario_key(self, payload) -> bytes:
-        import numpy as np
-        from ..cost.total import PAPER_FIGURE4_MODEL
-        from ..engine.cache import GridCache
-        token = ("serve.evaluate", repr(PAPER_FIGURE4_MODEL),
-                 payload.n_transistors, payload.feature_um, payload.n_wafers,
-                 payload.yield_fraction, payload.cost_per_cm2)
-        return GridCache.key(token, np.asarray([payload.sd], dtype=float))
+        """Cache address of one operating point under the service's model.
 
-    def _cache_get(self, payload):
-        if self._cache is None:
-            return None
-        key = self._scenario_key(payload)
-        with self._cache_lock:
-            values = self._cache.get(key)
-        if values is None:
-            return None
-        return float(values[0]), float(values[1])
+        The model half of the digest is hashed once, in ``__init__``;
+        per request only the six operating-point floats are added, as
+        IEEE bytes (so ``-0.0`` and ``0.0`` are different points).
+        """
+        digest = self._key_prefix.copy()
+        digest.update(_OPERATING_POINT.pack(
+            payload.n_transistors, payload.feature_um, payload.n_wafers,
+            payload.yield_fraction, payload.cost_per_cm2, payload.sd))
+        return digest.digest()
 
-    def _cache_put(self, payload, cost: float, area: float) -> None:
-        if self._cache is None:
-            return
-        import numpy as np
-        key = self._scenario_key(payload)
+    def batched(self, request: EvaluateRequest) -> bool:
+        """Whether ``request`` takes the cache → micro-batcher path.
+
+        True for RAISE requests on the NumPy backend with batching on.
+        For those, :meth:`lookup`, :meth:`submit` and :meth:`finish`
+        make no engine call on the calling thread, so an event loop
+        may run them; every other request is a blocking
+        :meth:`evaluate` call.
+        """
+        return request.policy == "raise" and self._batcher is not None
+
+    def lookup(self, request: EvaluateRequest) -> _Pending:
+        """Step 1 of a RAISE evaluation: probe the cache for every point."""
+        from ..engine import resolved_backend
+        payloads = request.scenarios
+        keys = [self._scenario_key(p) for p in payloads]
+        values: list = [None] * len(payloads)
+        misses = []
         with self._cache_lock:
-            self._cache.put(key, np.asarray([cost, area], dtype=float))
+            for i, key in enumerate(keys):
+                cached = self._cache.get(key)
+                if cached is None:
+                    misses.append(i)
+                else:
+                    values[i] = (float(cached[0]), float(cached[1]))
+        return _Pending(payloads, keys, values, misses, resolved_backend())
+
+    def submit(self, pending: _Pending) -> list:
+        """Step 2: queue the misses on the micro-batcher.
+
+        Returns one :class:`~concurrent.futures.Future` per missed
+        point, in order, each resolving to ``(cost, area, backend)``.
+        Needs batching on (see :meth:`batched`).
+        """
+        return [self._batcher.submit(pending.payloads[i].to_scenario())
+                for i in pending.misses]
+
+    def finish(self, pending: _Pending, fresh) -> EvaluateResponse:
+        """Step 3: cache the freshly priced points and build the response.
+
+        ``fresh`` holds one ``(cost, area, backend)`` per miss, in order.
+        """
+        import numpy as np
+        values = pending.values
+        backend = pending.backend
+        for i, (cost, area, fresh_backend) in zip(pending.misses, fresh):
+            with self._cache_lock:
+                self._cache.put(pending.keys[i],
+                                np.asarray([cost, area], dtype=float))
+            values[i] = (cost, area)
+            backend = fresh_backend
+        points = tuple(
+            EvaluatedPoint(label=payload.label,
+                           cost_per_transistor_usd=cost,
+                           area_cm2=area,
+                           die_cost_usd=cost * payload.n_transistors,
+                           ok=True)
+            for payload, (cost, area) in zip(pending.payloads, values))
+        return EvaluateResponse(results=points, backend=backend)
 
     def evaluate(self, request: EvaluateRequest) -> EvaluateResponse:
         """Price the request's scenarios under its error policy.
 
-        RAISE batches flow cache → micro-batcher → ``evaluate_many``;
-        a failing scenario raises its :mod:`repro.errors` exception.
-        MASK returns NaN-masked points as ``null`` costs plus one
-        diagnostic per failure; COLLECT returns the aggregated
-        diagnostics with no results when anything failed.
+        RAISE batches flow cache → micro-batcher → ``evaluate_many``
+        (:meth:`lookup`, :meth:`submit`, :meth:`finish`); a failing
+        scenario raises its :mod:`repro.errors` exception. MASK returns
+        NaN-masked points as ``null`` costs plus one diagnostic per
+        failure; COLLECT returns the aggregated diagnostics with no
+        results when anything failed.
         """
         if not self.numpy_backend:
             return self._evaluate_fallback(request)
-        if request.policy == "raise":
-            return self._evaluate_raise(request.scenarios)
-        return self._evaluate_guarded(request)
-
-    def _evaluate_raise(self, payloads) -> EvaluateResponse:
-        from ..engine import resolved_backend
-        n = len(payloads)
-        costs: list = [None] * n
-        areas: list = [None] * n
-        backend = resolved_backend()
-        misses = []
-        for i, payload in enumerate(payloads):
-            cached = self._cache_get(payload)
-            if cached is not None:
-                costs[i], areas[i] = cached
-            else:
-                misses.append(i)
-        if misses:
-            scenarios = [payloads[i].to_scenario() for i in misses]
-            if self._batcher is not None:
-                futures = [self._batcher.submit(s) for s in scenarios]
-                fresh = [f.result() for f in futures]
-            else:
-                fresh = self._price_batch(scenarios)
-            for i, (cost, area, fresh_backend) in zip(misses, fresh):
-                self._cache_put(payloads[i], cost, area)
-                costs[i], areas[i] = cost, area
-                backend = fresh_backend
-        points = tuple(
-            EvaluatedPoint(label=payload.label,
-                           cost_per_transistor_usd=costs[i],
-                           area_cm2=areas[i],
-                           die_cost_usd=costs[i] * payload.n_transistors,
-                           ok=True)
-            for i, payload in enumerate(payloads))
-        return EvaluateResponse(results=points, backend=backend)
+        if request.policy != "raise":
+            return self._evaluate_guarded(request)
+        pending = self.lookup(request)
+        if self._batcher is not None:
+            fresh = [future.result() for future in self.submit(pending)]
+        elif pending.misses:
+            fresh = self._price_batch([pending.payloads[i].to_scenario()
+                                       for i in pending.misses])
+        else:
+            fresh = []
+        return self.finish(pending, fresh)
 
     def _evaluate_guarded(self, request: EvaluateRequest) -> EvaluateResponse:
         from ..api import evaluate_many

@@ -1,8 +1,9 @@
 """HTTP layer integration: routes, error contract, burst determinism.
 
-Each test boots a real ``ThreadingHTTPServer`` on an ephemeral port and
-talks to it through :class:`repro.serve.ServeClient` — the same wire
-dataclasses on both ends. Pinned here:
+Each test boots a real server (``repro.obs.transport``, one asyncio
+event loop) on an ephemeral port and talks to it through
+:class:`repro.serve.ServeClient` — the same wire dataclasses on both
+ends. Pinned here:
 
 * per-policy round trips (RAISE → 422 with the taxonomy code,
   MASK/COLLECT → 200 with a ``diagnostics`` array);
