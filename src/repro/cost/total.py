@@ -145,6 +145,14 @@ class TotalCostModel:
         eqs. (4)–(6) for a scalar or array ``sd``. :meth:`transistor_cost`
         is ``sd_curve(...)(sd)``; a solver that evaluates eq. (4) many
         times at one operating point builds the curve once instead.
+
+        ``curve(sd, out=buf, scratch=tmp)`` writes an array ``sd``'s
+        costs into ``buf`` and returns it, using ``tmp`` (same shape,
+        float) as its only working memory. With scalar fixed arguments,
+        no test model and a valid ``C_MA`` it runs the same ufuncs in
+        place, so the values are bit-identical to ``curve(sd)``; it
+        falls back to ``curve(sd)`` otherwise and on any invalid
+        ``sd``, so the errors are too.
         """
         feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
         effective_yield = (np.asarray(check_fraction(yield_fraction, "yield_fraction"),
@@ -164,8 +172,36 @@ class TotalCostModel:
         fixed_ndim = any(np.ndim(a) for a in (n_transistors, feature_um, n_wafers,
                                               yield_fraction, cost_per_cm2))
         test_model = self.test_model
+        sd0 = design.sd0
+        p2 = design.p2
+        fused = (test_model is None and not fixed_ndim
+                 and not isinstance(c_ma, DomainError))
 
-        def curve(sd):
+        def into(sd, out, scratch):
+            if fused and type(sd) is np.ndarray and sd.dtype == np.float64:
+                m = np.subtract(sd, sd0, out=np.empty_like(sd) if scratch is None else scratch)
+                # check_positive's finite and > 0 tests and margin's
+                # > s_d0 test in one pass: all hold exactly when
+                # 0 < m < inf (a NaN fails both comparisons).
+                if 0.0 < np.min(m, initial=np.inf) and np.max(m, initial=-np.inf) < np.inf:
+                    # curve(sd)'s ufuncs in its order, one buffer each side.
+                    c = np.power(m, p2, out=m)
+                    np.divide(amplitude, c, out=c)
+                    np.add(c, c_ma, out=c)
+                    np.divide(c, wafer_cm2, out=c)
+                    np.add(cm_sq, c, out=c)
+                    np.add(c, 0.0, out=c)  # ``+ ct_sq``: -0.0 becomes 0.0
+                    np.multiply(lambda_sq, sd, out=out)
+                    np.divide(out, effective_yield, out=out)
+                    return np.multiply(out, c, out=out)
+            # Anything else, and every failed check, takes the general
+            # path, which raises the same DomainError as before.
+            out[...] = curve(sd)
+            return out
+
+        def curve(sd, out=None, scratch=None):
+            if out is not None:
+                return into(sd, out, scratch)
             m = design.margin(sd)  # a float exactly when ``sd`` is a scalar
             scalar = isinstance(m, float)
             c_de = amplitude / np.asarray(m) ** design.p2

@@ -10,7 +10,8 @@ python-level per-point loops. It is the dispatch layer behind
   its fixed operating point; each knows a vectorized ``batch``, an
   exact legacy scalar ``point``, and a dependency-free ``point_py``;
 * :mod:`repro.engine.core` — :func:`evaluate_grid` (policy-preserving
-  dispatch) and :func:`map_scalar` (the scalar-sweep loop);
+  dispatch over 64k-point blocks, spread across threads for large
+  grids) and :func:`map_scalar` (the scalar-sweep loop);
 * :mod:`repro.engine.cache` — content-addressed memo cache for
   repeated grid evaluations;
 * :mod:`repro.engine.parallel` — chunked ``ProcessPoolExecutor`` path

@@ -16,12 +16,17 @@ and behaviourally identical to the per-point loops it replaces:
   ``parameter``/``index``, same message, same ``robust.policy.*``
   metric side effects).
 
-Both policies evaluate in-process grids through :func:`_blocked_batch`:
-``kernel.batch`` over fixed 64k-point slices written into one
-preallocated output. A slice and the temporaries the model arithmetic
-allocates for it stay cache-resident, where one whole-grid call streams
-every temporary through main memory. The kernels are elementwise, so
-the values are bit-identical to one unblocked ``kernel.batch``.
+Both policies evaluate in-process grids in fixed 64k-point slices
+written into one preallocated output (:func:`_blocked_batch`,
+:func:`_masked_blocks`). A slice and the temporaries the model
+arithmetic allocates for it stay cache-resident, where one whole-grid
+call streams every temporary through main memory. An in-place kernel
+(``Eq4SdKernel``) allocates none: it writes each slice through one
+scratch buffer. Grids of ``_THREADS_FROM`` points or more are sliced
+across threads (NumPy ufuncs release the GIL); the thread count is
+``engine.configure_parallel``'s ``max_workers``, else every CPU. The
+kernels are elementwise, so the values are bit-identical to one
+unblocked ``kernel.batch`` on any number of threads.
 
 :func:`map_scalar` is the engine's loop for inherently scalar sweeps
 (optimiser restarts, per-node roadmap scans): it centralises the
@@ -33,6 +38,9 @@ diagnostic lists).
 
 from __future__ import annotations
 
+import contextvars
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +59,15 @@ __all__ = ["GridEvaluation", "evaluate_grid", "map_scalar"]
 #: Points per in-process ``kernel.batch`` call. Not a knob: 64k measured
 #: fastest of 8k/16k/32k/64k/128k/256k for eq. (4) over a 1M-point grid.
 _BLOCK = 65_536
+#: Grid size from which the blocks run on several threads. Not a knob:
+#: on a 2-vCPU host ``tools/pool_crossover.py`` had two threads beat one
+#: at 4 blocks (262 144 points) in 6 of 7 runs and at every larger size
+#: in every run; at 3 blocks the winner changed from run to run.
+_THREADS_FROM = 4 * _BLOCK
+
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -63,7 +80,8 @@ class GridEvaluation:
     ``supervision`` is the :class:`repro.robust.supervision.
     SupervisionReport` of the pooled run (``None`` when the run stayed
     single-process) — retries, pool restarts, degraded chunks,
-    checkpoint preloads, breaker state.
+    checkpoint preloads, breaker state. ``workers`` is how many threads
+    evaluated the in-process blocks.
     """
 
     values: np.ndarray
@@ -72,6 +90,7 @@ class GridEvaluation:
     cache_hit: bool = False
     chunks: int = 1
     supervision: object | None = None
+    workers: int = 1
 
 
 def _values_buffer(kernel, n: int, fill: float | None = np.nan) -> np.ndarray:
@@ -81,29 +100,142 @@ def _values_buffer(kernel, n: int, fill: float | None = np.nan) -> np.ndarray:
     return np.empty(shape) if fill is None else np.full(shape, fill, dtype=float)
 
 
-def _blocked_batch(kernel, xs: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def _block_threads(n: int) -> int:
+    """Threads for an ``n``-point block loop: 1 below ``_THREADS_FROM``."""
+    if n < _THREADS_FROM:
+        return 1
+    return max(1, min(_parallel.block_threads(), -(-n // _BLOCK)))
+
+
+def _thread_pool(helpers: int) -> ThreadPoolExecutor:
+    """The shared helper threads, recreated when the count changes."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None or _pool_size != helpers:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-block")
+            _pool_size = helpers
+        return _pool
+
+
+def _run_blocks(n: int, work) -> int:
+    """Call ``work(start, stop, scratch)`` on every ``_BLOCK`` slice of
+    ``range(n)``; return how many threads took part.
+
+    The calling thread drains the slices together with up to
+    ``threads - 1`` helpers, each with its own ``_BLOCK``-point scratch
+    buffer. Helpers run in a copy of the caller's context, so their
+    spans parent under the caller's span and the caller's
+    ``np.errstate`` applies. After a slice fails no thread starts
+    another, and every helper finishes before the exception propagates
+    (the calling thread's first).
+    """
+    # One iterator shared by every thread: next() on it is atomic under
+    # the GIL, so each slice is taken exactly once.
+    starts = iter(range(0, n, _BLOCK))
+    failed = []
+
+    def drain():
+        scratch = np.empty(min(_BLOCK, n))
+        try:
+            for start in starts:
+                if failed:
+                    return
+                stop = min(start + _BLOCK, n)
+                work(start, stop, scratch[:stop - start])
+        except BaseException:
+            failed.append(True)
+            raise
+
+    threads = _block_threads(n)
+    if threads == 1:
+        drain()
+        return 1
+    pool = _thread_pool(threads - 1)
+    futures = [pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            future.cancel()  # still queued: no slices are left for it
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+    return threads
+
+
+def _block_writer(kernel):
+    """``write(block, out, scratch)``: ``kernel.batch(block)`` into ``out``.
+
+    An in-place kernel (one that defines ``prepare``) is prepared here,
+    on the calling thread, and then writes through ``scratch``.
+    """
+    prepare = getattr(kernel, "prepare", None)
+    if prepare is None:
+        def write(block, out, scratch):
+            out[...] = kernel.batch(block)
+    else:
+        prepare()
+
+        def write(block, out, scratch):
+            kernel.batch(block, out=out, scratch=scratch)
+    return write
+
+
+def _blocked_batch(kernel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     """``kernel.batch`` over ``xs`` in ``_BLOCK``-point slices, one output.
 
-    Without ``mask`` every point is evaluated. With a boolean ``mask``
-    only its points are: a fully feasible block writes straight
-    through, a mixed block gathers its feasible points and scatters the
-    results back, an infeasible block is skipped, and every point left
-    out stays NaN. A ``ReproError`` from any block propagates.
+    Returns ``(values, threads)``. A ``ReproError`` from any block
+    propagates.
     """
-    if mask is None and xs.size <= _BLOCK:
-        return np.asarray(kernel.batch(xs), dtype=float)
+    if xs.size <= _BLOCK:
+        return np.asarray(kernel.batch(xs), dtype=float), 1
     values = _values_buffer(kernel, xs.size, fill=None)
-    for start in range(0, xs.size, _BLOCK):
-        block = xs[start:start + _BLOCK]
-        out = values[..., start:start + _BLOCK]
-        keep = None if mask is None else mask[start:start + _BLOCK]
-        if keep is None or keep.all():
-            out[...] = kernel.batch(block)
-            continue
-        out[...] = np.nan
-        if keep.any():
-            out[..., keep] = kernel.batch(block[keep])
-    return values
+    write = _block_writer(kernel)
+
+    def work(start, stop, scratch):
+        write(xs[start:stop], values[..., start:stop], scratch)
+
+    return values, _run_blocks(xs.size, work)
+
+
+def _masked_blocks(kernel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The in-process MASK/COLLECT batch: ``(values, suspects, threads)``.
+
+    Each slice is split by ``kernel.feasible``: a fully feasible slice
+    is written straight through, a mixed slice gathers its feasible
+    points and scatters the results back, and an infeasible one is
+    skipped; every point left out stays NaN. ``suspects`` are the
+    ascending indices whose values are not finite (every infeasible
+    point among them). A ``ReproError`` from any slice propagates.
+    """
+    values = _values_buffer(kernel, xs.size, fill=None)
+    write = _block_writer(kernel)
+    found = {}
+
+    def work(start, stop, scratch):
+        block = xs[start:stop]
+        out = values[..., start:stop]
+        keep = np.asarray(kernel.feasible(block), dtype=bool)
+        if keep.all():
+            write(block, out, scratch)
+        else:
+            out[...] = np.nan
+            if keep.any():
+                out[..., keep] = kernel.batch(block[keep])
+        finite = np.isfinite(out)
+        if out.ndim > 1:
+            finite = finite.all(axis=0)
+        if not finite.all():
+            found[start] = np.flatnonzero(~finite) + start
+
+    threads = _run_blocks(xs.size, work)
+    suspects = np.concatenate([found[start] for start in sorted(found)]
+                              or [np.empty(0, dtype=np.intp)])
+    return values, suspects, threads
 
 
 def _store(values: np.ndarray, index: int, result) -> None:
@@ -141,37 +273,43 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
     ascending grid order, so the diagnostic stream is identical to the
     legacy loop's.
 
-    In-process, the feasible points are evaluated block by block
-    (:func:`_blocked_batch`). Feasible subsets past the pool threshold
-    go through the supervised pool with
+    In-process, feasibility, evaluation and the finiteness check run
+    slice by slice (:func:`_masked_blocks`). Feasible subsets past the
+    pool threshold go through the supervised pool with
     ``allow_degraded=True``: a run that trips the circuit breaker
     still completes in-process, and its degradation diagnostics are
     appended *after* the log's own — never fed through ``capture`` —
     so a COLLECT run degrades instead of raising ``CollectedErrors``
     for an execution-substrate fault. Returns ``(values, diagnostics,
-    supervision, chunks)``.
+    supervision, chunks, threads)``.
     """
     log = DiagnosticLog(policy, where, equation=equation)
-    mask = np.asarray(kernel.feasible(xs), dtype=bool)
     supervision = None
-    n_chunks = _parallel.plan_chunks(int(np.count_nonzero(mask)))
+    n_chunks = threads = 1
     try:
+        # The feasible subset is never larger than the grid, so a grid
+        # below the pool threshold needs no whole-grid mask to decide.
+        if _parallel.plan_chunks(xs.size) > 1:
+            mask = np.asarray(kernel.feasible(xs), dtype=bool)
+            n_chunks = _parallel.plan_chunks(int(np.count_nonzero(mask)))
         if n_chunks > 1:
             batch_values, supervision = _parallel.batch_in_chunks(
                 kernel, xs[mask], n_chunks, where=where, allow_degraded=True)
             values = _values_buffer(kernel, xs.size)
             values[..., mask] = np.asarray(batch_values, dtype=float)
+            finite = np.isfinite(values)
+            if values.ndim > 1:
+                finite = finite.all(axis=0)
+            suspects = np.flatnonzero(~(mask & finite))
         else:
-            values = _blocked_batch(kernel, xs, mask)
+            values, suspects, threads = _masked_blocks(kernel, xs)
     except ReproError:
         # A fixed parameter (not the swept one) is infeasible, or the
         # predicate was too optimistic: the whole batch is suspect, so
         # fall back to the exact legacy loop for full diagnostics parity.
         scalar_values, scalar_diags = _scalar_loop(
             kernel, xs, policy, where, equation, parameter, python=False)
-        return scalar_values, scalar_diags, None, 1
-    finite = np.isfinite(values).all(axis=0) if values.ndim > 1 else np.isfinite(values)
-    suspects = np.flatnonzero(~(mask & finite))
+        return scalar_values, scalar_diags, None, 1, 1
     for raw_index in suspects:
         i = int(raw_index)
         try:
@@ -184,7 +322,7 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
     diagnostics = log.finish()
     if supervision is not None and supervision.diagnostics:
         diagnostics = diagnostics + supervision.diagnostics
-    return values, diagnostics, supervision, n_chunks
+    return values, diagnostics, supervision, n_chunks, threads
 
 
 def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
@@ -196,10 +334,10 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
                                            equation, parameter, python=True)
         return GridEvaluation(values, diagnostics, "python")
     if policy is not ErrorPolicy.RAISE:
-        values, diagnostics, supervision, n_chunks = _masked_batch(
+        values, diagnostics, supervision, n_chunks, threads = _masked_batch(
             kernel, xs, policy, where, equation, parameter)
-        return GridEvaluation(values, diagnostics, "numpy",
-                              chunks=n_chunks, supervision=supervision)
+        return GridEvaluation(values, diagnostics, "numpy", chunks=n_chunks,
+                              supervision=supervision, workers=threads)
     use_cache = cache and _cache.grid_cache.enabled and not obs_trace.is_enabled()
     key = b""
     if use_cache:
@@ -209,12 +347,13 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
             return GridEvaluation(hit, (), "numpy", cache_hit=True)
     n_chunks = _parallel.plan_chunks(xs.size)
     supervision = None
+    threads = 1
     if n_chunks > 1:
         values, supervision = _parallel.batch_in_chunks(kernel, xs, n_chunks,
                                                         where=where)
     else:
         try:
-            values = _blocked_batch(kernel, xs)
+            values, threads = _blocked_batch(kernel, xs)
         except ReproError:
             if xs.size <= _BLOCK:
                 raise
@@ -226,7 +365,7 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
         _cache.grid_cache.put(key, values)
     obs_metrics.observe("engine_grid_points", float(xs.size))
     return GridEvaluation(values, (), "numpy", chunks=n_chunks,
-                          supervision=supervision)
+                          supervision=supervision, workers=threads)
 
 
 def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
@@ -257,6 +396,7 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
         result = _dispatch(kernel, xs, policy, mode, where, equation,
                            parameter, cache)
         sp.set_attr("chunks", result.chunks)
+        sp.set_attr("workers", result.workers)
         sp.set_attr("cache_hit", result.cache_hit)
         report = result.supervision
         if report is not None and report.faulted:

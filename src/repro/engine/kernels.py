@@ -20,6 +20,12 @@ how to evaluate a 1-D grid of the swept parameter four ways:
 fixed operating point) for the content-addressed cache. Kernels are
 frozen dataclasses of frozen models, so they pickle cheaply for the
 process-pool path.
+
+A kernel that can evaluate in place (today :class:`Eq4SdKernel`) also
+defines ``prepare()`` and accepts ``batch(xs, out=, scratch=)``: the
+engine calls ``prepare()`` on the calling thread before its block
+threads share the kernel, and then has each block written straight
+into the output through one scratch buffer per thread.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..density.metrics import area_from_sd
-from ..errors import DomainError
+from ..errors import DomainError, ReproError
 from ..yieldmodels.composite import CompositeYield
 from ..yieldmodels.critical_area import CriticalAreaModel
 from ..yieldmodels.defects import DefectDensityModel
@@ -122,11 +128,48 @@ class Eq4SdKernel:
     #: Output rows per grid point (a plain cost curve).
     n_outputs = 1
 
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized eq. (4) over the grid."""
-        return np.asarray(self.model.transistor_cost(
-            xs, self.n_transistors, self.feature_um, self.n_wafers,
-            self.yield_fraction, self.cost_per_cm2), dtype=float)
+    @cached_property
+    def _curve(self):
+        """Eq. (4) bound to this operating point (built once per kernel)."""
+        return self.model.sd_curve(self.n_transistors, self.feature_um,
+                                   self.n_wafers, self.yield_fraction,
+                                   self.cost_per_cm2)
+
+    def __getstate__(self) -> dict:
+        # The curve is a closure: the process pool ships the kernel
+        # without it, and the worker rebuilds it on first use.
+        state = dict(self.__dict__)
+        state.pop("_curve", None)
+        return state
+
+    def prepare(self) -> None:
+        """Build the curve, so threads that share the kernel only read it.
+
+        An invalid fixed argument leaves it unbuilt; ``batch`` raises.
+        """
+        try:
+            self._curve
+        except ReproError:
+            pass
+
+    def batch(self, xs: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """Vectorized eq. (4) over the grid, written into ``out`` if given.
+
+        ``scratch``, a float buffer of ``xs``'s shape, is the in-place
+        evaluation's working memory (see ``TotalCostModel.sd_curve``).
+        """
+        try:
+            curve = self._curve
+        except ReproError:
+            # An invalid fixed argument: raise what the unbound call
+            # raises, which reports an invalid s_d first.
+            self.model.transistor_cost(
+                xs, self.n_transistors, self.feature_um, self.n_wafers,
+                self.yield_fraction, self.cost_per_cm2)
+            raise
+        if out is None:
+            out = np.empty(np.shape(xs))
+        return curve(xs, out=out, scratch=scratch)
 
     def point(self, x: float) -> float:
         """Scalar eq. (4) — the legacy per-point path."""

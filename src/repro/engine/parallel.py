@@ -54,6 +54,7 @@ from . import cache as _cache
 __all__ = [
     "configure",
     "plan_chunks",
+    "block_threads",
     "batch_in_chunks",
     "shutdown",
     "settings",
@@ -93,9 +94,11 @@ def configure(*, threshold: int | None = None, max_workers: int | None = None,
     """Tune the parallel path (test hooks and power users).
 
     ``threshold`` — grid size that triggers chunking; ``max_workers`` —
-    pool size (None = ``min(4, cpu)``); ``enabled=False`` forces
-    single-process evaluation regardless of size *and* shuts down an
-    already-started pool. Changing ``max_workers`` recycles the pool.
+    pool size (None = ``min(4, cpu)``) and the thread count of the
+    in-process block loop (None = every CPU, see :func:`block_threads`);
+    ``enabled=False`` forces single-process, single-thread evaluation
+    regardless of size *and* shuts down an already-started pool.
+    Changing ``max_workers`` recycles the pool.
 
     ``retry`` installs a :class:`~repro.robust.supervision.
     ChunkRetryPolicy` (deadline, retry budgets, backoff, breaker
@@ -173,6 +176,18 @@ def reset_supervision() -> None:
     for key in _totals:
         _totals[key] = 0
     _publish_breaker_state()
+
+
+def block_threads() -> int:
+    """Threads the in-process block loop may use for one large grid.
+
+    ``max_workers`` when configured, else every CPU; one thread when
+    ``configure(enabled=False)``. The engine applies its own size
+    cut-over below which a grid stays on the calling thread.
+    """
+    if not _enabled:
+        return 1
+    return _max_workers if _max_workers is not None else os.cpu_count() or 1
 
 
 def plan_chunks(n_points: int) -> int:

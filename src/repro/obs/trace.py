@@ -23,6 +23,7 @@ and provenance recording alike).
 from __future__ import annotations
 
 import contextvars
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -225,7 +226,10 @@ class Tracer:
     max_spans: int = 100_000
     spans: list[Span] = field(default_factory=list)
     dropped: int = 0
-    _next_id: int = 0
+    #: Span ids. ``next()`` on a count is atomic under the GIL, so
+    #: threads that share the tracer never draw the same id.
+    _ids: "itertools.count" = field(default_factory=lambda: itertools.count(1),
+                                    repr=False)
     #: Optional ``sink(name, seconds)`` fed every completed span's
     #: duration — the metrics registry installs its percentile-sketch
     #: recorder here (even dropped spans are sketched: the sketch is
@@ -234,8 +238,7 @@ class Tracer:
 
     def next_id(self) -> int:
         """Allocate a fresh span id."""
-        self._next_id += 1
-        return self._next_id
+        return next(self._ids)
 
     def record(self, sp: Span) -> None:
         """Store one completed span (or drop it past the cap)."""
@@ -263,7 +266,7 @@ class Tracer:
         """Forget every recorded span."""
         self.spans.clear()
         self.dropped = 0
-        self._next_id = 0
+        self._ids = itertools.count(1)
 
     def __len__(self) -> int:
         return len(self.spans)

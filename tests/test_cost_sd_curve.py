@@ -11,9 +11,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.cost import PAPER_FIGURE4_MODEL, TestCostModel, TotalCostModel
+from repro.cost import (
+    PAPER_FIGURE4_MODEL,
+    DesignCostModel,
+    TestCostModel,
+    TotalCostModel,
+)
+from repro.engine.kernels import Eq4SdKernel
 from repro.errors import DomainError
 from repro.optimize import optimal_sd
 from repro.robust.solvers import retrying_golden_min
@@ -230,3 +238,80 @@ class TestObservability:
         names = self._span_names()
         assert names.count("cost.total.TotalCostModel.transistor_cost") == 1
         assert names.count("cost.total.TotalCostModel.sd_curve") == 1
+
+
+# -- the in-place evaluation: curve(sd, out=, scratch=) ------------------
+
+INPLACE_MODELS = [
+    *CONFIGS.values(),
+    TotalCostModel(design_model=DesignCostModel(p2=2.0)),
+    TotalCostModel(design_model=DesignCostModel(p2=0.5, sd0=37.5),
+                   utilization=0.3),
+    TotalCostModel(design_model=DesignCostModel(a0=1e300, p1=3.0, p2=7.0)),
+]
+
+#: Margins above s_d0, biased towards the divergence and towards overflow.
+margins = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-6),
+    st.floats(min_value=1e-6, max_value=1e4),
+    st.floats(min_value=1e4, max_value=1e308),
+)
+#: Each bad value fails a different check: finite, > 0, > s_d0.
+bad_sd = st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                          -1.0, 0.0, "sd0", "below"])
+
+
+@st.composite
+def sd_blocks(draw, sd0):
+    good = draw(st.lists(margins, min_size=0, max_size=40))
+    sd = [sd0 + m for m in good]
+    for _ in range(draw(st.integers(0, 3))):
+        bad = draw(bad_sd)
+        value = {"sd0": sd0, "below": sd0 * 0.5}.get(bad, bad)
+        sd.insert(draw(st.integers(0, len(sd))), value)
+    return np.array(sd, dtype=float)
+
+
+@st.composite
+def fixed_points(draw):
+    yield_fraction = draw(st.one_of(
+        st.floats(min_value=1e-300, max_value=1.0),
+        st.floats(min_value=0.999999, max_value=1.0)))
+    return dict(
+        n_transistors=10 ** draw(st.floats(min_value=0.0, max_value=300.0)),
+        feature_um=draw(st.one_of(st.floats(min_value=0.01, max_value=2.0),
+                                  st.just(1e-320))),
+        n_wafers=10 ** draw(st.floats(min_value=-300.0, max_value=300.0)),
+        yield_fraction=yield_fraction,
+        cost_per_cm2=draw(st.floats(min_value=1e-3, max_value=1e6)))
+
+
+def _outcome(fn):
+    """``("ok", bits)`` or ``("error", message)`` for one evaluation."""
+    try:
+        with np.errstate(all="ignore"):
+            values = fn()
+    except DomainError as exc:
+        return ("error", str(exc))
+    return ("ok", np.asarray(values, dtype=float).view(np.int64).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_in_place_curve_equals_general_curve(data):
+    model = data.draw(st.sampled_from(INPLACE_MODELS))
+    point = data.draw(fixed_points())
+    try:
+        with np.errstate(all="ignore"):
+            curve = model.sd_curve(**point)
+    except DomainError:
+        return
+    sd = data.draw(sd_blocks(model.design_model.sd0))
+    out = np.full_like(sd, 7.0)
+    scratch = np.full_like(sd, 7.0)
+    expected = _outcome(lambda: curve(sd))
+    assert _outcome(lambda: curve(sd, out=out, scratch=scratch)) == expected
+    if expected[0] == "ok":
+        assert _outcome(lambda: out) == expected
+    kernel = Eq4SdKernel(model, **point)
+    assert _outcome(lambda: kernel.batch(sd)) == expected

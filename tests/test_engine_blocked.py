@@ -11,13 +11,17 @@ threshold.
 """
 
 import os
+import pickle
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
 from repro.engine import clear_cache, evaluate_grid
 from repro.engine import core as engine_core
@@ -40,39 +44,40 @@ FIG4A = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5_000,
 BAD_SD = 50.0
 
 
-def _sd_grid(n, bad):
+def _sd_grid(n, bad, fill):
     grid = np.linspace(150.0, 1200.0, n)
-    grid[list(bad)] = BAD_SD
+    grid[list(bad)] = fill
     return grid
 
 
-def eq4(n, bad=()):
-    return Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A), _sd_grid(n, bad)
+def eq4(n, bad=(), fill=BAD_SD):
+    return Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A), _sd_grid(n, bad, fill)
 
 
-def eq7(n, bad=()):
+def eq7(n, bad=(), fill=BAD_SD):
     kernel = Eq7SdKernel(DEFAULT_GENERALIZED_MODEL, n_transistors=1e7,
                          feature_um=0.18, n_wafers=5_000)
-    return kernel, _sd_grid(n, bad)
+    return kernel, _sd_grid(n, bad, fill)
 
 
-def volume(n, bad=()):
+def volume(n, bad=(), fill=-1.0):
     kernel = Eq4VolumeKernel(PAPER_FIGURE4_MODEL, sd=300.0,
                              n_transistors=1e7, feature_um=0.18,
                              yield_fraction=0.4, cost_per_cm2=8.0)
     grid = np.geomspace(100.0, 1e6, n)
-    grid[list(bad)] = -1.0
+    grid[list(bad)] = fill
     return kernel, grid
 
 
-def objectives(n, bad=()):
-    return DesignObjectivesKernel(PAPER_FIGURE4_MODEL, **FIG4A), _sd_grid(n, bad)
+def objectives(n, bad=(), fill=BAD_SD):
+    return (DesignObjectivesKernel(PAPER_FIGURE4_MODEL, **FIG4A),
+            _sd_grid(n, bad, fill))
 
 
-def operating_points(n, bad=()):
+def operating_points(n, bad=(), fill=BAD_SD):
     rng = np.random.default_rng(n)
     sd = rng.uniform(150.0, 1200.0, n)
-    sd[list(bad)] = BAD_SD
+    sd[list(bad)] = fill
     kernel = OperatingPointsKernel(
         PAPER_FIGURE4_MODEL, sd=sd,
         n_transistors=rng.uniform(1e6, 1e8, n),
@@ -177,11 +182,233 @@ def test_pool_crossover_tool_prints_the_table():
         capture_output=True, text=True, check=True, timeout=120).stdout
     lines = out.strip().splitlines()
     assert lines[0].startswith("# Eq4SdKernel")
-    assert lines[1].split() == ["points", "pool_ms", "chunks", "blocked_ms",
-                                "unblocked_ms", "winner"]
+    assert lines[1].split() == ["points", "pool_ms", "chunks", "threads_ms",
+                                "workers", "blocked_ms", "unblocked_ms",
+                                "winner"]
     assert len(lines) == 3
-    points, pool, chunks, blocked, unblocked, winner = lines[2].split()
+    (points, pool, chunks, threads, workers, blocked, unblocked,
+     winner) = lines[2].split()
     # Two 10k-point chunks, one per worker of the default min(4, cpu) pool.
     assert points == "20000" and int(chunks) == min(2, os.cpu_count() or 1)
-    assert min(float(pool), float(blocked), float(unblocked)) > 0
-    assert winner in ("pool", "blocked")
+    # One 64k-point block: the thread column runs on the calling thread.
+    assert int(workers) == 1
+    assert min(float(pool), float(threads), float(blocked),
+               float(unblocked)) > 0
+    assert winner in ("pool", "threads", "blocked")
+
+
+# -- the blocks on several threads -----------------------------------------
+
+#: Small blocks, so a few thousand points make dozens of them.
+SMALL_BLOCK = 64
+#: One hostile value per check: finite, > 0 (or > s_d0), and s_d0 itself.
+HOSTILE = {"volume": [np.nan, np.inf, -np.inf, -1.0, 0.0]}
+HOSTILE_SD = [np.nan, np.inf, -np.inf, BAD_SD, 100.0]
+
+
+@pytest.fixture()
+def threads(monkeypatch):
+    """``threads(k)`` runs the next evaluations on ``k`` threads over
+    ``SMALL_BLOCK``-point blocks, whatever the grid size."""
+    monkeypatch.setattr(engine_core, "_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(engine_core, "_THREADS_FROM", 0)
+
+    def use(k):
+        monkeypatch.setattr(engine_parallel, "_enabled", k > 1)
+        monkeypatch.setattr(engine_parallel, "_max_workers", k)
+    return use
+
+
+def _hostile(name, n):
+    """A grid with each hostile value in a different, non-adjacent block."""
+    bad = [(2 * k + 1) * SMALL_BLOCK + 3 * k for k in range(5)]
+    return KERNELS[name](n, bad, HOSTILE.get(name, HOSTILE_SD)), bad
+
+
+def _outcome(kernel, grid, policy):
+    """What one evaluation gave: values and diagnostics, or the error.
+
+    Diagnostics compare by repr: a NaN ``value`` is never ``==`` itself.
+    """
+    try:
+        evaluation = _evaluate(kernel, grid, policy)
+    except CollectedErrors as err:
+        return ("collected", tuple(map(repr, err.diagnostics)))
+    except ReproError as err:
+        return ("raised", type(err), str(err))
+    return ("ok", evaluation.values.view(np.int64).tobytes(),
+            tuple(map(repr, evaluation.diagnostics)), evaluation.workers)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("hostile", [False, True], ids=["clean", "hostile"])
+def test_threads_bit_identical_to_one_thread(name, policy, hostile, threads):
+    n = 40 * SMALL_BLOCK + 5
+    if hostile:
+        (kernel, grid), bad = _hostile(name, n)
+    else:
+        kernel, grid = KERNELS[name](n)
+    threads(1)
+    single = _outcome(kernel, grid, policy)
+    threads(4)
+    threaded = _outcome(kernel, grid, policy)
+    if single[0] == "ok":
+        assert threaded[:-1] == single[:-1]
+        assert (single[-1], threaded[-1]) == (1, 4)
+    else:
+        assert threaded == single
+    if hostile and policy is ErrorPolicy.MASK:
+        assert len(single[2]) == len(bad)
+    if hostile and policy is ErrorPolicy.RAISE:
+        with pytest.raises(ReproError) as unblocked:
+            kernel.batch(grid)
+        assert threaded == ("raised", type(unblocked.value),
+                            str(unblocked.value))
+
+
+@pytest.mark.parametrize("policy", POLICIES[:2], ids=lambda p: p.name)
+def test_threads_at_the_real_block_size(policy, monkeypatch):
+    """Eq. (4) in place over full-size blocks, the sweep's own path."""
+    n = engine_core._THREADS_FROM + 2 * B + 7
+    kernel, grid = eq4(n, [B + 1, 3 * B + 2, n - 1], [np.nan, BAD_SD, np.inf]) \
+        if policy is ErrorPolicy.MASK else eq4(n)
+    monkeypatch.setattr(engine_parallel, "_enabled", False)
+    single = _outcome(kernel, grid, policy)
+    monkeypatch.setattr(engine_parallel, "_enabled", True)
+    monkeypatch.setattr(engine_parallel, "_max_workers", 2)
+    threaded = _outcome(kernel, grid, policy)
+    assert threaded[:-1] == single[:-1]
+    assert (single[-1], threaded[-1]) == (1, 2)
+
+
+class HandOff:
+    """A kernel wrapper that makes sure a helper thread evaluates a block.
+
+    The calling thread's blocks wait until a helper has started one, and
+    ``on_main``/``on_helper`` (default: the wrapped ``batch``) evaluate
+    each block on the calling and on a helper thread. It defines no
+    ``prepare``, so the engine copies its results into the output.
+    """
+
+    def __init__(self, kernel, on_main=None, on_helper=None):
+        self.kernel = kernel
+        self.n_outputs = kernel.n_outputs
+        self.caller = threading.get_ident()
+        self.helper_started = threading.Event()
+        self.on_main = on_main or type(kernel).batch
+        self.on_helper = on_helper or type(kernel).batch
+
+    def batch(self, xs):
+        if threading.get_ident() == self.caller:
+            assert self.helper_started.wait(10.0)
+            return self.on_main(self.kernel, xs)
+        self.helper_started.set()
+        return self.on_helper(self.kernel, xs)
+
+    def feasible(self, xs):
+        return self.kernel.feasible(xs)
+
+    def point(self, x):
+        return self.kernel.point(x)
+
+
+@pytest.mark.parametrize("policy", POLICIES[:2], ids=lambda p: p.name)
+def test_helper_exception_propagates(policy, threads):
+    threads(2)
+    kernel, grid = eq4(20 * SMALL_BLOCK)
+
+    def boom(kernel, xs):
+        raise RuntimeError("helper failed")
+
+    with pytest.raises(RuntimeError, match="helper failed"):
+        _evaluate(HandOff(kernel, on_helper=boom), grid, policy)
+
+
+def test_helpers_finish_before_the_callers_exception(threads):
+    threads(2)
+    kernel, grid = eq4(20 * SMALL_BLOCK)
+    finished = []
+
+    def boom(kernel, xs):
+        raise RuntimeError("caller failed")
+
+    def slow(kernel, xs):
+        time.sleep(0.2)
+        finished.append(xs.size)
+        return kernel.batch(xs)
+
+    with pytest.raises(RuntimeError, match="caller failed"):
+        _evaluate(HandOff(kernel, on_main=boom, on_helper=slow), grid,
+                  ErrorPolicy.RAISE)
+    # The helper's block completed, and it took no other after the failure.
+    assert finished == [SMALL_BLOCK]
+
+
+def test_helper_spans_parent_under_the_engine_span(threads):
+    threads(2)
+    kernel, grid = eq7(8 * SMALL_BLOCK)
+    obs.disable()
+    obs.reset()
+    try:
+        with obs.enabled():
+            _evaluate(HandOff(kernel), grid, ErrorPolicy.RAISE)
+        spans = list(obs.get_tracer().spans)
+    finally:
+        obs.disable()
+        obs.reset()
+    engine, = [s for s in spans if s.name == "engine.evaluate_grid"]
+    costs = [s for s in spans if s.name.endswith("transistor_cost")]
+    assert len(costs) == 8
+    assert {s.parent_id for s in costs} == {engine.span_id}
+    assert len({s.span_id for s in spans}) == len(spans)
+    assert engine.attrs["workers"] == 2
+
+
+def test_helper_runs_under_the_callers_errstate(threads):
+    threads(2)
+    kernel, grid = eq4(4 * SMALL_BLOCK)
+    grid[:] = 1e300  # (s_d - s_d0) ** p2 overflows
+    raised = []
+
+    def record(kernel, xs):
+        try:
+            return kernel.batch(xs)
+        except FloatingPointError:
+            raised.append(True)
+            raise
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _evaluate(HandOff(kernel, on_helper=record), grid, ErrorPolicy.RAISE)
+    assert raised == [True]
+
+
+def test_kernel_with_a_built_curve_pickles():
+    kernel, grid = eq4(1_000)
+    expected = kernel.batch(grid)  # builds and caches the curve
+    clone = pickle.loads(pickle.dumps(kernel))
+    assert "_curve" in kernel.__dict__ and "_curve" not in clone.__dict__
+    np.testing.assert_array_equal(clone.batch(grid), expected)
+
+
+def test_each_block_evaluated_exactly_once_under_contention(threads):
+    """More threads than CPUs, a switch interval short enough to
+    interleave inside the slice hand-out: every slice is taken once."""
+    threads(8)
+    kernel, grid = eq7(200 * SMALL_BLOCK + 3)
+    taken = []
+
+    def record(kernel, xs):
+        taken.append(float(xs[0]))
+        return type(kernel).batch(kernel, xs)
+
+    wrapped = HandOff(kernel, on_main=record, on_helper=record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        evaluation = _evaluate(wrapped, grid, ErrorPolicy.RAISE)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == grid[::SMALL_BLOCK].tolist()
+    assert evaluation.workers == 8
+    np.testing.assert_array_equal(evaluation.values, kernel.batch(grid))

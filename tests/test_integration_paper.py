@@ -98,6 +98,29 @@ class TestFigure4:
                  yield_fraction=0.4, cost_per_cm2=8.0)
     FIG4B = dict(n_transistors=1e7, feature_um=0.18, n_wafers=50_000,
                  yield_fraction=0.9, cost_per_cm2=8.0)
+    #: Golden optima, ``(sd_opt, cost_opt)`` of ``optimal_sd`` and
+    #: ``(x_opt, cost_opt)`` of the default 400-point ``sd_sweep``. The
+    #: evaluation paths agree to ~1e-15; RTOL leaves room for libm
+    #: ``pow`` differences across platforms, and is far below any
+    #: change a refactor of eqs. (4)-(6) could make by mistake.
+    GOLDEN = {
+        "FIG4A": ((310.3548085821583, 4.6213406433717215e-06),
+                  (309.4997748853781, 4.621362583446931e-06)),
+        "FIG4B": ((167.63366015909997, 7.273240821993453e-07),
+                  (167.5199967804392, 7.273246604992997e-07)),
+    }
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("name", ["FIG4A", "FIG4B"])
+    def test_optima_pinned(self, name):
+        (sd_opt, cost_opt), (x_opt, sweep_opt) = self.GOLDEN[name]
+        point = getattr(self, name)
+        optimum = optimal_sd(PAPER_FIGURE4_MODEL, **point)
+        sweep = sd_sweep(PAPER_FIGURE4_MODEL, **point)
+        assert optimum.sd_opt == pytest.approx(sd_opt, rel=self.RTOL)
+        assert optimum.cost_opt == pytest.approx(cost_opt, rel=self.RTOL)
+        assert sweep.x_opt == pytest.approx(x_opt, rel=self.RTOL)
+        assert sweep.cost_opt == pytest.approx(sweep_opt, rel=self.RTOL)
 
     def test_both_scenarios_u_shaped(self):
         for point in (self.FIG4A, self.FIG4B):

@@ -1,7 +1,8 @@
 """Guard: disabled instrumentation must cost (almost) nothing.
 
 Compares a traced entry point against its unwrapped original
-(``__wrapped__``) with tracing globally off. The decorator's disabled
+(``inspect.unwrap``: past every decorator, not just the outermost
+``renamed_kwargs`` shim) with tracing globally off. The decorator's disabled
 path is a single module-attribute load plus one branch, so the traced
 call should be within a few percent of the bare call.
 
@@ -11,6 +12,7 @@ estimate for each. The test skips itself when the bare series cannot
 even reproduce its own baseline between its first and second half.
 """
 
+import inspect
 import timeit
 
 import pytest
@@ -38,7 +40,7 @@ def tracing_off():
 
 
 def test_disabled_tracing_overhead_under_five_percent():
-    bare = sd_sweep.__wrapped__
+    bare = inspect.unwrap(sd_sweep)
 
     def run_traced():
         sd_sweep(PAPER_FIGURE4_MODEL, 1e7, 0.18, 5000.0, 0.4, 8.0)

@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Measure where the engine's process pool starts to beat in-process evaluation.
+"""Measure where the engine's process pool and block threads beat one thread.
 
 For each grid size it times one eq.-(4) ``s_d`` sweep (``Eq4SdKernel``,
-Figure 4's operating point, RAISE policy, memo cache off) three ways
+Figure 4's operating point, RAISE policy, memo cache off) four ways
 and prints the 10th-percentile wall time of each, in milliseconds:
 
 * ``pool`` — ``evaluate_grid`` with the pool threshold lowered to its
   minimum, i.e. the chunked, supervised process-pool path a caller
   opts into with ``engine.configure_parallel(threshold=...)``;
   ``chunks`` is how many chunks that path split the grid into;
-* ``blocked`` — ``evaluate_grid`` with the pool disabled: the
-  in-process loop over 64k-point blocks;
+* ``threads`` — ``evaluate_grid`` in-process with its 64k-point blocks
+  spread over ``workers`` threads, whatever the grid size;
+* ``blocked`` — ``evaluate_grid`` with parallelism disabled: the same
+  blocks on the calling thread alone;
 * ``unblocked`` — one ``kernel.batch`` call over the whole grid.
 
-The pool is started and warmed before anything is timed. The
-``winner`` column compares ``pool`` with ``blocked``; the smallest
-size the pool wins at is the crossover that
-``repro.engine.parallel._DEFAULT_THRESHOLD`` should sit at.
+The pool and the threads are started and warmed before anything is
+timed. ``winner`` is the fastest of ``pool``, ``threads`` and
+``blocked``. The smallest size the pool wins at is the crossover that
+``repro.engine.parallel._DEFAULT_THRESHOLD`` should sit at; the
+smallest size from which ``threads`` beats ``blocked`` is the one
+``repro.engine.core._THREADS_FROM`` should sit at.
 
 Usage:  python tools/pool_crossover.py
         python tools/pool_crossover.py --sizes 100000 1000000 --repeats 15
@@ -35,7 +39,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.cost import PAPER_FIGURE4_MODEL  # noqa: E402
 from repro.engine import configure_parallel, evaluate_grid  # noqa: E402
-from repro.engine import parallel  # noqa: E402
+from repro.engine import core, parallel  # noqa: E402
 from repro.engine.kernels import Eq4SdKernel  # noqa: E402
 from repro.optimize import sd_grid  # noqa: E402
 
@@ -43,8 +47,8 @@ from repro.optimize import sd_grid  # noqa: E402
 FIG4A = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5_000,
              yield_fraction=0.4, cost_per_cm2=8.0)
 
-COLUMNS = ("points", "pool_ms", "chunks", "blocked_ms", "unblocked_ms",
-           "winner")
+COLUMNS = ("points", "pool_ms", "chunks", "threads_ms", "workers",
+           "blocked_ms", "unblocked_ms", "winner")
 
 
 def p10_ms(fn, repeats: int) -> float:
@@ -71,19 +75,33 @@ def measure(size: int, repeats: int) -> tuple:
     configure_parallel(threshold=2, enabled=True)
     chunks = run().chunks  # starts and warms the pool
     pool = p10_ms(run, repeats)
+    configure_parallel(threshold=parallel._DEFAULT_THRESHOLD)
+    cut_over = core._THREADS_FROM
+    core._THREADS_FROM = 0  # thread every size, to find the crossover
+    try:
+        workers = run().workers  # starts and warms the threads
+        threads = p10_ms(run, repeats)
+    finally:
+        core._THREADS_FROM = cut_over
     configure_parallel(enabled=False)
     blocked = p10_ms(run, repeats)
     unblocked = p10_ms(lambda: kernel.batch(grid), repeats)
-    winner = "pool" if chunks > 1 and pool < blocked else "blocked"
-    return (size, pool, chunks, blocked, unblocked, winner)
+    timed = {"blocked": blocked}
+    if chunks > 1:
+        timed["pool"] = pool
+    if workers > 1:
+        timed["threads"] = threads
+    winner = min(timed, key=timed.get)
+    return (size, pool, chunks, threads, workers, blocked, unblocked, winner)
 
 
 def format_table(rows) -> str:
     """The rows as a fixed-width text table under a ``COLUMNS`` header."""
-    lines = ["{:>10} {:>9} {:>6} {:>10} {:>12} {:>7}".format(*COLUMNS)]
-    for size, pool, chunks, blocked, unblocked, winner in rows:
-        lines.append(f"{size:>10} {pool:>9.1f} {chunks:>6} {blocked:>10.1f} "
-                     f"{unblocked:>12.1f} {winner:>7}")
+    lines = ["{:>10} {:>9} {:>6} {:>10} {:>7} {:>10} {:>12} {:>7}".format(*COLUMNS)]
+    for size, pool, chunks, threads, workers, blocked, unblocked, winner in rows:
+        lines.append(f"{size:>10} {pool:>9.1f} {chunks:>6} {threads:>10.2f} "
+                     f"{workers:>7} {blocked:>10.2f} {unblocked:>12.1f} "
+                     f"{winner:>7}")
     return "\n".join(lines)
 
 
@@ -105,7 +123,8 @@ def main(argv=None) -> int:
     workers = saved["max_workers"] or min(4, os.cpu_count() or 1)
     print(f"# Eq4SdKernel, p10 of {args.repeats} runs; "
           f"{os.cpu_count()} CPUs, pool of {workers} workers; "
-          f"default threshold {saved['threshold']:,}")
+          f"default threshold {saved['threshold']:,}; "
+          f"threads from {core._THREADS_FROM:,} points")
     print(format_table(rows))
     return 0
 
