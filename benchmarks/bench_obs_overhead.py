@@ -65,11 +65,6 @@ def _loop_disabled_labeled_inc() -> None:
         obs.inc("bench_noop_total", labels=labels)
 
 
-def _loop_disabled_capture_context() -> None:
-    for _ in range(CALLS):
-        obs.capture_context()
-
-
 def _loop_enabled_labeled_inc() -> None:
     labels = {"backend": "numpy", "policy": "raise"}
     for _ in range(CALLS):
@@ -90,8 +85,6 @@ def regenerate_overhead():
          _ns_per_call(_loop_disabled_observe_duration)),
         ("obs.inc() labeled [disabled]",
          _ns_per_call(_loop_disabled_labeled_inc)),
-        ("obs.capture_context() [disabled]",
-         _ns_per_call(_loop_disabled_capture_context)),
         ("obs.note_evaluation() [disabled]",
          _ns_per_call(_loop_disabled_history_note)),
         ("DurationSketch.observe() [enabled]",
@@ -122,10 +115,9 @@ def test_obs_overhead(benchmark, save_artifact):
     assert costs["obs.enabled() [disabled]"] < 2_000
     assert costs["obs.observe_duration() [disabled]"] < 2_000
     assert costs["obs.span() [disabled]"] < 10_000
-    # Labeled metrics and trace propagation keep the same disabled
-    # contract: one global read, no label freezing, no context capture.
+    # Labeled metrics keep the same disabled contract: one global read,
+    # no label freezing.
     assert costs["obs.inc() labeled [disabled]"] < 2_000
-    assert costs["obs.capture_context() [disabled]"] < 2_000
     # The engine's history sink with no RunRecorder active: one module
     # global read, no store, no lock.
     assert costs["obs.note_evaluation() [disabled]"] < 2_000

@@ -31,8 +31,8 @@ Subpackages
     the documented entry point for pricing designs.
 ``repro.engine``
     Vectorized batch-evaluation backend (NumPy kernels, memo cache,
-    process-pool chunking) behind the facade and the sweep/roadmap
-    hot loops; ``repro.engine.set_backend`` selects
+    blocks spread across threads) behind the facade and the
+    sweep/roadmap hot loops; ``repro.engine.set_backend`` selects
     ``auto``/``numpy``/``python``.
 ``repro.data``
     Table A1 (49 industrial designs) and the reconstructed ITRS-1999

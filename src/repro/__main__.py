@@ -30,7 +30,7 @@ the bare report):
     format, ``spans.otlp.json``, ``provenance.json``) into ``DIR``
     — see :func:`repro.obs.write_snapshot`.
 ``--history PATH``
-    Append this run (provenance + metric/sketch/supervision payload)
+    Append this run (provenance + metric/sketch payload)
     to the persistent run-history store at ``PATH`` — see
     :mod:`repro.obs.history`. Defaults to ``$REPRO_HISTORY`` when the
     variable is set; trend/drift reporting over the store lives under
@@ -127,21 +127,6 @@ def build_report(policy: ErrorPolicy = ErrorPolicy.RAISE,
                  f"{fig4b} at 50k wafers/Y=0.9")
     lines.append("-> neither the smallest die nor maximum yield minimises "
                  "transistor cost (#3.1).")
-    supervision = engine.supervision_stats()
-    if supervision["retries"] or supervision["restarts"] \
-            or supervision["degraded_chunks"] \
-            or supervision["breaker_state"] == "open":
-        # Only printed when the pooled path actually had to recover from
-        # something, so the default report stays byte-identical.
-        lines.append(
-            f"\nEngine resilience: {supervision['retries']} chunk "
-            f"retr{'y' if supervision['retries'] == 1 else 'ies'} "
-            f"(crash {supervision['retry_crash']}, timeout "
-            f"{supervision['retry_timeout']}, corrupt "
-            f"{supervision['retry_corrupt']}), "
-            f"{supervision['restarts']} pool restart(s), "
-            f"{supervision['degraded_chunks']} degraded chunk(s), "
-            f"breaker {supervision['breaker_state']}")
     lines.append("\nFull regeneration: pytest benchmarks/ --benchmark-only "
                  "(artifacts in benchmarks/output/).")
     return "\n".join(lines)

@@ -308,7 +308,7 @@ def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
 
     Under ``RAISE`` every group of scenarios sharing a model evaluates
     in one :func:`repro.engine.evaluate_grid` batch (memo-cached,
-    chunked above the parallel threshold). Under ``MASK``/``COLLECT``
+    threaded past the engine's size cut-over). Under ``MASK``/``COLLECT``
     the batch runs point-wise so each infeasible scenario produces the
     exact legacy :class:`~repro.robust.Diagnostic` — MASK yields NaN
     results (plus entries in the optional ``diagnostics`` list),

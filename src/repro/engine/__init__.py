@@ -11,14 +11,10 @@ python-level per-point loops. It is the dispatch layer behind
   exact legacy scalar ``point``, and a dependency-free ``point_py``;
 * :mod:`repro.engine.core` — :func:`evaluate_grid` (policy-preserving
   dispatch over 64k-point blocks, spread across threads for large
-  grids) and :func:`map_scalar` (the scalar-sweep loop);
+  grids; :func:`configure_parallel` caps the threads) and
+  :func:`map_scalar` (the scalar-sweep loop);
 * :mod:`repro.engine.cache` — content-addressed memo cache for
   repeated grid evaluations;
-* :mod:`repro.engine.parallel` — chunked ``ProcessPoolExecutor`` path
-  for grids above a size threshold (100M points by default, past the
-  measured crossover, so callers opt in by lowering it), supervised by
-  :mod:`repro.robust.supervision` (chunk deadlines, crash-recovery
-  retries, circuit-breaker degradation, checkpointed resume);
 * :mod:`repro.engine.backend` — ``auto``/``numpy``/``python`` mode
   selection (:func:`disable` forces the pure-python fallback);
 * :mod:`repro.engine.pykernels` — stdlib-only scalar kernels used when
@@ -34,7 +30,7 @@ Typical use goes through the re-exports::
 
 from __future__ import annotations
 
-from . import backend, cache, core, kernels, parallel, pykernels
+from . import backend, cache, core, kernels, pykernels
 from .backend import (
     BACKENDS,
     current_backend,
@@ -45,15 +41,17 @@ from .backend import (
     set_backend,
     using,
 )
-from .cache import CacheStats, GridCache, grid_fingerprint
+from .cache import CacheStats, GridCache
 from .cache import clear as clear_cache
 from .cache import configure as configure_cache
 from .cache import stats as cache_stats
-from .core import GridEvaluation, evaluate_grid, map_scalar
-from .parallel import configure as configure_parallel
-from .parallel import reset_supervision
-from .parallel import settings as parallel_settings
-from .parallel import supervision_stats
+from .core import (
+    GridEvaluation,
+    configure_parallel,
+    evaluate_grid,
+    map_scalar,
+    parallel_settings,
+)
 
 __all__ = [
     "BACKENDS",
@@ -71,16 +69,12 @@ __all__ = [
     "disable",
     "enable",
     "evaluate_grid",
-    "grid_fingerprint",
     "kernels",
     "map_scalar",
     "numpy_available",
-    "parallel",
     "parallel_settings",
     "pykernels",
-    "reset_supervision",
     "resolved_backend",
     "set_backend",
-    "supervision_stats",
     "using",
 ]

@@ -28,8 +28,8 @@ import numpy as np
 from ..errors import DomainError
 from ..obs import metrics as _obs_metrics
 
-__all__ = ["CacheStats", "GridCache", "grid_cache", "grid_fingerprint",
-           "configure", "clear", "stats"]
+__all__ = ["CacheStats", "GridCache", "grid_cache", "configure", "clear",
+           "stats"]
 
 #: Default LRU capacity (distinct grid evaluations kept alive).
 _DEFAULT_MAX_ENTRIES = 128
@@ -166,18 +166,6 @@ class GridCache:
                           evictions=self._evictions,
                           entries=len(self._entries),
                           max_entries=self.max_entries)
-
-
-def grid_fingerprint(token, grid: np.ndarray, n_chunks: int = 1) -> str:
-    """Hex content fingerprint of one chunked evaluation.
-
-    Digests the kernel token, the grid bytes, *and* the chunk count —
-    the identity a :class:`repro.robust.supervision.CheckpointSink`
-    keys persisted chunk results by. Including ``n_chunks`` means a
-    rechunked rerun (different worker count) never mixes incompatible
-    chunk boundaries with stale files.
-    """
-    return GridCache.key((token, int(n_chunks)), np.asarray(grid)).hex()
 
 
 #: The process-wide cache :func:`repro.engine.evaluate_grid` consults.

@@ -6,9 +6,8 @@ a kernel (see :mod:`repro.engine.kernels`), a 1-D grid, and the same
 :class:`GridEvaluation` whose values and diagnostics are numerically
 and behaviourally identical to the per-point loops it replaces:
 
-* ``RAISE`` — vectorized batch calls over ``_BLOCK``-point slices,
-  content-addressed memo cache, and the chunked process-pool path when
-  a caller lowers its threshold;
+* ``RAISE`` — vectorized batch calls over ``_BLOCK``-point slices and
+  the content-addressed memo cache;
 * ``MASK``/``COLLECT`` — a vectorized feasibility split: the provably
   safe subset is batched block by block, everything else re-runs
   through the scalar model call so each failing point produces the
@@ -24,9 +23,10 @@ call streams every temporary through main memory. An in-place kernel
 (``Eq4SdKernel``) allocates none: it writes each slice through one
 scratch buffer. Grids of ``_THREADS_FROM`` points or more are sliced
 across threads (NumPy ufuncs release the GIL); the thread count is
-``engine.configure_parallel``'s ``max_workers``, else every CPU. The
-kernels are elementwise, so the values are bit-identical to one
-unblocked ``kernel.batch`` on any number of threads.
+:func:`configure_parallel`'s ``max_workers``, else every CPU the
+process may run on (:func:`block_threads`). The kernels are
+elementwise, so the values are bit-identical to one unblocked
+``kernel.batch`` on any number of threads.
 
 :func:`map_scalar` is the engine's loop for inherently scalar sweeps
 (optimiser restarts, per-node roadmap scans): it centralises the
@@ -39,22 +39,23 @@ diagnostic lists).
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReproError
+from ..errors import DomainError, ReproError
 from ..obs import history as obs_history
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..robust.policy import DiagnosticLog, ErrorPolicy
 from . import backend as _backend
 from . import cache as _cache
-from . import parallel as _parallel
 
-__all__ = ["GridEvaluation", "evaluate_grid", "map_scalar"]
+__all__ = ["GridEvaluation", "block_threads", "configure_parallel",
+           "evaluate_grid", "map_scalar", "parallel_settings"]
 
 #: Points per in-process ``kernel.batch`` call. Not a knob: 64k measured
 #: fastest of 8k/16k/32k/64k/128k/256k for eq. (4) over a 1M-point grid.
@@ -65,9 +66,53 @@ _BLOCK = 65_536
 #: in every run; at 3 blocks the winner changed from run to run.
 _THREADS_FROM = 4 * _BLOCK
 
+_max_workers: int | None = None
+_enabled = True
+
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.Lock()
+
+
+def configure_parallel(*, max_workers: int | None = None,
+                       enabled: bool | None = None) -> None:
+    """Tune the block threads (test hooks and power users).
+
+    ``max_workers`` caps the threads one large grid may use (None =
+    every available CPU, see :func:`block_threads`);
+    ``enabled=False`` keeps every grid on the calling thread.
+    """
+    global _max_workers, _enabled
+    if max_workers is not None:
+        if max_workers < 1:
+            raise DomainError(f"max_workers must be >= 1; got {max_workers}")
+        _max_workers = max_workers
+    if enabled is not None:
+        _enabled = enabled
+
+
+def parallel_settings() -> dict:
+    """The current block-thread configuration (for reports and docs)."""
+    return {"max_workers": _max_workers, "enabled": _enabled}
+
+
+def block_threads() -> int:
+    """Threads the block loop may use for one large grid.
+
+    ``max_workers`` when configured, else the CPUs this process may run
+    on (its affinity mask where the OS reports one, so ``taskset -c 0``
+    gives 1), else ``os.cpu_count()``; one thread when
+    ``configure_parallel(enabled=False)``. :func:`_block_threads`
+    applies the size cut-over below which a grid stays on the calling
+    thread.
+    """
+    if not _enabled:
+        return 1
+    if _max_workers is not None:
+        return _max_workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -77,11 +122,8 @@ class GridEvaluation:
     ``values`` has the grid's shape for single-output kernels and
     ``(n_outputs, n)`` for multi-output ones. ``diagnostics`` is the
     tuple ``DiagnosticLog.finish`` returned (for RAISE it is empty).
-    ``supervision`` is the :class:`repro.robust.supervision.
-    SupervisionReport` of the pooled run (``None`` when the run stayed
-    single-process) — retries, pool restarts, degraded chunks,
-    checkpoint preloads, breaker state. ``workers`` is how many threads
-    evaluated the in-process blocks.
+    ``chunks`` is always 1; ``perfbench`` still reads it. ``workers``
+    is how many threads evaluated the blocks.
     """
 
     values: np.ndarray
@@ -89,7 +131,6 @@ class GridEvaluation:
     backend: str
     cache_hit: bool = False
     chunks: int = 1
-    supervision: object | None = None
     workers: int = 1
 
 
@@ -104,7 +145,7 @@ def _block_threads(n: int) -> int:
     """Threads for an ``n``-point block loop: 1 below ``_THREADS_FROM``."""
     if n < _THREADS_FROM:
         return 1
-    return max(1, min(_parallel.block_threads(), -(-n // _BLOCK)))
+    return max(1, min(block_threads(), -(-n // _BLOCK)))
 
 
 def _thread_pool(helpers: int) -> ThreadPoolExecutor:
@@ -273,43 +314,19 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
     ascending grid order, so the diagnostic stream is identical to the
     legacy loop's.
 
-    In-process, feasibility, evaluation and the finiteness check run
-    slice by slice (:func:`_masked_blocks`). Feasible subsets past the
-    pool threshold go through the supervised pool with
-    ``allow_degraded=True``: a run that trips the circuit breaker
-    still completes in-process, and its degradation diagnostics are
-    appended *after* the log's own — never fed through ``capture`` —
-    so a COLLECT run degrades instead of raising ``CollectedErrors``
-    for an execution-substrate fault. Returns ``(values, diagnostics,
-    supervision, chunks, threads)``.
+    Feasibility, evaluation and the finiteness check run slice by slice
+    (:func:`_masked_blocks`). Returns ``(values, diagnostics, threads)``.
     """
     log = DiagnosticLog(policy, where, equation=equation)
-    supervision = None
-    n_chunks = threads = 1
     try:
-        # The feasible subset is never larger than the grid, so a grid
-        # below the pool threshold needs no whole-grid mask to decide.
-        if _parallel.plan_chunks(xs.size) > 1:
-            mask = np.asarray(kernel.feasible(xs), dtype=bool)
-            n_chunks = _parallel.plan_chunks(int(np.count_nonzero(mask)))
-        if n_chunks > 1:
-            batch_values, supervision = _parallel.batch_in_chunks(
-                kernel, xs[mask], n_chunks, where=where, allow_degraded=True)
-            values = _values_buffer(kernel, xs.size)
-            values[..., mask] = np.asarray(batch_values, dtype=float)
-            finite = np.isfinite(values)
-            if values.ndim > 1:
-                finite = finite.all(axis=0)
-            suspects = np.flatnonzero(~(mask & finite))
-        else:
-            values, suspects, threads = _masked_blocks(kernel, xs)
+        values, suspects, threads = _masked_blocks(kernel, xs)
     except ReproError:
         # A fixed parameter (not the swept one) is infeasible, or the
         # predicate was too optimistic: the whole batch is suspect, so
         # fall back to the exact legacy loop for full diagnostics parity.
         scalar_values, scalar_diags = _scalar_loop(
             kernel, xs, policy, where, equation, parameter, python=False)
-        return scalar_values, scalar_diags, None, 1, 1
+        return scalar_values, scalar_diags, 1
     for raw_index in suspects:
         i = int(raw_index)
         try:
@@ -319,10 +336,7 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
                 raise
             continue
         _store(values, i, result)
-    diagnostics = log.finish()
-    if supervision is not None and supervision.diagnostics:
-        diagnostics = diagnostics + supervision.diagnostics
-    return values, diagnostics, supervision, n_chunks, threads
+    return values, log.finish(), threads
 
 
 def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
@@ -334,10 +348,9 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
                                            equation, parameter, python=True)
         return GridEvaluation(values, diagnostics, "python")
     if policy is not ErrorPolicy.RAISE:
-        values, diagnostics, supervision, n_chunks, threads = _masked_batch(
+        values, diagnostics, threads = _masked_batch(
             kernel, xs, policy, where, equation, parameter)
-        return GridEvaluation(values, diagnostics, "numpy", chunks=n_chunks,
-                              supervision=supervision, workers=threads)
+        return GridEvaluation(values, diagnostics, "numpy", workers=threads)
     use_cache = cache and _cache.grid_cache.enabled and not obs_trace.is_enabled()
     key = b""
     if use_cache:
@@ -345,27 +358,20 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
         hit = _cache.grid_cache.get(key)
         if hit is not None:
             return GridEvaluation(hit, (), "numpy", cache_hit=True)
-    n_chunks = _parallel.plan_chunks(xs.size)
-    supervision = None
     threads = 1
-    if n_chunks > 1:
-        values, supervision = _parallel.batch_in_chunks(kernel, xs, n_chunks,
-                                                        where=where)
-    else:
-        try:
-            values, threads = _blocked_batch(kernel, xs)
-        except ReproError:
-            if xs.size <= _BLOCK:
-                raise
-            # The block's message embeds the block's repr: re-run the
-            # whole grid so the caller gets the unblocked exception.
-            values = kernel.batch(xs)
+    try:
+        values, threads = _blocked_batch(kernel, xs)
+    except ReproError:
+        if xs.size <= _BLOCK:
+            raise
+        # The block's message embeds the block's repr: re-run the
+        # whole grid so the caller gets the unblocked exception.
+        values = kernel.batch(xs)
     values = np.asarray(values, dtype=float)
     if use_cache:
         _cache.grid_cache.put(key, values)
     obs_metrics.observe("engine_grid_points", float(xs.size))
-    return GridEvaluation(values, (), "numpy", chunks=n_chunks,
-                          supervision=supervision, workers=threads)
+    return GridEvaluation(values, (), "numpy", workers=threads)
 
 
 def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
@@ -380,8 +386,8 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
     tracing is enabled — see :mod:`repro.engine.cache`).
 
     While observability is enabled the whole dispatch runs inside an
-    ``engine.evaluate_grid`` span (the span pooled worker telemetry is
-    parented under) and labeled dispatch counters
+    ``engine.evaluate_grid`` span (block-thread spans parent under it)
+    and labeled dispatch counters
     (``engine_dispatch_total{backend=,policy=}``,
     ``engine_points_total{backend=}``, ``engine_chunks_total{backend=}``)
     record where the points went.
@@ -398,15 +404,6 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
         sp.set_attr("chunks", result.chunks)
         sp.set_attr("workers", result.workers)
         sp.set_attr("cache_hit", result.cache_hit)
-        report = result.supervision
-        if report is not None and report.faulted:
-            sp.set_attr("supervision.retries", report.n_retries)
-            sp.set_attr("supervision.restarts", report.restarts)
-            sp.set_attr("supervision.degraded_chunks", len(report.degraded))
-            sp.set_attr("supervision.breaker",
-                        "open" if report.breaker_open else "closed")
-        if report is not None and report.preloaded:
-            sp.set_attr("supervision.checkpoint_chunks", len(report.preloaded))
         if enclosing is not None:
             # DiagnosticLog annotates the *current* span at capture time,
             # which is now this engine span; mirror the robust.* attrs onto

@@ -18,8 +18,7 @@ how to evaluate a 1-D grid of the swept parameter four ways:
 
 :meth:`token` returns the kernel's content identity (model repr plus
 fixed operating point) for the content-addressed cache. Kernels are
-frozen dataclasses of frozen models, so they pickle cheaply for the
-process-pool path.
+frozen dataclasses of frozen models.
 
 A kernel that can evaluate in place (today :class:`Eq4SdKernel`) also
 defines ``prepare()`` and accepts ``batch(xs, out=, scratch=)``: the
@@ -134,13 +133,6 @@ class Eq4SdKernel:
         return self.model.sd_curve(self.n_transistors, self.feature_um,
                                    self.n_wafers, self.yield_fraction,
                                    self.cost_per_cm2)
-
-    def __getstate__(self) -> dict:
-        # The curve is a closure: the process pool ships the kernel
-        # without it, and the worker rebuilds it on first use.
-        state = dict(self.__dict__)
-        state.pop("_curve", None)
-        return state
 
     def prepare(self) -> None:
         """Build the curve, so threads that share the kernel only read it.

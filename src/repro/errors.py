@@ -86,25 +86,15 @@ class ConvergenceError(ReproError, RuntimeError):
 
 
 class ExecutionError(ReproError, RuntimeError):
-    """Supervised parallel execution failed beyond its fault budget.
+    """The execution substrate, not the model, failed.
 
-    Raised by :mod:`repro.robust.supervision` when a chunked evaluation
-    cannot be completed through the worker pool — a chunk exhausted its
-    retry budget, or the circuit breaker opened after consecutive pool
-    failures — and the caller's error policy forbids degrading to
-    in-process evaluation. Distinct from :class:`DomainError`: the
-    *model* inputs were fine; the *execution substrate* failed.
-
-    Attributes
-    ----------
-    failures:
-        Tuple of :class:`repro.robust.supervision.ChunkFailure` records
-        describing every fault observed during the run, in order.
+    Raised by :mod:`repro.serve` when it cannot run a request: a grid
+    route without the NumPy backend, a closed or dead micro-batcher, an
+    oversized request body, an unknown route. Distinct from
+    :class:`DomainError`: the *model* inputs were fine; the service
+    could not evaluate them. The HTTP layer answers 503 unless the
+    route picks a more specific status (404, 429).
     """
-
-    def __init__(self, *args, failures=()):
-        super().__init__(*args)
-        self.failures = tuple(failures)
 
 
 class CollectedErrors(ReproError):

@@ -35,11 +35,6 @@ DEFAULT_OBS_PATTERNS = DEFAULT_POLICY_PATTERNS + ("^optimal_",)
 DEFAULT_ENTRY_PACKAGES = ("optimize/", "roadmap/")
 #: Modules holding the engine kernels the PURE pass audits.
 DEFAULT_KERNEL_MODULES = ("engine/kernels.py",)
-#: Function-name regexes marking the worker side of the pool boundary.
-DEFAULT_WORKER_ENTRY_PATTERNS = (r"^_run_chunk",)
-#: Class names that legitimately reset fork-inherited module state on
-#: the worker side; the CONC001 reachability walk does not enter them.
-DEFAULT_WORKER_SCOPE_RESETS = ("WorkerTelemetry",)
 #: Modules whose classes must follow the per-metric lock pattern.
 DEFAULT_METRICS_MODULES = ("obs/metrics.py", "obs/perf/sketch.py")
 
@@ -73,13 +68,6 @@ class LintConfig:
     kernel_modules:
         Package-relative paths holding the engine kernel classes the
         kernel-purity pass audits (PURE001/PURE002).
-    worker_entry_patterns:
-        Function-name regexes marking pool-worker entry points — the
-        roots of the CONC001 worker-side reachability walk.
-    worker_scope_resets:
-        Class names sanctioned to touch fork-inherited module state on
-        the worker side (they exist to reset it); CONC001 neither
-        enters nor flags them.
     metrics_modules:
         Package-relative paths whose lock-carrying classes must mutate
         state only under ``with self._lock`` (CONC002).
@@ -96,8 +84,6 @@ class LintConfig:
     error_exempt_modules: tuple[str, ...] = ("errors.py", "validation.py")
     constants_modules: tuple[str, ...] = ("constants.py",)
     kernel_modules: tuple[str, ...] = DEFAULT_KERNEL_MODULES
-    worker_entry_patterns: tuple[str, ...] = DEFAULT_WORKER_ENTRY_PATTERNS
-    worker_scope_resets: tuple[str, ...] = DEFAULT_WORKER_SCOPE_RESETS
     metrics_modules: tuple[str, ...] = DEFAULT_METRICS_MODULES
 
     def severity_for(self, rule: str, default: Severity) -> Severity:
@@ -187,8 +173,7 @@ def load_config(pyproject: Path | str | None) -> LintConfig:
     known_lists = {
         "select", "ignore", "policy-patterns", "obs-patterns",
         "entry-packages", "units-modules", "error-exempt-modules",
-        "constants-modules", "kernel-modules", "worker-entry-patterns",
-        "worker-scope-resets", "metrics-modules",
+        "constants-modules", "kernel-modules", "metrics-modules",
     }
     for key, value in table.items():
         if key == "severity":

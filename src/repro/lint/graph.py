@@ -1,6 +1,6 @@
 """Project-wide call graph and per-function effect summaries.
 
-The dataflow layer underneath the PURE/CONC pass families. It is built
+The dataflow layer underneath the PURE pass family. It is built
 once per :class:`~repro.lint.project.LintProject` from the already
 parsed ASTs — no re-parsing, no imports, no execution:
 
@@ -28,9 +28,8 @@ parsed ASTs — no re-parsing, no imports, no execution:
 
 Calls whose terminal name is a gated instrumentation helper (``inc``,
 ``observe``, ``span``, ...) are exempt throughout: by contract they
-never influence numeric results and their registries are reset at the
-worker-scope boundary, so treating them as effects would make every
-traced hot path "impure" and drown the signal.
+never influence numeric results, so treating them as effects would
+make every traced hot path "impure" and drown the signal.
 
 The analysis is deliberately conservative-quiet: an unresolvable call
 (higher-order through an unannotated parameter, dynamic dispatch)
@@ -54,7 +53,6 @@ __all__ = [
     "Effect",
     "FunctionSummary",
     "ModuleInfo",
-    "PoolSubmission",
     "TransitiveEffect",
     "build_call_graph",
 ]
@@ -119,7 +117,7 @@ class Effect:
     ``kind`` is ``"global-write"`` (module-level state written),
     ``"impure-call"`` (nondeterministic/IO call), or
     ``"param-mutation"`` (attribute/item mutation of a parameter or of
-    ``self``). ``detail`` names the target (``"engine.parallel._totals"``,
+    ``self``). ``detail`` names the target (``"engine.core._pool"``,
     ``"time.perf_counter"``, ``"self.cache"``); ``line`` is where it
     happens in the owning module.
     """
@@ -134,19 +132,6 @@ class CallEdge:
     """A resolved call (or address-taken reference) to ``callee``."""
 
     callee: str
-    line: int
-
-
-@dataclass(frozen=True)
-class PoolSubmission:
-    """A provably unpicklable first argument to a ``.submit(...)`` call.
-
-    ``kind`` is ``"lambda"`` or ``"nested"`` (a function defined inside
-    the submitting function); ``detail`` names it.
-    """
-
-    kind: str
-    detail: str
     line: int
 
 
@@ -212,7 +197,6 @@ class FunctionSummary:
     calls: tuple[CallEdge, ...] = ()
     data_reads: tuple[tuple[str, int], ...] = ()
     self_reads: frozenset[str] = frozenset()
-    pool_submissions: tuple[PoolSubmission, ...] = ()
 
 
 @dataclass
@@ -320,7 +304,6 @@ class _Scope:
     params: frozenset = frozenset()
     locals: frozenset = frozenset()
     globals_declared: frozenset = frozenset()
-    nested_defs: frozenset = frozenset()
     local_types: dict = field(default_factory=dict)
 
 
@@ -622,7 +605,6 @@ class _GraphBuilder:
         calls: dict[str, int] = {}
         data_reads: list[tuple[str, int]] = []
         self_reads: set[str] = set()
-        submissions: list[PoolSubmission] = []
         for node in _iter_body(fn):
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
@@ -633,8 +615,7 @@ class _GraphBuilder:
                 for target in node.targets:
                     self._handle_store(target, node.lineno, scope, effects)
             elif isinstance(node, ast.Call):
-                self._handle_call(node, scope, effects, calls, data_reads,
-                                  submissions)
+                self._handle_call(node, scope, effects, calls, data_reads)
             elif isinstance(node, ast.With):
                 self._handle_with(node, scope, calls)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -658,7 +639,6 @@ class _GraphBuilder:
                         for callee, line in calls.items()),
             data_reads=tuple(dict.fromkeys(data_reads)),
             self_reads=frozenset(self_reads),
-            pool_submissions=tuple(submissions),
         )
 
     @staticmethod
@@ -676,12 +656,10 @@ class _GraphBuilder:
         params = set(_parameter_names(fn))
         local_names: set[str] = set()
         globals_declared: set[str] = set()
-        nested: set[str] = set()
         for node in _iter_body(fn):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 local_names.add(node.id)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.add(node.name)
                 local_names.add(node.name)
                 local_names.update(_parameter_names(node))
             elif isinstance(node, ast.Lambda):
@@ -706,8 +684,7 @@ class _GraphBuilder:
         scope = _Scope(mod=info, cls=cls, fn_name=fn.name,
                        self_name=self_name, params=frozenset(params),
                        locals=frozenset(local_names),
-                       globals_declared=frozenset(globals_declared),
-                       nested_defs=frozenset(nested))
+                       globals_declared=frozenset(globals_declared))
         scope.local_types = self._infer_local_types(fn, scope)
         return scope
 
@@ -857,14 +834,11 @@ class _GraphBuilder:
 
     def _handle_call(self, node: ast.Call, scope: _Scope,
                      effects: list[Effect], calls: dict[str, int],
-                     data_reads: list[tuple[str, int]],
-                     submissions: list[PoolSubmission]) -> None:
+                     data_reads: list[tuple[str, int]]) -> None:
         func = node.func
         terminal = _terminal_name(func)
         if terminal in INSTRUMENTATION_CALLS:
             return
-        if isinstance(func, ast.Attribute) and func.attr == "submit":
-            self._handle_submit(node, scope, submissions)
         resolved = self._resolve_value(func, scope)
         if resolved is None:
             if (isinstance(func, ast.Name) and func.id in _IMPURE_BUILTINS
@@ -896,19 +870,6 @@ class _GraphBuilder:
             return
         if base is not None and base[0] == "data":
             data_reads.append((base[1], line))
-
-    def _handle_submit(self, node: ast.Call, scope: _Scope,
-                       submissions: list[PoolSubmission]) -> None:
-        if not node.args:
-            return
-        first = node.args[0]
-        if isinstance(first, ast.Lambda):
-            submissions.append(PoolSubmission("lambda", "<lambda>",
-                                              node.lineno))
-        elif (isinstance(first, ast.Name)
-                and first.id in scope.nested_defs):
-            submissions.append(PoolSubmission("nested", first.id,
-                                              node.lineno))
 
     def _handle_with(self, node: ast.With, scope: _Scope,
                      calls: dict[str, int]) -> None:

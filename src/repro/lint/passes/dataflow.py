@@ -1,18 +1,15 @@
-"""Dataflow passes: kernel purity (PURE) and concurrency discipline (CONC).
+"""Dataflow passes: kernel purity (PURE) and lock discipline (CONC).
 
-Both families run on the project-wide call graph built by
-:mod:`repro.lint.graph` and mechanize the two invariants the engine's
-correctness rests on but no runtime test can economically cover:
+They mechanize two invariants the engine's correctness rests on but no
+runtime test can economically cover:
 
-* the SHA-256 memo cache and ``CheckpointSink`` fingerprints are only
-  sound if every kernel is transitively pure and its ``token()``
-  covers everything its body reads (PURE001/PURE002), and memoized or
-  traced bodies never mutate shared state (PURE003);
-* the process-pool path is only safe if fork-inherited module state is
-  written solely inside sanctioned worker-scope resets (CONC001),
-  metric objects keep their per-metric lock discipline (CONC002), and
-  pool submissions only capture picklable module-level callables
-  (CONC003).
+* the SHA-256 memo cache is only sound if every kernel is transitively
+  pure and its ``token()`` covers everything its body reads
+  (PURE001/PURE002), and memoized or traced bodies never mutate shared
+  state (PURE003) — checked on the project-wide call graph built by
+  :mod:`repro.lint.graph`;
+* metric objects, which request and block threads update at once,
+  keep their per-metric lock discipline (CONC002).
 
 The analysis reports only *provable* violations: unresolvable calls
 (higher-order through unannotated parameters, dynamic dispatch) simply
@@ -23,7 +20,6 @@ end the walk, and gated instrumentation helpers are exempt throughout
 from __future__ import annotations
 
 import ast
-import re
 from fnmatch import fnmatch
 from typing import Iterator
 
@@ -70,7 +66,7 @@ class KernelPurityPass(LintPass):
                  "module-state write, or argument mutation"),
         RuleSpec("PURE002", Severity.ERROR,
                  "kernel reads state its token() does not cover — would "
-                 "silently poison memo-cache/checkpoint fingerprints"),
+                 "silently poison memo-cache keys"),
         RuleSpec("PURE003", Severity.ERROR,
                  "@traced/cached function directly mutates module-level "
                  "state"),
@@ -133,8 +129,8 @@ class KernelPurityPass(LintPass):
                     project, module, "PURE002", token_line,
                     f"kernel field '{field_name}' is read by "
                     f"{cls.name}.{method_name}() but not covered by token()",
-                    suggestion="add the field to token() so cache keys and "
-                               "checkpoint fingerprints see it")
+                    suggestion="add the field to token() so cache keys "
+                               "see it")
             # PURE002b: mutable module-level bindings on the body path.
             for te in graph.transitive_reads(qname):
                 binding = graph.data_binding(te.effect.detail)
@@ -171,68 +167,20 @@ class KernelPurityPass(LintPass):
 
 
 class ConcurrencyPass(LintPass):
-    """CONC001–CONC003: pool-boundary and lock discipline."""
+    """CONC002: per-metric lock discipline."""
 
     name = "concurrency"
     rules = (
-        RuleSpec("CONC001", Severity.ERROR,
-                 "module-level state written on the pool-worker side "
-                 "without a worker-scope reset"),
         RuleSpec("CONC002", Severity.ERROR,
                  "metric/sketch state mutated outside the per-metric "
                  "`with self._lock` pattern"),
-        RuleSpec("CONC003", Severity.ERROR,
-                 "pool submission captures a non-picklable callable "
-                 "(lambda or nested function)"),
     )
 
     def run(self, project: LintProject, config) -> Iterator[Finding]:
-        """Audit worker reachability, lock discipline, and submissions."""
-        graph = build_call_graph(project)
-        by_rel = {module.rel: module for module in project.modules}
-        yield from self._check_worker_writes(project, by_rel, graph, config)
+        """Audit lock discipline in the configured metrics modules."""
         for module in project.modules:
             if _matches_any(module.rel, config.metrics_modules):
                 yield from self._check_lock_discipline(project, module)
-        for summary in graph.functions.values():
-            module = by_rel.get(summary.rel)
-            for sub in summary.pool_submissions:
-                yield self.finding(
-                    project, module, "CONC003", sub.line,
-                    f"pool submission in {summary.name}() captures a "
-                    f"{sub.kind} callable ('{sub.detail}') that cannot be "
-                    f"pickled across the process boundary",
-                    suggestion="submit a module-level function instead")
-
-    def _check_worker_writes(self, project: LintProject, by_rel: dict,
-                             graph: CallGraph, config) -> Iterator[Finding]:
-        patterns = [re.compile(p) for p in config.worker_entry_patterns]
-        resets = set(config.worker_scope_resets)
-
-        def stop(summary):
-            return summary.cls is not None and summary.cls.name in resets
-
-        reported: set[tuple] = set()
-        for entry in list(graph.functions.values()):
-            if not any(p.search(entry.name) for p in patterns):
-                continue
-            for te in graph.transitive_effects(entry.qname, stop=stop):
-                if te.effect.kind != "global-write":
-                    continue
-                key = (te.owner, te.effect.detail, te.effect.line)
-                if key in reported:
-                    continue
-                reported.add(key)
-                owner = graph.functions[te.owner]
-                yield self.finding(
-                    project, by_rel.get(owner.rel), "CONC001",
-                    te.effect.line,
-                    f"module-level state '{te.effect.detail}' is written on "
-                    f"the pool-worker path (reached from {entry.name}()"
-                    f"{_chain_text(te.chain)}) without a worker-scope reset",
-                    suggestion="reset the state inside a worker-scope class "
-                               "(see worker-scope-resets config) or keep "
-                               "worker functions stateless")
 
     def _check_lock_discipline(self, project: LintProject,
                                module: LintModule) -> Iterator[Finding]:

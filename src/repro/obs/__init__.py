@@ -56,14 +56,7 @@ from .metrics import (
     observe_duration,
     set_gauge,
 )
-from .telemetry import (
-    TelemetryPayload,
-    TraceContext,
-    WorkerTelemetry,
-    bridge_engine_metrics,
-    capture_context,
-    merge_payload,
-)
+from .telemetry import bridge_engine_metrics
 from .perf import (
     DurationSketch,
     SpanProfiler,
@@ -143,12 +136,7 @@ __all__ = [
     "observe_duration",
     "set_gauge",
     # telemetry
-    "TelemetryPayload",
-    "TraceContext",
-    "WorkerTelemetry",
     "bridge_engine_metrics",
-    "capture_context",
-    "merge_payload",
     # exposition
     "MetricsEndpoint",
     "health_payload",

@@ -1,18 +1,16 @@
 """Persistent run history: provenance-stamped telemetry across runs.
 
 Every other observability surface in this package is *amnesiac*: spans,
-metrics, sketches, and supervision counters live in process-local state
-and evaporate at exit, so a regression in cache hit-rate or a span's
-p99 between yesterday's run and today's is invisible. This module is
+metrics, and sketches live in process-local state and evaporate at
+exit, so a regression in cache hit-rate or a span's p99 between
+yesterday's run and today's is invisible. This module is
 the longitudinal memory — a SQLite-backed store where each instrumented
 run (the CLI report, ``python -m repro.bench``, engine sweeps) appends
 one **run record**: provenance (git sha, python, platform, backend,
 constants version, wall time) plus the full telemetry payload (the
 labeled-metric registry in its :meth:`~repro.obs.metrics.
-MetricsRegistry.to_dict` wire format, merged
-:class:`~repro.obs.perf.DurationSketch` percentiles per span name, and
-the engine's :class:`~repro.robust.supervision.SupervisionReport`
-lifetime counters).
+MetricsRegistry.to_dict` wire format and merged
+:class:`~repro.obs.perf.DurationSketch` percentiles per span name).
 
 Three layers on top of the store:
 
@@ -186,9 +184,6 @@ class RunRecord:
     sketches:
         Span name → merged duration-sketch summary (count/total/min/
         max/p50/p90/p99 plus the sparse bucket state).
-    supervision:
-        :func:`repro.engine.supervision_stats`-shaped lifetime counters
-        of the pooled engine path (empty without the engine).
     samples:
         The flattened scalar series extracted from the payload — what
         :meth:`HistoryStore.series` and :func:`detect_drift` read.
@@ -205,7 +200,6 @@ class RunRecord:
     wall_time_s: float
     metrics: dict = field(default_factory=dict)
     sketches: dict = field(default_factory=dict)
-    supervision: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
 
     def registry(self) -> MetricsRegistry:
@@ -240,15 +234,12 @@ def _sketch_payload(sketch) -> dict:
     }
 
 
-def flatten_samples(registry: MetricsRegistry,
-                    supervision: dict | None = None) -> dict[str, float]:
+def flatten_samples(registry: MetricsRegistry) -> dict[str, float]:
     """Extract the scalar series of one run from a registry snapshot.
 
     Counters and gauges sample under their full series key; histograms
     contribute ``<key>:mean`` and ``<key>:count``; duration sketches
-    contribute ``<name>:p50``/``:p90``/``:p99``/``:count``. Numeric
-    supervision counters sample as ``supervision:<key>`` (the breaker
-    state becomes the 0/1 ``supervision:breaker_open``). NaN values
+    contribute ``<name>:p50``/``:p90``/``:p99``/``:count``. NaN values
     are dropped — a NaN can never sit inside a drift band anyway.
     """
     samples: dict[str, float] = {}
@@ -269,12 +260,6 @@ def flatten_samples(registry: MetricsRegistry,
         samples[f"{name}:p90"] = float(pct["p90"])
         samples[f"{name}:p99"] = float(pct["p99"])
         samples[f"{name}:count"] = float(sketch.count)
-    for key, value in (supervision or {}).items():
-        if key == "breaker_state":
-            samples["supervision:breaker_open"] = (
-                1.0 if value == "open" else 0.0)
-        elif isinstance(value, (int, float)) and math.isfinite(float(value)):
-            samples[f"supervision:{key}"] = float(value)
     return samples
 
 
@@ -367,7 +352,6 @@ class HistoryStore:
 
     def record_run(self, command: str, *, wall_time_s: float,
                    backend: str = "", registry: MetricsRegistry | None = None,
-                   supervision: dict | None = None,
                    environment: dict | None = None,
                    started: str | None = None,
                    extra_samples: dict | None = None) -> RunRecord:
@@ -375,13 +359,11 @@ class HistoryStore:
 
         ``registry`` defaults to a snapshot of the process-global
         registry with engine-side state bridged in
-        (:func:`~repro.obs.telemetry.bridge_engine_metrics`), so cache
-        hit-rate and supervision counters are captured even when live
-        metrics were off. ``supervision`` defaults to
-        :func:`repro.engine.supervision_stats` when the engine is
-        importable. ``extra_samples`` lets a producer add derived
-        scalar series (the bench runner stores per-bench medians this
-        way) without inventing registry metrics for them.
+        (:func:`~repro.obs.telemetry.bridge_engine_metrics`), so the
+        cache hit-rate is captured even when live metrics were off.
+        ``extra_samples`` lets a producer add derived scalar series (the
+        bench runner stores per-bench medians this way) without
+        inventing registry metrics for them.
         """
         if not command:
             raise DomainError("record_run: command must be a non-empty string")
@@ -394,12 +376,10 @@ class HistoryStore:
             registry = MetricsRegistry.from_dict(
                 _metrics.get_registry().to_dict())
             _telemetry.bridge_engine_metrics(registry)
-        if supervision is None:
-            supervision = _engine_supervision()
         env = run_environment() if environment is None else dict(environment)
         if started is None:
             started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        samples = flatten_samples(registry, supervision)
+        samples = flatten_samples(registry)
         samples["run:wall_time_s"] = wall_time_s
         for key, value in (extra_samples or {}).items():
             value = float(value)
@@ -410,7 +390,6 @@ class HistoryStore:
         payload = json.dumps({
             "metrics": registry.to_dict(),
             "sketches": sketches,
-            "supervision": supervision,
             "samples": samples,
         }, sort_keys=True)
         with self._lock:
@@ -441,8 +420,7 @@ class HistoryStore:
             backend=backend,
             constants_version=env.get("constants_version", ""),
             wall_time_s=wall_time_s, metrics=registry.to_dict(),
-            sketches=sketches, supervision=dict(supervision),
-            samples=samples)
+            sketches=sketches, samples=samples)
 
     # -- queries ---------------------------------------------------------
 
@@ -454,6 +432,8 @@ class HistoryStore:
             raise DataError(
                 f"history run {row['id']} carries a corrupt payload: "
                 f"{exc}") from exc
+        # Keys no longer written (older runs carry ``supervision``) are
+        # ignored, so stores from earlier layouts of the payload load.
         return RunRecord(
             run_id=int(row["id"]), started=row["started"],
             command=row["command"], git_sha=row["git_sha"],
@@ -463,7 +443,6 @@ class HistoryStore:
             wall_time_s=float(row["wall_time_s"]),
             metrics=payload.get("metrics", {}),
             sketches=payload.get("sketches", {}),
-            supervision=payload.get("supervision", {}),
             samples=payload.get("samples", {}))
 
     @staticmethod
@@ -579,15 +558,6 @@ class HistoryStore:
 
     def __repr__(self) -> str:
         return f"HistoryStore({str(self.path)!r}, runs={len(self)})"
-
-
-def _engine_supervision() -> dict:
-    """The engine's lifetime supervision stats, or ``{}`` without NumPy."""
-    try:
-        from .. import engine
-    except ImportError:
-        return {}
-    return engine.supervision_stats()
 
 
 def default_history_path() -> Path | None:

@@ -21,9 +21,8 @@ per-metric lock serialises read-modify-write updates, and the registry
 serialises get-or-create, so the serve layer can share one registry
 across request threads. Registries **merge** associatively
 (:meth:`MetricsRegistry.merge`): counters and histograms add, sketches
-add bucket counts, gauges take the last non-NaN value — the primitive
-that folds worker-process telemetry deltas (and future serve-layer
-shards) into one loss-free total.
+add bucket counts, gauges take the last non-NaN value, so separately
+collected registries fold into one loss-free total.
 
 All module-level helpers (:func:`inc`, :func:`set_gauge`,
 :func:`observe`, :func:`observe_duration`) are gated on the global
@@ -349,8 +348,8 @@ class MetricsRegistry:
         """Fold every series of ``other`` into this registry; returns self.
 
         The merge is **associative**: counters/histograms/sketches add
-        exactly, gauges keep the last non-NaN value, so worker deltas
-        and serve-layer shards combine losslessly in any grouping.
+        exactly, gauges keep the last non-NaN value, so separately
+        collected registries combine losslessly in any grouping.
         """
         for key, c in other.counters.items():
             self.counter(c.name, c.labels).merge(c)
@@ -365,9 +364,8 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         """Serialise the full registry state as a JSON-safe dict.
 
-        The inverse of :meth:`from_dict`; the wire format of the
-        cross-process :class:`~repro.obs.telemetry.TelemetryPayload`
-        metric deltas.
+        The inverse of :meth:`from_dict`; the format the run-history
+        store persists registry snapshots in.
         """
         return {
             "counters": [

@@ -33,7 +33,6 @@ __all__ = [
     "Tracer",
     "add_span_hook",
     "current_span",
-    "detach_context",
     "disable",
     "enable",
     "get_tracer",
@@ -249,19 +248,6 @@ class Tracer:
             return
         self.spans.append(sp)
 
-    def adopt(self, sp: Span) -> None:
-        """Store a span completed elsewhere, bypassing the duration sink.
-
-        Used by :mod:`repro.obs.telemetry` when merging worker-process
-        spans into the parent trace: the worker already sketched the
-        duration into its metric deltas, so feeding the sink here would
-        double-count it. The span cap still applies.
-        """
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return
-        self.spans.append(sp)
-
     def reset(self) -> None:
         """Forget every recorded span."""
         self.spans.clear()
@@ -295,19 +281,6 @@ def get_tracer() -> Tracer:
 def current_span() -> Span | None:
     """The innermost open span of this context, or ``None``."""
     return _CURRENT.get()
-
-
-def detach_context() -> None:
-    """Clear the current-span context variable for this context.
-
-    Needed by worker-side telemetry scopes: a pool worker forked while
-    the parent had a span open inherits that (stale, parent-process)
-    span through the context variable, and new worker spans would
-    parent under it with colliding ids. Resetting makes worker spans
-    clean roots that :func:`repro.obs.telemetry.merge_payload` re-hangs
-    under the real parent span.
-    """
-    _CURRENT.set(None)
 
 
 def span(name: str, **attrs) -> "Span | _NullSpan":

@@ -13,25 +13,16 @@ cleanly:
   :class:`~repro.errors.ConvergenceError` carries a report;
 * :class:`QuarantineReport` — lenient CSV loading collects malformed
   rows instead of failing the import;
-* :mod:`repro.robust.supervision` — supervised chunk execution for the
-  engine's process-pool path: per-chunk deadlines,
-  :class:`ChunkRetryPolicy` crash recovery, a :class:`CircuitBreaker`
-  that degrades to in-process evaluation, and opt-in
-  :class:`CheckpointSink` persistence so interrupted sweeps resume;
 * :mod:`repro.robust.faultinject` — deterministic corrupted-input and
-  forced-failure generators powering the chaos test suite, including
-  :class:`ChaosPlan` worker-side faults (kill/hang/corrupt by chunk
-  index).
+  forced-failure generators powering the chaos test suite.
 
-All robustness events (masked points, retries, quarantined rows,
-chunk retries, pool restarts) land on the :mod:`repro.obs`
-metrics/trace grid when observability is on. See
-``docs/robustness.md`` for the guide.
+All robustness events (masked points, retries, quarantined rows) land
+on the :mod:`repro.obs` metrics/trace grid when observability is on.
+See ``docs/robustness.md`` for the guide.
 """
 
 from .faultinject import (
     FAULT_MODES,
-    ChaosPlan,
     FaultInjector,
     corrupt,
     corrupted_calls,
@@ -41,15 +32,6 @@ from .policy import Diagnostic, DiagnosticLog, ErrorPolicy
 from .quarantine import QuarantinedRow, QuarantineReport
 from .retry import DEFAULT_RETRY_BUDGET, ConvergenceReport, RetryBudget
 from .solvers import golden_min, retrying_golden_min
-from .supervision import (
-    DEFAULT_CHUNK_RETRY_POLICY,
-    CheckpointSink,
-    ChunkFailure,
-    ChunkRetryPolicy,
-    ChunkSupervisor,
-    CircuitBreaker,
-    SupervisionReport,
-)
 
 __all__ = [
     "golden_min",
@@ -60,17 +42,9 @@ __all__ = [
     "RetryBudget",
     "ConvergenceReport",
     "DEFAULT_RETRY_BUDGET",
-    "ChunkRetryPolicy",
-    "ChunkFailure",
-    "ChunkSupervisor",
-    "CircuitBreaker",
-    "SupervisionReport",
-    "CheckpointSink",
-    "DEFAULT_CHUNK_RETRY_POLICY",
     "QuarantinedRow",
     "QuarantineReport",
     "FAULT_MODES",
-    "ChaosPlan",
     "corrupt",
     "corrupted_calls",
     "FaultInjector",

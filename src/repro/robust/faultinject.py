@@ -18,9 +18,7 @@ finite (or explicitly NaN-masked) output or raises a
 from __future__ import annotations
 
 import math
-import os
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,7 +27,6 @@ from ..errors import ConvergenceError, DomainError
 __all__ = [
     "FAULT_MODES",
     "corrupt",
-    "ChaosPlan",
     "FaultInjector",
     "corrupted_calls",
     "flaky",
@@ -139,80 +136,6 @@ def corrupted_calls(kwargs: dict, seed: int,
     for field in (fields if fields is not None else tuple(sorted(kwargs))):
         for mode in modes:
             yield injector.corrupt_call(kwargs, field=field, mode=mode)
-
-
-@dataclass(frozen=True)
-class ChaosPlan:
-    """Deterministic worker-side faults, keyed by chunk index.
-
-    The pool-level adversary behind the supervision chaos suite. A
-    plan names which chunk *indices* misbehave and how:
-
-    * ``kill_chunks`` — the worker process dies mid-chunk via
-      ``os._exit`` (the pool surfaces ``BrokenProcessPool``);
-    * ``hang_chunks`` — the worker sleeps ``hang_s`` seconds, so a
-      configured chunk deadline expires;
-    * ``corrupt_chunks`` — the chunk returns a truncated values array
-      that fails shape validation.
-
-    Faults fire only while ``attempt < fail_attempts`` (default 1), so
-    a supervised retry of the same chunk succeeds — deterministic
-    recovery without flaky sleeps or global RNG. Plans are frozen
-    dataclasses of tuples and pickle cheaply into workers.
-    """
-
-    kill_chunks: tuple = ()
-    hang_chunks: tuple = ()
-    corrupt_chunks: tuple = ()
-    fail_attempts: int = 1
-    hang_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        """Validate the plan (raises :class:`~repro.errors.DomainError`)."""
-        if self.fail_attempts < 0:
-            raise DomainError(
-                f"fail_attempts must be >= 0; got {self.fail_attempts}")
-        if self.hang_s < 0:
-            raise DomainError(f"hang_s must be >= 0; got {self.hang_s}")
-        overlap = (set(self.kill_chunks) & set(self.hang_chunks)
-                   | set(self.kill_chunks) & set(self.corrupt_chunks)
-                   | set(self.hang_chunks) & set(self.corrupt_chunks))
-        if overlap:
-            raise DomainError(
-                f"chunks {sorted(overlap)} appear in more than one chaos mode")
-
-    def mode_for(self, index: int, attempt: int = 0) -> str | None:
-        """The fault (``kill``/``hang``/``corrupt``) due for this attempt."""
-        if attempt >= self.fail_attempts:
-            return None
-        if index in self.kill_chunks:
-            return "kill"
-        if index in self.hang_chunks:
-            return "hang"
-        if index in self.corrupt_chunks:
-            return "corrupt"
-        return None
-
-    @staticmethod
-    def corrupt_values(values):
-        """A detectably-wrong result: drop the last point of the chunk."""
-        return values[..., :-1]
-
-    def inject(self, index: int, attempt: int = 0) -> str | None:
-        """Fire the side-effecting fault for ``(index, attempt)``, if any.
-
-        Called at the top of the worker-side chunk entry. ``kill``
-        never returns (``os._exit(3)``); ``hang`` sleeps ``hang_s``
-        then returns; returns the mode (the caller applies
-        :meth:`corrupt_values` itself after computing the result) or
-        ``None`` when this attempt runs clean.
-        """
-        mode = self.mode_for(index, attempt)
-        if mode == "kill":
-            os._exit(3)
-        if mode == "hang":
-            time.sleep(self.hang_s)
-        return mode
 
 
 def flaky(fn: Callable, fail_times: int, exc_factory: Callable[[], BaseException] | None = None):

@@ -5,13 +5,11 @@
 bit-identical to one ``kernel.batch`` over the whole grid at every
 block boundary, MASK/COLLECT diagnostics equal the per-point
 ``_scalar_loop``'s, and a RAISE grid raises the unblocked exception
-even when the bad point sits in a later block. The pool stays off at
-every size the engine is measured at unless a caller lowers its
-threshold.
+even when the bad point sits in a later block. Large grids spread the
+blocks over threads, the engine's only parallel path.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -25,7 +23,6 @@ from repro import obs
 from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
 from repro.engine import clear_cache, evaluate_grid
 from repro.engine import core as engine_core
-from repro.engine import parallel as engine_parallel
 from repro.engine.kernels import (
     DesignObjectivesKernel,
     Eq4SdKernel,
@@ -171,10 +168,6 @@ def test_raise_in_later_block_matches_unblocked_exception(name):
     assert str(blocked.value) == str(unblocked.value)
 
 
-def test_default_threshold_keeps_large_grids_in_process():
-    assert engine_parallel.plan_chunks(10_000_000) == 1
-
-
 def test_pool_crossover_tool_prints_the_table():
     out = subprocess.run(
         [sys.executable, str(REPO / "tools" / "pool_crossover.py"),
@@ -182,19 +175,36 @@ def test_pool_crossover_tool_prints_the_table():
         capture_output=True, text=True, check=True, timeout=120).stdout
     lines = out.strip().splitlines()
     assert lines[0].startswith("# Eq4SdKernel")
-    assert lines[1].split() == ["points", "pool_ms", "chunks", "threads_ms",
-                                "workers", "blocked_ms", "unblocked_ms",
-                                "winner"]
+    assert lines[1].split() == ["points", "threads_ms", "workers",
+                                "blocked_ms", "unblocked_ms", "winner"]
     assert len(lines) == 3
-    (points, pool, chunks, threads, workers, blocked, unblocked,
-     winner) = lines[2].split()
-    # Two 10k-point chunks, one per worker of the default min(4, cpu) pool.
-    assert points == "20000" and int(chunks) == min(2, os.cpu_count() or 1)
+    points, threads, workers, blocked, unblocked, winner = lines[2].split()
+    assert points == "20000"
     # One 64k-point block: the thread column runs on the calling thread.
     assert int(workers) == 1
-    assert min(float(pool), float(threads), float(blocked),
-               float(unblocked)) > 0
-    assert winner in ("pool", "threads", "blocked")
+    assert min(float(threads), float(blocked), float(unblocked)) > 0
+    assert winner in ("threads", "blocked")
+
+
+def test_block_threads_follow_the_cpu_affinity(monkeypatch):
+    """A process pinned to one CPU starts no helper thread."""
+    monkeypatch.setattr(engine_core, "_max_workers", None)
+    monkeypatch.setattr(engine_core, "_enabled", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    kernel, grid = eq4(1_000_000)
+    assert _evaluate(kernel, grid, ErrorPolicy.RAISE).workers == 1
+
+
+def test_engine_and_serve_import_no_process_pool():
+    code = ("import sys, repro.engine, repro.serve; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 # -- the blocks on several threads -----------------------------------------
@@ -214,8 +224,8 @@ def threads(monkeypatch):
     monkeypatch.setattr(engine_core, "_THREADS_FROM", 0)
 
     def use(k):
-        monkeypatch.setattr(engine_parallel, "_enabled", k > 1)
-        monkeypatch.setattr(engine_parallel, "_max_workers", k)
+        monkeypatch.setattr(engine_core, "_enabled", k > 1)
+        monkeypatch.setattr(engine_core, "_max_workers", k)
     return use
 
 
@@ -273,10 +283,10 @@ def test_threads_at_the_real_block_size(policy, monkeypatch):
     n = engine_core._THREADS_FROM + 2 * B + 7
     kernel, grid = eq4(n, [B + 1, 3 * B + 2, n - 1], [np.nan, BAD_SD, np.inf]) \
         if policy is ErrorPolicy.MASK else eq4(n)
-    monkeypatch.setattr(engine_parallel, "_enabled", False)
+    monkeypatch.setattr(engine_core, "_enabled", False)
     single = _outcome(kernel, grid, policy)
-    monkeypatch.setattr(engine_parallel, "_enabled", True)
-    monkeypatch.setattr(engine_parallel, "_max_workers", 2)
+    monkeypatch.setattr(engine_core, "_enabled", True)
+    monkeypatch.setattr(engine_core, "_max_workers", 2)
     threaded = _outcome(kernel, grid, policy)
     assert threaded[:-1] == single[:-1]
     assert (single[-1], threaded[-1]) == (1, 2)
@@ -381,14 +391,6 @@ def test_helper_runs_under_the_callers_errstate(threads):
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         _evaluate(HandOff(kernel, on_helper=record), grid, ErrorPolicy.RAISE)
     assert raised == [True]
-
-
-def test_kernel_with_a_built_curve_pickles():
-    kernel, grid = eq4(1_000)
-    expected = kernel.batch(grid)  # builds and caches the curve
-    clone = pickle.loads(pickle.dumps(kernel))
-    assert "_curve" in kernel.__dict__ and "_curve" not in clone.__dict__
-    np.testing.assert_array_equal(clone.batch(grid), expected)
 
 
 def test_each_block_evaluated_exactly_once_under_contention(threads):

@@ -3,7 +3,7 @@
 The reproduction contract of :mod:`repro.engine` is numerical and
 behavioural identity with the per-point loops it replaced: same values
 (to <=1e-12 relative), same diagnostics under MASK/COLLECT, same
-results from the pure-python backend and from the chunked pool path.
+results from the pure-python backend.
 """
 
 import numpy as np
@@ -14,12 +14,9 @@ from repro.data import DesignRegistry, load_itrs_1999
 from repro.engine import (
     cache_stats,
     clear_cache,
-    configure_parallel,
     evaluate_grid,
-    parallel_settings,
     using,
 )
-from repro.engine import parallel as engine_parallel
 from repro.engine.kernels import (
     DesignObjectivesKernel,
     Eq4SdKernel,
@@ -223,34 +220,3 @@ class TestCache:
         assert not second.cache_hit
         stats = cache_stats()
         assert stats.hits == 0 and stats.misses == 0
-
-
-class TestParallel:
-    @pytest.fixture()
-    def lowered_threshold(self):
-        saved = parallel_settings()
-        configure_parallel(threshold=1_000, max_workers=2)
-        yield
-        configure_parallel(threshold=saved["threshold"],
-                           enabled=saved["enabled"])
-        engine_parallel._max_workers = saved["max_workers"]
-        engine_parallel.shutdown()
-
-    def test_below_threshold_single_chunk(self):
-        assert engine_parallel.plan_chunks(100) == 1
-
-    def test_disabled_forces_single_chunk(self):
-        saved = parallel_settings()
-        configure_parallel(enabled=False)
-        try:
-            assert engine_parallel.plan_chunks(10_000_000) == 1
-        finally:
-            configure_parallel(enabled=saved["enabled"])
-
-    def test_chunked_path_matches_single_process(self, lowered_threshold):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = np.linspace(150.0, 1200.0, 25_000)
-        evaluation = evaluate_grid(kernel, grid, where="test.parallel",
-                                   cache=False)
-        assert evaluation.chunks > 1
-        np.testing.assert_array_equal(evaluation.values, kernel.batch(grid))

@@ -59,7 +59,7 @@ def test_cli_sarif_format(tmp_path, capsys):
     assert [r["ruleId"] for r in results] == ["UNITS001"]
     # The driver catalog carries the full rule set, not just hits.
     rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-    assert {"UNITS001", "ERR001", "PURE001", "CONC001"} <= rule_ids
+    assert {"UNITS001", "ERR001", "PURE001", "CONC002"} <= rule_ids
 
 
 # -- --paths -------------------------------------------------------------

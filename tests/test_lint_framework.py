@@ -268,7 +268,7 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("UNITS001", "ERR001", "POL001", "CONST001", "API001",
-                 "OBS001", "PURE001", "CONC001"):
+                 "OBS001", "PURE001", "CONC002"):
         assert rule in out
 
 

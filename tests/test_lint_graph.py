@@ -286,22 +286,6 @@ def test_transitive_reads_judged_at_consumption(tmp_path):
     assert graph.data_binding("reads.TABLE").mutable
 
 
-def test_pool_submission_capture(tmp_path):
-    graph = make_graph(tmp_path, {"pool.py": """
-        def dispatch(pool, xs):
-            pool.submit(lambda: 1)
-
-            def local():
-                return 2
-
-            pool.submit(local)
-            pool.submit(dispatch, xs)
-    """})
-    subs = graph.functions["pool.dispatch"].pool_submissions
-    assert [(s.kind, s.detail) for s in subs] == [
-        ("lambda", "<lambda>"), ("nested", "local")]
-
-
 # -- build cache ---------------------------------------------------------
 
 def test_graph_cached_per_project_identity(tmp_path):

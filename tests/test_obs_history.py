@@ -50,7 +50,7 @@ def _registry(p99_s: float = 0.010, hits: int = 10) -> MetricsRegistry:
     """One synthetic run's registry: a counter, a gauge, a sketch."""
     reg = MetricsRegistry()
     reg.counter("engine_dispatch_total", {"backend": "numpy"}).inc(7)
-    reg.counter("engine_chunk_retries_total", {"reason": "crash"}).inc(hits)
+    reg.counter("engine_points_total", {"backend": "numpy"}).inc(hits)
     reg.gauge("engine_cache_hit_rate").set(0.8)
     sketch = reg.sketch("engine.evaluate_grid")
     for i in range(60):
@@ -66,8 +66,7 @@ def _populate(store, n_runs: int = 20, last_p99: float | None = None):
             p99 = last_p99
         store.record_run(
             "repro.report", wall_time_s=1.0, backend="numpy",
-            registry=_registry(p99_s=p99),
-            supervision={"retries": 2, "breaker_state": "closed"})
+            registry=_registry(p99_s=p99))
 
 
 class TestStore:
@@ -103,15 +102,12 @@ class TestStore:
     def test_record_run_returns_typed_record(self, store):
         record = store.record_run(
             "repro.bench", wall_time_s=2.5, backend="numpy",
-            registry=_registry(), supervision={"retries": 1,
-                                               "breaker_state": "open"},
+            registry=_registry(),
             extra_samples={"bench:sweep:median_s": 0.25})
         assert isinstance(record, RunRecord)
         assert record.run_id == 1
         assert record.command == "repro.bench"
         assert record.git_sha and record.python and record.constants_version
-        assert record.samples["supervision:retries"] == 1.0
-        assert record.samples["supervision:breaker_open"] == 1.0
         assert record.samples["bench:sweep:median_s"] == 0.25
         assert record.samples["run:wall_time_s"] == 2.5
         # The stored registry snapshot round-trips through the wire format.
@@ -185,15 +181,12 @@ class TestFlatten:
     def test_flatten_covers_all_metric_kinds(self):
         reg = _registry()
         reg.histogram("engine_grid_points").observe(100.0)
-        samples = flatten_samples(reg, {"retries": 3,
-                                        "breaker_state": "open"})
+        samples = flatten_samples(reg)
         assert samples['engine_dispatch_total{backend="numpy"}'] == 7.0
         assert samples["engine_cache_hit_rate"] == 0.8
         assert samples["engine_grid_points:mean"] == 100.0
         assert samples["engine_grid_points:count"] == 1.0
         assert samples["engine.evaluate_grid:p50"] > 0.0
-        assert samples["supervision:retries"] == 3.0
-        assert samples["supervision:breaker_open"] == 1.0
 
 
 class TestDrift:
@@ -383,7 +376,22 @@ class TestPayloadFormat:
         (payload_text,) = store._conn.execute(
             "SELECT payload FROM runs").fetchone()
         payload = json.loads(payload_text)
-        assert set(payload) == {"metrics", "sketches", "supervision",
-                                "samples"}
+        assert set(payload) == {"metrics", "sketches", "samples"}
         assert payload["sketches"]["engine.evaluate_grid"]["count"] == 60
         assert payload["sketches"]["engine.evaluate_grid"]["p99"] > 0
+
+    def test_stored_supervision_key_is_ignored(self, store):
+        # Runs recorded while the engine still had a process pool carry
+        # its supervision counters in the payload: they must still load.
+        store.record_run("cmd", wall_time_s=1.0, registry=_registry())
+        (payload_text,) = store._conn.execute(
+            "SELECT payload FROM runs").fetchone()
+        payload = json.loads(payload_text)
+        payload["supervision"] = {"retries": 2, "breaker_state": "closed"}
+        store._conn.execute("UPDATE runs SET payload = ?",
+                            (json.dumps(payload, sort_keys=True),))
+        store._conn.commit()
+        record, = store.runs()
+        assert not hasattr(record, "supervision")
+        assert record.metrics == payload["metrics"]
+        assert record.samples == payload["samples"]

@@ -1,25 +1,19 @@
 #!/usr/bin/env python3
-"""Measure where the engine's process pool and block threads beat one thread.
+"""Measure where the engine's block threads beat one thread.
 
 For each grid size it times one eq.-(4) ``s_d`` sweep (``Eq4SdKernel``,
-Figure 4's operating point, RAISE policy, memo cache off) four ways
+Figure 4's operating point, RAISE policy, memo cache off) three ways
 and prints the 10th-percentile wall time of each, in milliseconds:
 
-* ``pool`` — ``evaluate_grid`` with the pool threshold lowered to its
-  minimum, i.e. the chunked, supervised process-pool path a caller
-  opts into with ``engine.configure_parallel(threshold=...)``;
-  ``chunks`` is how many chunks that path split the grid into;
-* ``threads`` — ``evaluate_grid`` in-process with its 64k-point blocks
-  spread over ``workers`` threads, whatever the grid size;
+* ``threads`` — ``evaluate_grid`` with its 64k-point blocks spread over
+  ``workers`` threads, whatever the grid size;
 * ``blocked`` — ``evaluate_grid`` with parallelism disabled: the same
   blocks on the calling thread alone;
 * ``unblocked`` — one ``kernel.batch`` call over the whole grid.
 
-The pool and the threads are started and warmed before anything is
-timed. ``winner`` is the fastest of ``pool``, ``threads`` and
-``blocked``. The smallest size the pool wins at is the crossover that
-``repro.engine.parallel._DEFAULT_THRESHOLD`` should sit at; the
-smallest size from which ``threads`` beats ``blocked`` is the one
+The threads are started and warmed before anything is timed.
+``winner`` is the faster of ``threads`` and ``blocked``. The smallest
+size from which ``threads`` beats ``blocked`` is the one
 ``repro.engine.core._THREADS_FROM`` should sit at.
 
 Usage:  python tools/pool_crossover.py
@@ -29,7 +23,6 @@ Usage:  python tools/pool_crossover.py
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,7 +32,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.cost import PAPER_FIGURE4_MODEL  # noqa: E402
 from repro.engine import configure_parallel, evaluate_grid  # noqa: E402
-from repro.engine import core, parallel  # noqa: E402
+from repro.engine import core, parallel_settings  # noqa: E402
 from repro.engine.kernels import Eq4SdKernel  # noqa: E402
 from repro.optimize import sd_grid  # noqa: E402
 
@@ -47,8 +40,8 @@ from repro.optimize import sd_grid  # noqa: E402
 FIG4A = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5_000,
              yield_fraction=0.4, cost_per_cm2=8.0)
 
-COLUMNS = ("points", "pool_ms", "chunks", "threads_ms", "workers",
-           "blocked_ms", "unblocked_ms", "winner")
+COLUMNS = ("points", "threads_ms", "workers", "blocked_ms", "unblocked_ms",
+           "winner")
 
 
 def p10_ms(fn, repeats: int) -> float:
@@ -72,10 +65,7 @@ def measure(size: int, repeats: int) -> tuple:
         return evaluate_grid(kernel, grid, where="tools.pool_crossover",
                              cache=False)
 
-    configure_parallel(threshold=2, enabled=True)
-    chunks = run().chunks  # starts and warms the pool
-    pool = p10_ms(run, repeats)
-    configure_parallel(threshold=parallel._DEFAULT_THRESHOLD)
+    configure_parallel(enabled=True)
     cut_over = core._THREADS_FROM
     core._THREADS_FROM = 0  # thread every size, to find the crossover
     try:
@@ -86,22 +76,16 @@ def measure(size: int, repeats: int) -> tuple:
     configure_parallel(enabled=False)
     blocked = p10_ms(run, repeats)
     unblocked = p10_ms(lambda: kernel.batch(grid), repeats)
-    timed = {"blocked": blocked}
-    if chunks > 1:
-        timed["pool"] = pool
-    if workers > 1:
-        timed["threads"] = threads
-    winner = min(timed, key=timed.get)
-    return (size, pool, chunks, threads, workers, blocked, unblocked, winner)
+    winner = "threads" if workers > 1 and threads < blocked else "blocked"
+    return (size, threads, workers, blocked, unblocked, winner)
 
 
 def format_table(rows) -> str:
     """The rows as a fixed-width text table under a ``COLUMNS`` header."""
-    lines = ["{:>10} {:>9} {:>6} {:>10} {:>7} {:>10} {:>12} {:>7}".format(*COLUMNS)]
-    for size, pool, chunks, threads, workers, blocked, unblocked, winner in rows:
-        lines.append(f"{size:>10} {pool:>9.1f} {chunks:>6} {threads:>10.2f} "
-                     f"{workers:>7} {blocked:>10.2f} {unblocked:>12.1f} "
-                     f"{winner:>7}")
+    lines = ["{:>10} {:>10} {:>7} {:>10} {:>12} {:>7}".format(*COLUMNS)]
+    for size, threads, workers, blocked, unblocked, winner in rows:
+        lines.append(f"{size:>10} {threads:>10.2f} {workers:>7} "
+                     f"{blocked:>10.2f} {unblocked:>12.1f} {winner:>7}")
     return "\n".join(lines)
 
 
@@ -113,17 +97,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=15,
                         help="timed calls per size and path")
     args = parser.parse_args(argv)
-    saved = parallel.settings()
+    saved = parallel_settings()
     try:
         rows = [measure(size, args.repeats) for size in args.sizes]
     finally:
-        configure_parallel(threshold=saved["threshold"],
-                           enabled=saved["enabled"])
-        parallel.shutdown()
-    workers = saved["max_workers"] or min(4, os.cpu_count() or 1)
+        configure_parallel(enabled=saved["enabled"])
     print(f"# Eq4SdKernel, p10 of {args.repeats} runs; "
-          f"{os.cpu_count()} CPUs, pool of {workers} workers; "
-          f"default threshold {saved['threshold']:,}; "
+          f"{core.block_threads()} block threads; "
           f"threads from {core._THREADS_FROM:,} points")
     print(format_table(rows))
     return 0
