@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._compat import renamed_kwargs
 from .constants import ASSUMED_YIELD, MANUFACTURING_COST_PER_CM2_USD
 from .cost.total import PAPER_FIGURE4_MODEL, TotalCostModel
 from .data.records import RoadmapNode
@@ -148,14 +147,10 @@ class Scenario:
         values.update(overrides)
         return cls(**values)
 
-    @renamed_kwargs(cm_sq="cost_per_cm2")
     def replace(self, **changes) -> "Scenario":
         """A copy with the given fields changed (sweep construction aid).
 
-        Deprecated keyword spellings (``cm_sq``) are normalised through
-        the same :func:`repro._compat.renamed_kwargs` shim as the rest
-        of the public API, so the replace path honours the
-        ``DeprecationWarning`` contract too.
+        An unknown field name raises :class:`TypeError`.
         """
         return replace(self, **changes)
 

@@ -7,11 +7,12 @@ so the gate derives a per-bench threshold from the repeats' MAD::
     threshold = max(min_rel, noise)
 
 (1.4826 rescales a MAD to a normal-equivalent σ; ``mad_scale`` defaults
-to 3, i.e. a 3σ band.) A bench whose median moved beyond the threshold
-in either direction is a **regression** or an **improvement**;
-everything else is **within-noise**. Benches present on only one side
-are reported (``new`` / ``missing``) but never fail the gate — adding
-a bench must not break CI retroactively.
+to 3, i.e. a 3σ band. :func:`repro.obs.history.mad_band` is this noise
+model, shared with the drift detector.) A bench whose median moved
+beyond the threshold in either direction is a **regression** or an
+**improvement**; everything else is **within-noise**. Benches present
+on only one side are reported (``new`` / ``missing``) but never fail
+the gate — adding a bench must not break CI retroactively.
 
 Exit-code contract (used by ``python -m repro.bench --compare``):
 ``ok`` is false iff at least one regression was detected.
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import DomainError
+from ..obs.history import mad_band
 from ..report.tables import format_table
 from .schema import validate_report
 
@@ -44,8 +46,6 @@ WITHIN_NOISE = "within-noise"
 NEW = "new"
 MISSING = "missing"
 
-#: MAD → normal-σ scale factor.
-_MAD_TO_SIGMA = 1.4826
 #: Floor for a baseline median, so ratio math never divides by zero.
 _MIN_MEDIAN = 1e-9
 
@@ -124,8 +124,8 @@ def _verdict_for(name: str, base_row: dict, cur_row: dict,
     base_median = float(base_row["median"])
     cur_median = float(cur_row["median"])
     denom = max(base_median, _MIN_MEDIAN)
-    noise = (mad_scale * _MAD_TO_SIGMA
-             * max(float(base_row["mad"]), float(cur_row["mad"])) / denom)
+    noise = mad_band(max(float(base_row["mad"]), float(cur_row["mad"])),
+                     mad_scale) / denom
     threshold = max(min_rel, noise)
     ratio = cur_median / denom
     if ratio > 1.0 + threshold:

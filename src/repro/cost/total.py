@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..errors import DomainError
 from ..obs.instrument import traced
 from ..units import um_to_cm
@@ -109,7 +108,6 @@ class TotalCostModel:
         return result if any(np.ndim(a) for a in args) else float(result)
 
     # -- eq. (4) -----------------------------------------------------------
-    @renamed_kwargs(cm_sq="cost_per_cm2")
     @traced(equation="4")
     def transistor_cost(self, sd, n_transistors, feature_um, n_wafers,
                         yield_fraction, cost_per_cm2):
@@ -221,7 +219,6 @@ class TotalCostModel:
 
         return curve
 
-    @renamed_kwargs(cm_sq="cost_per_cm2")
     @traced(equation="4", attach_result=True)
     def breakdown(self, sd, n_transistors, feature_um, n_wafers,
                   yield_fraction, cost_per_cm2) -> CostBreakdown:
@@ -245,7 +242,6 @@ class TotalCostModel:
             test=float(silicon * test_sq),
         )
 
-    @renamed_kwargs(cm_sq="cost_per_cm2")
     def project_cost(self, sd, n_transistors, feature_um, n_wafers, cost_per_cm2) -> float:
         """Total program spend ($): silicon + design + masks for the run."""
         n_wafers = check_positive(n_wafers, "n_wafers")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..obs.instrument import traced
 from ..units import um_to_cm
 from ..errors import DomainError
@@ -74,7 +73,6 @@ class UtilizedDevice:
         if self.design_cost_usd < 0 or self.mask_cost_usd < 0:
             raise DomainError("costs must be non-negative")
 
-    @renamed_kwargs(cm_sq="cost_per_cm2")
     @traced(equation="4")
     def cost_per_used_transistor(self, n_transistors, feature_um, n_wafers,
                                  yield_fraction, cost_per_cm2,
@@ -94,7 +92,6 @@ class UtilizedDevice:
         return result if any(np.ndim(a) for a in args) else float(result)
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced(equation="4", capture=("n_transistors", "feature_um", "yield_fraction",
                                "cost_per_cm2", "asic_sd", "max_wafers"))
 def fpga_vs_asic_crossover(

@@ -30,7 +30,6 @@ from ..cost.manufacturing import die_cost
 from ..cost.total import TotalCostModel
 from ..designflow.iteration import IterationCostModel
 from ..designflow.timing import TimingClosureModel
-from .._compat import renamed_kwargs
 from ..errors import DomainError
 from ..robust.retry import RetryBudget
 from ..robust.solvers import retrying_golden_min
@@ -115,7 +114,6 @@ def _evaluate(
     )
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 def profit_optimal_sd(
     market: MarketWindowModel,
     cost_model: TotalCostModel,

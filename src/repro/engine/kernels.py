@@ -113,6 +113,19 @@ def _test_triple(test_model):
             test_model.handling_usd_per_die)
 
 
+def _eq4_py_params(model: TotalCostModel, feature_um: float) -> dict:
+    """The model-side keyword arguments of ``pyk.total_transistor_cost``."""
+    design = model.design_model
+    return {
+        "wafer_area_cm2": model.wafer.area_cm2,
+        "a0": design.a0, "p1": design.p1, "p2": design.p2,
+        "sd0": design.sd0,
+        "mask_cost_usd": float(model.mask_cost(feature_um)),
+        "utilization": model.utilization,
+        "test": _test_triple(model.test_model),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class Eq4SdKernel:
     """Eq. (4) total transistor cost over an ``s_d`` grid."""
@@ -171,15 +184,7 @@ class Eq4SdKernel:
 
     @cached_property
     def _py_params(self) -> dict:
-        design = self.model.design_model
-        return {
-            "wafer_area_cm2": self.model.wafer.area_cm2,
-            "a0": design.a0, "p1": design.p1, "p2": design.p2,
-            "sd0": design.sd0,
-            "mask_cost_usd": float(self.model.mask_cost(self.feature_um)),
-            "utilization": self.model.utilization,
-            "test": _test_triple(self.model.test_model),
-        }
+        return _eq4_py_params(self.model, self.feature_um)
 
     def point_py(self, x: float) -> float:
         """Scalar eq. (4) through the pure-python kernels."""
@@ -326,15 +331,7 @@ class Eq4VolumeKernel:
 
     @cached_property
     def _py_params(self) -> dict:
-        design = self.model.design_model
-        return {
-            "wafer_area_cm2": self.model.wafer.area_cm2,
-            "a0": design.a0, "p1": design.p1, "p2": design.p2,
-            "sd0": design.sd0,
-            "mask_cost_usd": float(self.model.mask_cost(self.feature_um)),
-            "utilization": self.model.utilization,
-            "test": _test_triple(self.model.test_model),
-        }
+        return _eq4_py_params(self.model, self.feature_um)
 
     def point_py(self, x: float) -> float:
         """Scalar eq. (4) through the pure-python kernels."""
@@ -393,15 +390,7 @@ class DesignObjectivesKernel:
 
     @cached_property
     def _py_params(self) -> dict:
-        design = self.model.design_model
-        return {
-            "wafer_area_cm2": self.model.wafer.area_cm2,
-            "a0": design.a0, "p1": design.p1, "p2": design.p2,
-            "sd0": design.sd0,
-            "mask_cost_usd": float(self.model.mask_cost(self.feature_um)),
-            "utilization": self.model.utilization,
-            "test": _test_triple(self.model.test_model),
-        }
+        return _eq4_py_params(self.model, self.feature_um)
 
     def point_py(self, x: float) -> tuple[float, float, float]:
         """Scalar objective triple through the pure-python kernels."""

@@ -12,11 +12,6 @@ promises mechanically checkable before the test suite runs:
   documented but no longer exported);
 * ``API004`` — a module defines no literal ``__all__`` at all
   (``__main__`` modules are exempt — they are CLIs, not API);
-* ``API005`` — a call passes a keyword through one of the
-  :data:`repro._compat.DEPRECATED_KWARG_ALIASES` spellings to a
-  function shimmed with ``renamed_kwargs``. The shim keeps external
-  callers working; the repository's own tree must use the canonical
-  names.
 * ``API006`` — the ``Scenario`` facade and the ``repro.serve`` wire
   schemas drift apart: a public ``Scenario`` method has no entry in
   ``SCENARIO_ROUTES``, the mapped request dataclass does not exist, a
@@ -32,7 +27,6 @@ import ast
 import re
 from typing import Iterator
 
-from ..._compat import DEPRECATED_KWARG_ALIASES
 from ..findings import Finding, Severity
 from ..project import LintModule, LintProject
 from .base import LintPass, RuleSpec, static_all, top_level_bindings
@@ -80,9 +74,6 @@ class ApiParityPass(LintPass):
                  "docs/API.md out of sync with the package __all__"),
         RuleSpec("API004", Severity.ERROR,
                  "module defines no literal __all__"),
-        RuleSpec("API005", Severity.ERROR,
-                 "call passes a deprecated keyword alias to a shimmed "
-                 "function"),
         RuleSpec("API006", Severity.ERROR,
                  "Scenario facade method out of sync with the serve "
                  "route schemas"),
@@ -90,63 +81,10 @@ class ApiParityPass(LintPass):
 
     def run(self, project: LintProject, config) -> Iterator[Finding]:
         """Check every module, then cross-check the committed API index."""
-        shimmed = self._shimmed_functions(project)
         for module in project.modules:
             yield from self._check_module(project, module)
-            yield from self._check_aliases(project, module, shimmed)
         yield from self._check_docs(project)
         yield from self._check_route_parity(project)
-
-    @staticmethod
-    def _shimmed_functions(project: LintProject) -> dict[str, set[str]]:
-        """``{function name: {deprecated aliases}}`` from ``renamed_kwargs``.
-
-        Discovered statically so the rule tracks the shims themselves:
-        adding ``@renamed_kwargs(old="new")`` anywhere makes every
-        in-tree ``old=`` call site to that function an API005 finding,
-        with no separate registry to keep in sync. Names that are field
-        spellings of *unshimmed* callables (e.g. ``die_area_cm2`` as a
-        data-record field) are deliberately not flagged.
-        """
-        shimmed: dict[str, set[str]] = {}
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                for dec in node.decorator_list:
-                    if not isinstance(dec, ast.Call):
-                        continue
-                    target = dec.func
-                    name = (target.id if isinstance(target, ast.Name)
-                            else target.attr if isinstance(target, ast.Attribute)
-                            else None)
-                    if name != "renamed_kwargs":
-                        continue
-                    aliases = {kw.arg for kw in dec.keywords if kw.arg}
-                    shimmed.setdefault(node.name, set()).update(aliases)
-        return shimmed
-
-    def _check_aliases(self, project: LintProject, module: LintModule,
-                       shimmed: dict[str, set[str]]) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = node.func
-            name = (target.id if isinstance(target, ast.Name)
-                    else target.attr if isinstance(target, ast.Attribute)
-                    else None)
-            aliases = shimmed.get(name or "")
-            if not aliases:
-                continue
-            for kw in node.keywords:
-                if kw.arg in aliases:
-                    canonical = DEPRECATED_KWARG_ALIASES.get(kw.arg, "")
-                    yield self.finding(
-                        project, module, "API005", node.lineno,
-                        f"{name}() called with deprecated keyword "
-                        f"{kw.arg!r}",
-                        suggestion=f"use {canonical!r}" if canonical
-                        else "use the canonical keyword")
 
     def _check_module(self, project: LintProject,
                       module: LintModule) -> Iterator[Finding]:

@@ -1,8 +1,6 @@
 """Error-taxonomy pass — every failure surfaces as a ``ReproError``.
 
-Framework port of the original ``tools/check_error_policy.py`` AST
-script (that file is now a thin shim over this pass). The robustness
-layer only works if failures surface as
+The robustness layer only works if failures surface as
 :class:`repro.errors.ReproError` subclasses and are never silently
 swallowed:
 

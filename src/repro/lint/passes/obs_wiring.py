@@ -23,8 +23,7 @@ policy-threading pass, plus the single-point solvers (``optimal_*``):
   ``snake_case`` (``[a-z][a-z0-9]*(_[a-z0-9]+)*`` — Prometheus-safe,
   no dots), counters must additionally end in ``_total``, and literal
   label keys must be ``snake_case``. Dynamic names (f-strings,
-  variables) are skipped; legacy dotted names are grandfathered in
-  ``tools/lint_baseline.json``.
+  variables) are skipped.
 """
 
 from __future__ import annotations

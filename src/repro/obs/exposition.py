@@ -38,11 +38,7 @@ from . import metrics as _metrics
 from . import provenance as _provenance
 from . import telemetry as _telemetry
 from . import trace as _trace
-from .metrics import (
-    HISTOGRAM_BUCKET_BOUNDS,
-    MetricsRegistry,
-    canonical_metric_name,
-)
+from .metrics import HISTOGRAM_BUCKET_BOUNDS, MetricsRegistry
 
 __all__ = [
     "MetricsEndpoint",
@@ -305,10 +301,8 @@ def registry_from_records(records: list[dict]) -> MetricsRegistry:
     :func:`~repro.obs.export.export_jsonl`'s metric lines — what
     ``tools/trace_report.py --prom`` uses to render a saved snapshot.
     Older exports without ``buckets`` reconstruct counts and sums but
-    lose bucket/quantile detail. Legacy dotted metric names are mapped
-    to their canonical snake_case spellings on the way in
-    (:data:`~repro.obs.metrics.LEGACY_METRIC_RENAMES`), so snapshots
-    written before the rename keep feeding the current series.
+    lose bucket/quantile detail. Every series keeps the name it was
+    exported under.
     """
     reg = MetricsRegistry()
     for rec in records:
@@ -316,7 +310,7 @@ def registry_from_records(records: list[dict]) -> MetricsRegistry:
             continue
         kind = rec.get("kind")
         labels = [tuple(kv) for kv in rec.get("labels", [])]
-        name = canonical_metric_name(rec["name"])
+        name = rec["name"]
         if kind == "counter":
             reg.counter(name, labels).inc(rec.get("value") or 0.0)
         elif kind == "gauge":

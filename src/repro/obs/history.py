@@ -54,6 +54,7 @@ import math
 import os
 import platform as _platform
 import sqlite3
+import statistics
 import subprocess
 import threading
 import time
@@ -81,6 +82,7 @@ __all__ = [
     "flatten_samples",
     "format_trend_table",
     "git_sha",
+    "mad_band",
     "note_evaluation",
     "recording",
     "render_html_dashboard",
@@ -96,7 +98,7 @@ HISTORY_SCHEMA_VERSION = 1
 #: Environment variable naming the default history database path.
 HISTORY_ENV_VAR = "REPRO_HISTORY"
 
-#: MAD → normal-σ scale factor (same convention as ``repro.bench``).
+#: MAD → normal-σ scale factor.
 _MAD_TO_SIGMA = 1.4826
 
 #: Unicode block ramp for text sparklines.
@@ -743,13 +745,14 @@ class DriftReport:
         return "\n".join(lines)
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
+def mad_band(mad: float, mad_scale: float) -> float:
+    """Noise half-width ``mad_scale·1.4826·MAD``: ``mad_scale`` sigmas.
+
+    1.4826 rescales a median absolute deviation to a normal-equivalent
+    σ. :func:`detect_drift` and the :mod:`repro.bench.compare`
+    regression gate share this noise model.
+    """
+    return mad_scale * _MAD_TO_SIGMA * mad
 
 
 def detect_drift(store: HistoryStore, *, keys=None, window: int = 10,
@@ -801,10 +804,10 @@ def detect_drift(store: HistoryStore, *, keys=None, window: int = 10,
             continue
         trailing = values[-(window + 1):-1]
         latest = values[-1]
-        median = _median(trailing)
-        mad = _median([abs(v - median) for v in trailing])
+        median = statistics.median(trailing)
+        mad = statistics.median([abs(v - median) for v in trailing])
         band = max(min_rel * abs(median), float(min_abs),
-                   mad_scale * _MAD_TO_SIGMA * mad)
+                   mad_band(mad, mad_scale))
         if abs(latest - median) > band:
             direction = "high" if latest > median else "low"
             verdict = DriftVerdict(

@@ -54,9 +54,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LEGACY_METRIC_RENAMES",
     "MetricsRegistry",
-    "canonical_metric_name",
     "freeze_labels",
     "get_registry",
     "inc",
@@ -68,39 +66,6 @@ __all__ = [
 
 #: Valid label-key shape (``snake_case``, same as Prometheus label names).
 _LABEL_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
-#: Dotted legacy metric names (pre-OBS003 grandfathered spellings) →
-#: their canonical snake_case/``_total`` replacements. Only the *read*
-#: paths consult this — no in-tree call site emits the old names any
-#: more — so JSONL exports written by older versions still reconstruct
-#: into the current series (see
-#: :func:`repro.obs.exposition.registry_from_records`).
-LEGACY_METRIC_RENAMES: dict[str, str] = {
-    "api.evaluate_many.scenarios": "api_evaluate_many_scenarios",
-    "data.table_a1.cache_hits": "data_table_a1_cache_hits_total",
-    "data.table_a1.cache_misses": "data_table_a1_cache_misses_total",
-    "data.registry.from_csv.quarantined":
-        "data_registry_quarantined_rows_total",
-    "designflow.simulator.projects": "designflow_simulator_projects_total",
-    "engine.grid.points": "engine_grid_points",
-    "engine.map_scalar.points": "engine_map_scalar_points",
-    "optimize.optimal_sd.iterations": "optimize_optimal_sd_iterations",
-    "optimize.sweep.grid_points": "optimize_sweep_grid_points",
-    "robust.quarantine.rows": "robust_quarantine_rows_total",
-    "robust.retry.note_retry": "robust_retry_attempts_total",
-    "yieldmodels.simulation.wafers": "yieldmodels_simulation_wafers_total",
-    "yieldmodels.simulation.dice": "yieldmodels_simulation_dice_total",
-    "yieldmodels.simulation.yield": "yieldmodels_simulation_yield",
-}
-
-
-def canonical_metric_name(name: str) -> str:
-    """Map a legacy dotted metric name to its canonical spelling.
-
-    Unknown names pass through unchanged, so the shim is safe to apply
-    to every record on a read path.
-    """
-    return LEGACY_METRIC_RENAMES.get(name, name)
 
 #: Histogram decade-bucket upper bounds: 1e-9 … 1e9 (values above the
 #: last bound land in the implicit +Inf bucket, index ``len(bounds)``).

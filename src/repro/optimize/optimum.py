@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..engine import map_scalar
@@ -66,7 +65,6 @@ class OptimumResult:
     attempts: int = 1
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced(equation="4", attach_result=True,
         capture=("n_transistors", "feature_um", "n_wafers", "yield_fraction",
                  "cost_per_cm2", "sd_max"))
@@ -166,7 +164,6 @@ def optimal_sd_generalized(
                          bracket=(lo, sd_max), attempts=attempts)
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced(equation="4")
 def optimal_sd_condition(
     model: TotalCostModel,
@@ -197,7 +194,6 @@ def optimal_sd_condition(
     return float(cost_per_cm2 + (c_ma + c_de) / wafer_cm2 + sd * dc_de / wafer_cm2)
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced()
 def optimum_vs_volume(
     model: TotalCostModel,

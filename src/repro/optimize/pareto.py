@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..cost.total import TotalCostModel
 from ..engine import evaluate_grid
 from ..engine.kernels import DesignObjectivesKernel
@@ -46,7 +45,6 @@ class DesignPoint:
         return (self.die_area_cm2, self.transistor_cost_usd, self.design_cost_usd)
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced(equation="4")
 def evaluate_points(
     model: TotalCostModel,

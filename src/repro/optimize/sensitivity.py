@@ -19,7 +19,6 @@ policy/diagnostic plumbing is the engine's.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 from ..cost.total import TotalCostModel
@@ -36,22 +35,6 @@ _POINT_PARAMS = ("n_transistors", "feature_um", "n_wafers", "yield_fraction",
                  "cost_per_cm2")
 #: Eq.-(6) parameters (perturbed through a modified design model).
 _MODEL_PARAMS = ("a0", "p1", "p2", "sd0")
-
-
-def _canonical_names(point: dict, parameters) -> tuple[dict, list | None]:
-    """Translate the deprecated ``cm_sq`` spelling in points/parameter lists."""
-    if "cm_sq" in point:
-        warnings.warn("operating-point key 'cm_sq' is deprecated; "
-                      "use 'cost_per_cm2'", DeprecationWarning, stacklevel=3)
-        point = dict(point)
-        point.setdefault("cost_per_cm2", point.pop("cm_sq"))
-        point.pop("cm_sq", None)
-    if parameters is not None and "cm_sq" in parameters:
-        warnings.warn("parameter name 'cm_sq' is deprecated; "
-                      "use 'cost_per_cm2'", DeprecationWarning, stacklevel=3)
-        parameters = ["cost_per_cm2" if name == "cm_sq" else name
-                      for name in parameters]
-    return point, parameters
 
 
 @dataclass(frozen=True)
@@ -140,7 +123,6 @@ def parameter_elasticities(
         raises the aggregate after every parameter was tried.
     """
     policy = ErrorPolicy.coerce(policy)
-    point, parameters = _canonical_names(point, parameters)
     if parameters is None:
         parameters = list(_POINT_PARAMS) + list(_MODEL_PARAMS)
 
@@ -178,8 +160,6 @@ def tornado(
     the analysis; COLLECT defers and aggregates the failures.
     """
     policy = ErrorPolicy.coerce(policy)
-    point, excursion_names = _canonical_names(point, list(excursions))
-    excursions = dict(zip(excursion_names, excursions.values()))
     for name, (lo_v, hi_v) in excursions.items():
         if lo_v >= hi_v:
             raise DomainError(f"excursion for {name!r} must have low < high; got {lo_v}, {hi_v}")

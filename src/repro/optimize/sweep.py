@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..engine import evaluate_grid
@@ -123,7 +122,6 @@ def sd_grid(sd0: float, sd_max: float = 1000.0, n: int = 400, margin: float = 5.
     return sd0 + np.geomspace(margin, sd_max - sd0, n)
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced(equation="4", attach_result=True,
         capture=("n_transistors", "feature_um", "n_wafers", "yield_fraction",
                  "cost_per_cm2", "sd_values"))
@@ -208,7 +206,6 @@ def sd_sweep_generalized(
     )
 
 
-@renamed_kwargs(cm_sq="cost_per_cm2")
 @traced(equation="4", attach_result=True,
         capture=("sd", "n_transistors", "feature_um", "yield_fraction",
                  "cost_per_cm2", "n_wafers_values"))

@@ -51,6 +51,13 @@ class ServeError(ExecutionError):
         self.error = error
 
 
+def _serve_error(exc: urllib.error.HTTPError) -> ServeError:
+    """Read an HTTP error reply into a :class:`ServeError`, closing it."""
+    with exc:
+        text = exc.read().decode("utf-8")
+    return ServeError(exc.code, ErrorResponse.from_json(text))
+
+
 def _as_payload(scenario) -> ScenarioPayload:
     """Accept a wire payload, a facade ``Scenario``, or a plain dict."""
     if isinstance(scenario, ScenarioPayload):
@@ -83,8 +90,7 @@ class ServeClient:
                                         timeout=self.timeout_s) as reply:
                 text = reply.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
-            text = exc.read().decode("utf-8")
-            raise ServeError(exc.code, ErrorResponse.from_json(text)) from exc
+            raise _serve_error(exc) from exc
         return response_type.from_json(text)
 
     def _get_text(self, route: str) -> str:
@@ -94,8 +100,7 @@ class ServeClient:
                                         timeout=self.timeout_s) as reply:
                 return reply.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
-            text = exc.read().decode("utf-8")
-            raise ServeError(exc.code, ErrorResponse.from_json(text)) from exc
+            raise _serve_error(exc) from exc
 
     # -- routes ----------------------------------------------------------
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..validation import check_fraction, check_positive
 
 __all__ = ["CriticalAreaModel", "DEFAULT_CRITICAL_AREA_MODEL"]
@@ -87,14 +86,12 @@ class CriticalAreaModel:
         result = self.saturation * self.occupancy(sd)
         return result if np.ndim(sd) else float(result)
 
-    @renamed_kwargs(die_area_cm2="area_cm2")
     def critical_area_cm2(self, area_cm2, sd):
         """Critical area of a die: ``A_die · critical_fraction(s_d)``."""
         area_cm2 = check_positive(area_cm2, "area_cm2")
         result = np.asarray(area_cm2, dtype=float) * self.critical_fraction(sd)
         return result if (np.ndim(area_cm2) or np.ndim(sd)) else float(result)
 
-    @renamed_kwargs(die_area_cm2="area_cm2")
     def faults_per_die(self, area_cm2, sd, defect_density_per_cm2):
         """Expected kill-fault count ``A_crit · D`` for a die."""
         d = check_positive(defect_density_per_cm2, "defect_density_per_cm2")

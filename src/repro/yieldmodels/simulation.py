@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import renamed_kwargs
 from ..errors import DomainError
 from ..obs import metrics as obs_metrics
 from ..obs.instrument import traced
@@ -148,7 +147,6 @@ class WaferYieldExperiment:
         return good / total
 
 
-@renamed_kwargs(die_area_cm2="area_cm2")
 def simulated_yield(wafer: WaferSpec, area_cm2: float,
                     density_per_cm2: float, cluster_size: float = 1.0,
                     cluster_radius_cm: float = 0.5,

@@ -1,10 +1,10 @@
 """The shipped tree must be finding-free at default severity.
 
 This is the analyzer's standing acceptance test: ``python -m
-repro.lint`` exits 0 on the repository, the committed baseline
-grandfathers only the legacy dotted metric names (``OBS003``), and the
-rule catalog in ``docs/static_analysis.md`` covers every registered
-rule id.
+repro.lint`` exits 0 on the repository, the committed baseline holds
+no rule family beyond ``OBS003``, and the rule catalog in
+``docs/static_analysis.md`` covers every registered rule id. Two git
+checks keep bytecode caches out of the repository.
 """
 
 from __future__ import annotations
@@ -68,3 +68,23 @@ def test_every_pass_registers_rules_with_severities():
             seen.add(spec.rule)
             assert isinstance(spec.severity, Severity)
     assert len(seen) >= 6
+
+
+def test_no_tracked_bytecode():
+    """No ``__pycache__``/``.pyc`` artifacts may be tracked by git."""
+    tracked = subprocess.run(
+        ["git", "ls-files"], cwd=REPO, capture_output=True, text=True,
+        check=True).stdout.splitlines()
+    offenders = [f for f in tracked
+                 if f.endswith(".pyc") or "__pycache__" in f]
+    assert offenders == []
+
+
+def test_pycache_under_src_is_gitignored():
+    """``.gitignore`` must keep future bytecode out, not just the index."""
+    for probe in ("src/repro/__pycache__/mod.cpython-312.pyc",
+                  "src/repro/engine/__pycache__/kernels.cpython-312.pyc",
+                  "tests/__pycache__/test_x.cpython-312.pyc"):
+        result = subprocess.run(["git", "check-ignore", "-q", probe],
+                                cwd=REPO, capture_output=True)
+        assert result.returncode == 0, f"{probe} is not ignored"

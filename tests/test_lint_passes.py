@@ -105,8 +105,10 @@ def test_error_taxonomy_allows_capture_reraise_and_exempts(tmp_path):
                 except Exception as exc:
                     if not log.capture(exc):
                         raise
+                raise DomainError("library errors are ReproErrors")
         """,
         "errors.py": "raise ValueError('defining module may raise builtins')\n",
+        "validation.py": "raise ValueError('validators may raise builtins')\n",
     })
     assert result.findings == ()
 

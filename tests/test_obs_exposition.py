@@ -193,25 +193,6 @@ class TestRecordsRoundTrip:
         assert reg.histograms["sizes"].count == 1
         parse_prometheus(render_prometheus(reg))
 
-    def test_legacy_dotted_names_rebuild_as_canonical(self):
-        # Compat shim: JSONL exports written before the OBS003 rename
-        # feed the current snake_case series on the read path.
-        records = [
-            {"type": "metric", "kind": "counter",
-             "name": "robust.quarantine.rows", "value": 4.0},
-            {"type": "metric", "kind": "histogram",
-             "name": "optimize.sweep.grid_points", "count": 2,
-             "sum": 10.0},
-            {"type": "metric", "kind": "gauge",
-             "name": "optimize.optimal_sd.iterations", "value": 31.0},
-        ]
-        reg = registry_from_records(records)
-        assert reg.counters["robust_quarantine_rows_total"].value == 4.0
-        assert reg.histograms["optimize_sweep_grid_points"].count == 2
-        assert reg.gauges["optimize_optimal_sd_iterations"].value == 31.0
-        # Current names pass through untouched.
-        assert "robust.quarantine.rows" not in reg.counters
-
 
 class TestOtlp:
     def test_span_tree_exports_with_ids_and_attrs(self):

@@ -207,6 +207,12 @@ class TestErrorContract:
         assert excinfo.value.status == 422
         assert excinfo.value.error.code == "ConvergenceError"
 
+    def test_error_response_is_closed(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.optimal_sd(BASE, max_iter=1)
+        assert excinfo.value.status == 422
+        assert excinfo.value.__cause__.fp.closed
+
 
 class TestRateLimit:
     def test_429_with_retry_after(self, registry):
