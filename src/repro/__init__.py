@@ -26,6 +26,10 @@ per-equation entry points remain in the subpackages below:
 
 Subpackages
 -----------
+Each loads on first use: ``import repro`` imports no subpackage, and
+``repro.cost`` or ``from repro.obs import span`` imports only the
+modules that name needs (see :mod:`repro._lazy`).
+
 ``repro.api``
     The facade: ``Scenario`` records in, ``ScenarioResult`` out —
     the documented entry point for pricing designs.
@@ -79,43 +83,38 @@ Subpackages
     paper-artifact suite (``python -m repro.bench``).
 """
 
-from . import (  # noqa: F401
-    analysis,
-    api,
-    bench,
-    constants,
-    cost,
-    data,
-    density,
-    designflow,
-    economics,
-    engine,
-    interconnect,
-    layout,
-    lint,
-    obs,
-    optimize,
-    report,
-    roadmap,
-    robust,
-    serve,
-    wafer,
-    yieldmodels,
-)
-from .api import Scenario, ScenarioResult, evaluate, evaluate_many
-from .errors import (
-    CalibrationError,
-    CollectedErrors,
-    ConvergenceError,
-    DataError,
-    DomainError,
-    InconsistentRecordError,
-    LayoutError,
-    LintError,
-    ReproError,
-    UnitError,
-    UnknownRecordError,
-)
+from . import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "api": ("Scenario", "ScenarioResult", "evaluate", "evaluate_many"),
+    "errors": (
+        "CalibrationError", "CollectedErrors", "ConvergenceError", "DataError",
+        "DomainError", "InconsistentRecordError", "LayoutError", "LintError",
+        "ReproError", "UnitError", "UnknownRecordError",
+    ),
+    "analysis": (),
+    "bench": (),
+    "constants": (),
+    "cost": (),
+    "data": (),
+    "density": (),
+    "designflow": (),
+    "economics": (),
+    "engine": (),
+    "interconnect": (),
+    "layout": (),
+    "lint": (),
+    "obs": (),
+    "optimize": (),
+    "report": (),
+    "roadmap": (),
+    "robust": (),
+    "serve": (),
+    "units": (),
+    "validation": (),
+    "wafer": (),
+    "yieldmodels": (),
+})
 
 __version__ = "1.0.0"
 

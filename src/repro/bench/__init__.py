@@ -24,32 +24,22 @@ See ``docs/observability.md`` § "Performance observability" for the
 baseline workflow and the flamegraph/hot-span tooling this builds on.
 """
 
-from .compare import (
-    IMPROVEMENT,
-    MISSING,
-    NEW,
-    REGRESSION,
-    WITHIN_NOISE,
-    BenchComparison,
-    BenchVerdict,
-    compare_reports,
-)
-from .runner import (
-    BenchCase,
-    BenchResult,
-    default_bench_dir,
-    discover,
-    run_case,
-    run_suite,
-)
-from .schema import (
-    SCHEMA_ID,
-    bench_environment,
-    load_report,
-    make_report,
-    validate_report,
-    write_report,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "compare": (
+        "IMPROVEMENT", "MISSING", "NEW", "REGRESSION", "WITHIN_NOISE",
+        "BenchComparison", "BenchVerdict", "compare_reports",
+    ),
+    "runner": (
+        "BenchCase", "BenchResult", "default_bench_dir", "discover",
+        "run_case", "run_suite",
+    ),
+    "schema": (
+        "SCHEMA_ID", "bench_environment", "load_report", "make_report",
+        "validate_report", "write_report",
+    ),
+})
 
 __all__ = [
     # runner

@@ -9,19 +9,24 @@
 * :mod:`~repro.cost.generalized` — eq. (7) with live dependencies.
 """
 
-from .manufacturing import (
-    die_cost,
-    good_transistors_per_wafer,
-    sd_for_transistor_cost,
-    transistor_cost,
-    transistor_cost_wafer_view,
-)
-from .design import DesignCostModel, PAPER_DESIGN_COST_MODEL
-from .masks import DEFAULT_MASK_COST_MODEL, MaskSetCostModel, layer_count_estimate
-from .test import DEFAULT_TEST_COST_MODEL, TestCostModel
-from .total import PAPER_FIGURE4_MODEL, CostBreakdown, TotalCostModel
-from .utilization import UtilizedDevice, effective_yield, fpga_vs_asic_crossover
-from .generalized import DEFAULT_GENERALIZED_MODEL, GeneralizedCostModel
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "manufacturing": (
+        "die_cost", "good_transistors_per_wafer", "sd_for_transistor_cost",
+        "transistor_cost", "transistor_cost_wafer_view",
+    ),
+    "design": ("DesignCostModel", "PAPER_DESIGN_COST_MODEL"),
+    "masks": (
+        "DEFAULT_MASK_COST_MODEL", "MaskSetCostModel", "layer_count_estimate",
+    ),
+    "test": ("DEFAULT_TEST_COST_MODEL", "TestCostModel"),
+    "total": ("PAPER_FIGURE4_MODEL", "CostBreakdown", "TotalCostModel"),
+    "utilization": (
+        "UtilizedDevice", "effective_yield", "fpga_vs_asic_crossover",
+    ),
+    "generalized": ("DEFAULT_GENERALIZED_MODEL", "GeneralizedCostModel"),
+})
 
 __all__ = [
     "transistor_cost",

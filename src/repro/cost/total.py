@@ -20,6 +20,7 @@ so a solver over ``s_d`` validates the fixed arguments only once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,26 @@ from .masks import MaskSetCostModel
 from .test import TestCostModel
 
 __all__ = ["CostBreakdown", "TotalCostModel", "PAPER_FIGURE4_MODEL"]
+
+
+def _lambda_sq(feature_cm, feature_um):
+    """``λ²`` in cm², or a ``DomainError`` (never a warning) if it overflows.
+
+    The message matches ``engine.pykernels.total_transistor_cost``'s, so
+    both backends fail alike on an absurd ``feature_um``.
+    """
+    if isinstance(feature_cm, float):
+        lambda_sq = feature_cm * feature_cm
+        if lambda_sq < math.inf:
+            return lambda_sq
+    else:
+        with np.errstate(over="ignore"):
+            lambda_sq = np.square(feature_cm)
+        if np.isfinite(lambda_sq).all():
+            return lambda_sq
+        feature_um = np.max(feature_um)
+    raise DomainError(
+        f"lambda^2 overflows for feature_um={float(feature_um)!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +187,7 @@ class TotalCostModel:
         except DomainError as exc:
             # Raised per call, after the margin check, as eq. (5) orders it.
             c_ma = exc
-        lambda_sq = np.asarray(feature_cm, dtype=float) ** 2
+        lambda_sq = _lambda_sq(feature_cm, feature_um)
         fixed_ndim = any(np.ndim(a) for a in (n_transistors, feature_um, n_wafers,
                                               yield_fraction, cost_per_cm2))
         test_model = self.test_model

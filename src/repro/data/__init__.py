@@ -6,23 +6,21 @@
   ITRS-1999 roadmap nodes (Figures 2-3).
 """
 
-from .records import DesignRecord, DeviceCategory, Provenance, RoadmapNode
-from .registry import DesignRegistry
-from .table_a1 import TABLE_A1, load_table_a1
-from .itrs1999 import (
-    ASSUMED_YIELD,
-    ITRS_1999,
-    MANUFACTURING_COST_PER_CM2_USD,
-    MPU_DIE_COST_1999_USD,
-    load_itrs_1999,
-    node_for_year,
-)
-from .io import (
-    designs_from_csv,
-    designs_to_csv,
-    roadmap_from_csv,
-    roadmap_to_csv,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "records": ("DesignRecord", "DeviceCategory", "Provenance", "RoadmapNode"),
+    "registry": ("DesignRegistry",),
+    "table_a1": ("TABLE_A1", "load_table_a1"),
+    "itrs1999": (
+        "ASSUMED_YIELD", "ITRS_1999", "MANUFACTURING_COST_PER_CM2_USD",
+        "MPU_DIE_COST_1999_USD", "load_itrs_1999", "node_for_year",
+    ),
+    "io": (
+        "designs_from_csv", "designs_to_csv", "roadmap_from_csv",
+        "roadmap_to_csv",
+    ),
+})
 
 __all__ = [
     "DesignRecord",

@@ -1,27 +1,23 @@
 """Design-density metrics and analytics (paper §2.2, eq. 2, Figure 1)."""
 
-from .metrics import (
-    area_from_sd,
-    decompression_index,
-    density_index,
-    feature_from_sd,
-    transistor_density,
-    transistor_density_from_sd,
-    transistors_from_sd,
-)
-from .decomposition import SplitDensity, blend_sd, memory_fraction_for_target_sd
-from .trends import (
-    DensityProgress,
-    TrendPoint,
-    VendorTrend,
-    density_progress_decomposition,
-    extract_points,
-    sd_feature_rank_correlation,
-    sd_vs_feature_fit,
-    sd_vs_year_fit,
-    vendor_density_advantage,
-    vendor_trends,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "metrics": (
+        "area_from_sd", "decompression_index", "density_index",
+        "feature_from_sd", "transistor_density", "transistor_density_from_sd",
+        "transistors_from_sd",
+    ),
+    "decomposition": (
+        "SplitDensity", "blend_sd", "memory_fraction_for_target_sd",
+    ),
+    "trends": (
+        "DensityProgress", "TrendPoint", "VendorTrend",
+        "density_progress_decomposition", "extract_points",
+        "sd_feature_rank_correlation", "sd_vs_feature_fit", "sd_vs_year_fit",
+        "vendor_density_advantage", "vendor_trends",
+    ),
+})
 
 __all__ = [
     "decompression_index",

@@ -5,11 +5,17 @@ Implements §2.4's causal chain — prediction error → failed iterations
 (the substitution for the paper's private calibration data).
 """
 
-from .timing import TimingClosureModel, normal_cdf
-from .iteration import IterationCostModel
-from .simulator import DesignFlowSimulator, ProjectSample
-from .calibration import CalibrationResult, fit_design_cost_model
-from .stages import DEFAULT_STAGES, Stage, StagedFlowModel, StagedFlowResult
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "timing": ("TimingClosureModel", "normal_cdf"),
+    "iteration": ("IterationCostModel",),
+    "simulator": ("DesignFlowSimulator", "ProjectSample"),
+    "calibration": ("CalibrationResult", "fit_design_cost_model"),
+    "stages": (
+        "DEFAULT_STAGES", "Stage", "StagedFlowModel", "StagedFlowResult",
+    ),
+})
 
 __all__ = [
     "TimingClosureModel",

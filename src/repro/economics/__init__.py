@@ -11,8 +11,12 @@ Two extensions the paper motivates but does not formalise:
   drift.
 """
 
-from .fab import FabModel, moores_second_law_capex
-from .market import MarketWindowModel, ProfitPoint, profit_optimal_sd
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "fab": ("FabModel", "moores_second_law_capex"),
+    "market": ("MarketWindowModel", "ProfitPoint", "profit_optimal_sd"),
+})
 
 __all__ = [
     "FabModel",

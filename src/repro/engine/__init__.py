@@ -30,28 +30,24 @@ Typical use goes through the re-exports::
 
 from __future__ import annotations
 
-from . import backend, cache, core, kernels, pykernels
-from .backend import (
-    BACKENDS,
-    current_backend,
-    disable,
-    enable,
-    numpy_available,
-    resolved_backend,
-    set_backend,
-    using,
-)
-from .cache import CacheStats, GridCache
-from .cache import clear as clear_cache
-from .cache import configure as configure_cache
-from .cache import stats as cache_stats
-from .core import (
-    GridEvaluation,
-    configure_parallel,
-    evaluate_grid,
-    map_scalar,
-    parallel_settings,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "backend": (
+        "BACKENDS", "current_backend", "disable", "enable", "numpy_available",
+        "resolved_backend", "set_backend", "using",
+    ),
+    "cache": (
+        "CacheStats", "GridCache", "clear as clear_cache",
+        "configure as configure_cache", "stats as cache_stats",
+    ),
+    "core": (
+        "GridEvaluation", "configure_parallel", "evaluate_grid", "map_scalar",
+        "parallel_settings",
+    ),
+    "kernels": (),
+    "pykernels": (),
+})
 
 __all__ = [
     "BACKENDS",

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ReproError
-from ..obs import history as obs_history
 from ..obs import metrics as obs_metrics
+from ..obs import telemetry as obs_telemetry
 from ..obs import trace as obs_trace
 from ..robust.policy import DiagnosticLog, ErrorPolicy
 from . import backend as _backend
@@ -418,8 +418,8 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
                         labels={"backend": result.backend})
         obs_metrics.inc("engine_chunks_total", float(result.chunks),
                         labels={"backend": result.backend})
-        obs_history.note_evaluation(result.backend, int(xs.size),
-                                    result.cache_hit)
+        obs_telemetry.note_evaluation(result.backend, int(xs.size),
+                                      result.cache_hit)
         return result
 
 

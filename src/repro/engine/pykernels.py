@@ -245,8 +245,13 @@ def total_transistor_cost(sd, n_transistors, feature_um, n_wafers,
         ct_sq = test_cost_per_cm2(
             sd, feature_um, n_transistors, seconds_per_mtransistor=seconds,
             tester_rate_usd_per_hour=rate, handling_usd_per_die=handling)
+    try:
+        lambda_sq = feature_cm**2
+    except OverflowError as exc:
+        raise KernelError(
+            f"lambda^2 overflows for feature_um={float(feature_um)!r}") from exc
     effective_yield = yield_fraction * utilization
-    return (feature_cm**2 * sd_value / effective_yield
+    return (lambda_sq * sd_value / effective_yield
             * (cost_per_cm2 + cd_sq + ct_sq))
 
 

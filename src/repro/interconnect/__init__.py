@@ -5,21 +5,24 @@ style demands, when wires dominate timing, and how badly pre-layout
 delay estimates miss — the inputs to :mod:`repro.designflow`.
 """
 
-from .rent import RENT_MEMORY, RENT_RANDOM_LOGIC, RENT_REGULAR_FABRIC, RentModel
-from .wirelength import (
-    WiringStack,
-    donath_average_length,
-    min_sd_for_wireability,
-    wiring_demand_tracks,
-)
-from .delay import (
-    PredictionErrorModel,
-    WireTechnology,
-    gate_delay_ps,
-    wire_delay_ps,
-    wire_dominance_length_um,
-)
-from .repeaters import RepeaterDesign, optimal_repeaters, repeater_count_per_chip
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "rent": (
+        "RENT_MEMORY", "RENT_RANDOM_LOGIC", "RENT_REGULAR_FABRIC", "RentModel",
+    ),
+    "wirelength": (
+        "WiringStack", "donath_average_length", "min_sd_for_wireability",
+        "wiring_demand_tracks",
+    ),
+    "delay": (
+        "PredictionErrorModel", "WireTechnology", "gate_delay_ps",
+        "wire_delay_ps", "wire_dominance_length_um",
+    ),
+    "repeaters": (
+        "RepeaterDesign", "optimal_repeaters", "repeater_count_per_chip",
+    ),
+})
 
 __all__ = [
     "RentModel",

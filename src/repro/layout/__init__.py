@@ -4,18 +4,24 @@ Implements the §3.2 program (regular structures from few unique
 patterns) and the ref-[33] repetitive-pattern analysis it relies on.
 """
 
-from .geometry import Rect, bounding_box, total_area
-from .cells import Cell, Instance, Layout
-from .patterns import Pattern, PatternLibrary, Window, extract_patterns, recommended_window
-from .regularity import CharacterizationCostModel, RegularityReport, regularity_report
-from .fabrics import (
-    memory_array,
-    random_logic_layout,
-    regular_fabric,
-    sram_cell,
-    standard_cell,
-)
-from .drc import MEAD_CONWAY_RULES, DesignRules, Violation, check_rules
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "geometry": ("Rect", "bounding_box", "total_area"),
+    "cells": ("Cell", "Instance", "Layout"),
+    "patterns": (
+        "Pattern", "PatternLibrary", "Window", "extract_patterns",
+        "recommended_window",
+    ),
+    "regularity": (
+        "CharacterizationCostModel", "RegularityReport", "regularity_report",
+    ),
+    "fabrics": (
+        "memory_array", "random_logic_layout", "regular_fabric", "sram_cell",
+        "standard_cell",
+    ),
+    "drc": ("MEAD_CONWAY_RULES", "DesignRules", "Violation", "check_rules"),
+})
 
 __all__ = [
     "Rect",

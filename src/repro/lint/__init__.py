@@ -34,15 +34,19 @@ Programmatic use::
 
 from __future__ import annotations
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .cli import main
-from .config import LintConfig, load_config
-from .findings import Finding, Severity
-from .graph import CallGraph, build_call_graph
-from .manager import LintResult, PassManager, run_lint
-from .passes import DEFAULT_PASSES, LintPass, RuleSpec
-from .project import LintModule, LintProject, load_project
-from .reporters import render_json, render_sarif, render_text
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "baseline": ("apply_baseline", "load_baseline", "write_baseline"),
+    "cli": ("main",),
+    "config": ("LintConfig", "load_config"),
+    "findings": ("Finding", "Severity"),
+    "graph": ("CallGraph", "build_call_graph"),
+    "manager": ("LintResult", "PassManager", "run_lint"),
+    "passes": ("DEFAULT_PASSES", "LintPass", "RuleSpec"),
+    "project": ("LintModule", "LintProject", "load_project"),
+    "reporters": ("render_json", "render_sarif", "render_text"),
+})
 
 __all__ = [
     "Finding",

@@ -43,6 +43,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 
+from .._lazy import static_exports
 from .project import LintModule, LintProject
 
 __all__ = [
@@ -466,6 +467,15 @@ class _GraphBuilder:
                             alias.name if alias.asname else alias.name.split(".")[0])
             elif isinstance(node, ast.ImportFrom):
                 self._resolve_import_from(node, info, base)
+        # A package's lazy-export table re-exports like ``from .x import y``.
+        for name, (submodule, attr) in (static_exports(info.module.tree)
+                                        or {}).items():
+            target = ".".join([*base, submodule])
+            if attr is None:
+                if target in self.modules:
+                    info.imports[name] = ("module", target)
+            else:
+                info.imports[name] = ("symbol", target, attr)
 
     def _resolve_import_from(self, node: ast.ImportFrom, info: ModuleInfo,
                              base: list[str]) -> None:

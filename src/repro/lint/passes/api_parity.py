@@ -4,7 +4,9 @@ The deliverable contract (``tests/test_docs_and_api.py``) is that the
 public API is discoverable and documented. This pass makes the same
 promises mechanically checkable before the test suite runs:
 
-* ``API001`` — a name listed in ``__all__`` is not bound in the module;
+* ``API001`` — a name listed in ``__all__`` is not bound in the module
+  (a package binds the names of its literal lazy-export table too, see
+  :mod:`repro._lazy`);
 * ``API002`` — a public def/class listed in its module's ``__all__``
   has no docstring (or the module itself has none);
 * ``API003`` — a package section of ``docs/API.md`` disagrees with the
@@ -27,6 +29,7 @@ import ast
 import re
 from typing import Iterator
 
+from ..._lazy import static_exports
 from ..findings import Finding, Severity
 from ..project import LintModule, LintProject
 from .base import LintPass, RuleSpec, static_all, top_level_bindings
@@ -102,6 +105,7 @@ class ApiParityPass(LintPass):
                 project, module, "API002", 1,
                 "module has no docstring")
         bound = top_level_bindings(module.tree)
+        bound.update(static_exports(module.tree) or ())
         for name in exported:
             if name not in bound:
                 yield self.finding(

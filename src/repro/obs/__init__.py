@@ -23,88 +23,44 @@ The CLI exposes the same data: ``python -m repro report --trace
 guide.
 """
 
-from .export import (
-    export_jsonl,
-    format_metrics_table,
-    format_span_tree,
-    format_summary_table,
-    read_jsonl,
-    span_to_dict,
-    summary,
-)
-from .exposition import (
-    MetricsEndpoint,
-    health_payload,
-    parse_prometheus,
-    registry_from_records,
-    render_prometheus,
-    spans_to_otlp,
-    start_metrics_endpoint,
-    write_snapshot,
-)
-from .instrument import enabled, span_name_for, traced
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    freeze_labels,
-    get_registry,
-    inc,
-    metric_key,
-    observe,
-    observe_duration,
-    set_gauge,
-)
-from .telemetry import bridge_engine_metrics
-from .perf import (
-    DurationSketch,
-    SpanProfiler,
-    collapsed_from_spans,
-    format_collapsed,
-    format_hot_report,
-    hot_spans,
-)
-from .provenance import (
-    Provenance,
-    ProvenanceLedger,
-    attach,
-    get_ledger,
-    provenance_of,
-    record_provenance,
-    summarize_value,
-)
-from .trace import (
-    Span,
-    Stopwatch,
-    Tracer,
-    add_span_hook,
-    current_span,
-    disable,
-    enable,
-    get_tracer,
-    is_enabled,
-    remove_span_hook,
-    span,
-)
+from .. import _lazy
 
-# history imports repro.robust.policy, which imports back into this
-# package — safe only once the submodules above are bound, so keep
-# this import last.
-from .history import (
-    HISTORY_SCHEMA_ID,
-    DriftReport,
-    DriftVerdict,
-    HistoryStore,
-    RunRecord,
-    RunRecorder,
-    SeriesPoint,
-    detect_drift,
-    format_trend_table,
-    note_evaluation,
-    recording,
-    render_html_dashboard,
-)
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "export": (
+        "export_jsonl", "format_metrics_table", "format_span_tree",
+        "format_summary_table", "read_jsonl", "span_to_dict", "summary",
+    ),
+    "exposition": (
+        "MetricsEndpoint", "health_payload", "parse_prometheus",
+        "registry_from_records", "render_prometheus", "spans_to_otlp",
+        "start_metrics_endpoint", "write_snapshot",
+    ),
+    "instrument": ("enabled", "span_name_for", "traced"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "freeze_labels",
+        "get_registry", "inc", "metric_key", "observe", "observe_duration",
+        "set_gauge",
+    ),
+    "telemetry": ("bridge_engine_metrics", "note_evaluation"),
+    "perf": (
+        "DurationSketch", "SpanProfiler", "collapsed_from_spans",
+        "format_collapsed", "format_hot_report", "hot_spans",
+    ),
+    "provenance": (
+        "Provenance", "ProvenanceLedger", "attach", "get_ledger",
+        "provenance_of", "record_provenance", "summarize_value",
+    ),
+    "trace": (
+        "Span", "Stopwatch", "Tracer", "add_span_hook", "current_span",
+        "disable", "enable", "get_tracer", "is_enabled", "remove_span_hook",
+        "span",
+    ),
+    "history": (
+        "HISTORY_SCHEMA_ID", "DriftReport", "DriftVerdict", "HistoryStore",
+        "RunRecord", "RunRecorder", "SeriesPoint", "detect_drift",
+        "format_trend_table", "recording", "render_html_dashboard",
+    ),
+})
 
 __all__ = [
     # trace
@@ -137,6 +93,7 @@ __all__ = [
     "set_gauge",
     # telemetry
     "bridge_engine_metrics",
+    "note_evaluation",
     # exposition
     "MetricsEndpoint",
     "health_payload",
@@ -171,7 +128,6 @@ __all__ = [
     "SeriesPoint",
     "detect_drift",
     "format_trend_table",
-    "note_evaluation",
     "recording",
     "render_html_dashboard",
     # export
@@ -189,6 +145,9 @@ __all__ = [
 
 def reset() -> None:
     """Clear all recorded observability state (spans, metrics, ledger)."""
+    from .metrics import get_registry
+    from .provenance import get_ledger
+    from .trace import get_tracer
     get_tracer().reset()
     get_registry().reset()
     get_ledger().reset()

@@ -39,9 +39,9 @@ IMMEDIATE`` under a process-local lock), so concurrent readers — the
 report CLI, a CI drift check — never observe a torn record.
 
 Recording is opt-in and costs nothing when idle: the engine's history
-sink (:func:`note_evaluation`) is one module-global read unless a
-:class:`RunRecorder` is active, mirroring the disabled-observability
-contract. Everything here is stdlib-only (``sqlite3``, ``json``), so
+sink (:func:`repro.obs.telemetry.note_evaluation`) is one module-global
+read unless a :class:`RunRecorder` is active, mirroring the
+disabled-observability contract. Everything here is stdlib-only (``sqlite3``, ``json``), so
 history works in deployments without NumPy.
 """
 
@@ -83,7 +83,6 @@ __all__ = [
     "format_trend_table",
     "git_sha",
     "mad_band",
-    "note_evaluation",
     "recording",
     "render_html_dashboard",
     "run_environment",
@@ -568,16 +567,14 @@ def default_history_path() -> Path | None:
     return Path(path) if path else None
 
 
-# -- run recording (the engine-facing sink) ------------------------------
-
-_ACTIVE: "RunRecorder | None" = None
-
+# -- run recording ---------------------------------------------------------
 
 class RunRecorder:
     """Context manager that turns one code block into one run record.
 
-    While active, the engine's :func:`note_evaluation` sink feeds it
-    per-``evaluate_grid`` telemetry (evaluations, points, cache hits),
+    While active, the engine's sink
+    (:func:`repro.obs.telemetry.note_evaluation`) feeds it per-
+    ``evaluate_grid`` telemetry (evaluations, points, cache hits),
     stored as ``history_*`` counters alongside the registry snapshot.
     The record is written on *clean* exit only — a run that died does
     not poison the trend series with a partial payload.
@@ -609,8 +606,7 @@ class RunRecorder:
 
     def __enter__(self) -> "RunRecorder":
         """Activate the recorder (one active recorder per process)."""
-        global _ACTIVE
-        if _ACTIVE is not None:
+        if _telemetry.current_recorder() is not None:
             raise DomainError(
                 "a history RunRecorder is already active; nest runs by "
                 "recording them as separate commands instead")
@@ -618,13 +614,12 @@ class RunRecorder:
             self._started_at = time.perf_counter()
             self._started_iso = time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        _ACTIVE = self
+        _telemetry.set_recorder(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         """Deactivate; write the run record when the block exited cleanly."""
-        global _ACTIVE
-        _ACTIVE = None
+        _telemetry.set_recorder(None)
         if exc_type is not None:
             return
         wall = time.perf_counter() - self._started_at
@@ -658,19 +653,6 @@ def recording(store: "HistoryStore | Path | str", command: str, *,
         store = HistoryStore(store)
     return RunRecorder(store, command, backend=backend,
                        extra_samples=extra_samples)
-
-
-def note_evaluation(backend: str, points: int, cache_hit: bool) -> None:
-    """Engine history sink: one branch when no recorder is active.
-
-    Called by :func:`repro.engine.evaluate_grid` after every dispatch;
-    the disabled path must stay guard-only (asserted by
-    ``benchmarks/bench_obs_overhead.py``).
-    """
-    recorder = _ACTIVE
-    if recorder is None:
-        return
-    recorder.note(backend, points, cache_hit)
 
 
 # -- drift detection -----------------------------------------------------

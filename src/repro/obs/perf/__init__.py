@@ -19,9 +19,13 @@ on these primitives; see ``docs/observability.md`` § "Performance
 observability".
 """
 
-from .profiler import SpanProfiler, collapsed_from_spans, format_collapsed
-from .report import format_hot_report, hot_spans
-from .sketch import DurationSketch
+from ... import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "profiler": ("SpanProfiler", "collapsed_from_spans", "format_collapsed"),
+    "report": ("format_hot_report", "hot_spans"),
+    "sketch": ("DurationSketch",),
+})
 
 __all__ = [
     "DurationSketch",

@@ -1,21 +1,23 @@
 """Cost-driven design optimization (paper §3.1, Figure 4)."""
 
-from .sweep import SweepResult, sd_grid, sd_sweep, sd_sweep_generalized, volume_sweep
-from .optimum import (
-    OptimumResult,
-    optimal_sd,
-    optimal_sd_condition,
-    optimal_sd_generalized,
-    optimum_vs_volume,
-)
-from .sensitivity import SensitivityEntry, parameter_elasticities, tornado
-from .pareto import DesignPoint, evaluate_points, knee_point, pareto_front
-from .node_choice import (
-    DEFAULT_NODE_LADDER_UM,
-    NodeChoice,
-    evaluate_nodes,
-    optimal_node,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "sweep": (
+        "SweepResult", "sd_grid", "sd_sweep", "sd_sweep_generalized",
+        "volume_sweep",
+    ),
+    "optimum": (
+        "OptimumResult", "optimal_sd", "optimal_sd_condition",
+        "optimal_sd_generalized", "optimum_vs_volume",
+    ),
+    "sensitivity": ("SensitivityEntry", "parameter_elasticities", "tornado"),
+    "pareto": ("DesignPoint", "evaluate_points", "knee_point", "pareto_front"),
+    "node_choice": (
+        "DEFAULT_NODE_LADDER_UM", "NodeChoice", "evaluate_nodes",
+        "optimal_node",
+    ),
+})
 
 __all__ = [
     "SweepResult",

@@ -1,15 +1,19 @@
 """ITRS roadmap analytics (paper §2.2.3, Figures 2-3)."""
 
-from .scaling import MOORE_DOUBLING_MONTHS, ScalingLaw, interpolate_nodes, node_sequence
-from .constant_cost import (
-    PAPER_FIGURE3_ASSUMPTIONS,
-    ConstantCostAssumptions,
-    ConstantCostPoint,
-    constant_cost_sd,
-    constant_cost_series,
-)
-from .feasibility import FeasibilityPoint, feasibility_report
-from .scenarios import SCENARIO_NAMES, Scenario, scenario, scenario_series
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "scaling": (
+        "MOORE_DOUBLING_MONTHS", "ScalingLaw", "interpolate_nodes",
+        "node_sequence",
+    ),
+    "constant_cost": (
+        "PAPER_FIGURE3_ASSUMPTIONS", "ConstantCostAssumptions",
+        "ConstantCostPoint", "constant_cost_sd", "constant_cost_series",
+    ),
+    "feasibility": ("FeasibilityPoint", "feasibility_report"),
+    "scenarios": ("SCENARIO_NAMES", "Scenario", "scenario", "scenario_series"),
+})
 
 __all__ = [
     "ScalingLaw",

@@ -21,17 +21,17 @@ on the :mod:`repro.obs` metrics/trace grid when observability is on.
 See ``docs/robustness.md`` for the guide.
 """
 
-from .faultinject import (
-    FAULT_MODES,
-    FaultInjector,
-    corrupt,
-    corrupted_calls,
-    flaky,
-)
-from .policy import Diagnostic, DiagnosticLog, ErrorPolicy
-from .quarantine import QuarantinedRow, QuarantineReport
-from .retry import DEFAULT_RETRY_BUDGET, ConvergenceReport, RetryBudget
-from .solvers import golden_min, retrying_golden_min
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "faultinject": (
+        "FAULT_MODES", "FaultInjector", "corrupt", "corrupted_calls", "flaky",
+    ),
+    "policy": ("Diagnostic", "DiagnosticLog", "ErrorPolicy"),
+    "quarantine": ("QuarantinedRow", "QuarantineReport"),
+    "retry": ("DEFAULT_RETRY_BUDGET", "ConvergenceReport", "RetryBudget"),
+    "solvers": ("golden_min", "retrying_golden_min"),
+})
 
 __all__ = [
     "golden_min",

@@ -30,43 +30,23 @@ Start in-process (tests, notebooks)::
 See ``docs/serving.md`` for the endpoint and error-contract reference.
 """
 
-from typing import TYPE_CHECKING
+from .. import _lazy
 
-from .batcher import MicroBatcher
-from .client import ServeClient, ServeError
-from .ratelimit import TokenBucket
-from .schemas import (
-    SCENARIO_ROUTES,
-    DiagnosticPayload,
-    ErrorResponse,
-    EvaluatedPoint,
-    EvaluateRequest,
-    EvaluateResponse,
-    OptimalSdRequest,
-    OptimalSdResponse,
-    ParetoPoint,
-    ParetoRequest,
-    ParetoResponse,
-    ScenarioPayload,
-    SensitivityRequest,
-    SensitivityResponse,
-    SweepRequest,
-    SweepResponse,
-)
-from .service import CostService
-
-if TYPE_CHECKING:
-    from .app import ServerHandle, start_server
-
-
-def __getattr__(name):
-    # The HTTP layer imports asyncio; load it on first use, so importing
-    # the wire schemas (as ``repro.api`` does) does not pay for it.
-    if name in ("ServerHandle", "start_server"):
-        from . import app
-        return getattr(app, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "batcher": ("MicroBatcher",),
+    "client": ("ServeClient", "ServeError"),
+    "ratelimit": ("TokenBucket",),
+    "schemas": (
+        "SCENARIO_ROUTES", "DiagnosticPayload", "ErrorResponse",
+        "EvaluatedPoint", "EvaluateRequest", "EvaluateResponse",
+        "OptimalSdRequest", "OptimalSdResponse", "ParetoPoint",
+        "ParetoRequest", "ParetoResponse", "ScenarioPayload",
+        "SensitivityRequest", "SensitivityResponse", "SweepRequest",
+        "SweepResponse",
+    ),
+    "service": ("CostService",),
+    "app": ("ServerHandle", "start_server"),
+})
 
 __all__ = [
     "SCENARIO_ROUTES",

@@ -34,7 +34,6 @@ import threading
 
 from .. import obs
 from ..errors import DomainError, ReproError
-from ..obs import history as obs_history
 from .app import start_server
 
 _USAGE = ("usage: python -m repro.serve [--host HOST] [--port PORT] "
@@ -113,7 +112,8 @@ def main(argv=None, ready: "threading.Event | None" = None,
         print(f"{exc}; {_USAGE}", file=sys.stderr)
         return 2
     if history_path is None:
-        history_default = obs_history.default_history_path()
+        from ..obs.history import default_history_path
+        history_default = default_history_path()
         if history_default is not None:
             history_path = str(history_default)
     elif not history_path:
@@ -122,8 +122,8 @@ def main(argv=None, ready: "threading.Event | None" = None,
     try:
         with obs.enabled():
             if history_path is not None:
-                with obs_history.recording(history_path, "repro.serve") \
-                        as recorder:
+                from ..obs.history import recording
+                with recording(history_path, "repro.serve") as recorder:
                     _serve(kwargs, ready, stop)
                 if recorder.record is not None:
                     print(f"history: run #{recorder.record.run_id} "

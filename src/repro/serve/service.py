@@ -30,9 +30,9 @@ import hashlib
 import math
 import struct
 import threading
-from pathlib import Path
 
 from ..constants import EQ6_A0, EQ6_P1, EQ6_P2, EQ6_SD0
+from ..engine import pykernels
 from ..errors import CollectedErrors, DomainError, ExecutionError
 from ..obs import metrics as obs_metrics
 from .batcher import MicroBatcher
@@ -62,10 +62,6 @@ _WAFER_200MM_AREA_CM2 = math.pi * 10.0 ** 2
 #: The six operating-point floats of a serve cache key, as IEEE bytes.
 _OPERATING_POINT = struct.Struct("<6d")
 
-#: Lazily file-loaded ``repro.engine.pykernels`` for interpreters where
-#: importing ``repro.engine`` itself fails (NumPy absent).
-_PYKERNELS = None
-
 
 def _numpy_available() -> bool:
     try:
@@ -73,29 +69,6 @@ def _numpy_available() -> bool:
     except ImportError:
         return False
     return True
-
-
-def _pykernels():
-    """The stdlib scalar kernels, importable even without NumPy.
-
-    ``repro.engine``'s package initialiser imports NumPy, so on a
-    stdlib-only interpreter ``pykernels`` is loaded straight from its
-    file (the module is deliberately standalone — see its docstring).
-    """
-    global _PYKERNELS
-    if _PYKERNELS is not None:
-        return _PYKERNELS
-    try:
-        from ..engine import pykernels
-    except ImportError:
-        import importlib.util
-        path = Path(__file__).resolve().parent.parent / "engine" / "pykernels.py"
-        spec = importlib.util.spec_from_file_location(
-            "repro._serve_pykernels", path)
-        pykernels = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(pykernels)
-    _PYKERNELS = pykernels
-    return _PYKERNELS
 
 
 def _diag_payloads(diagnostics) -> tuple:
@@ -299,19 +272,18 @@ class CostService:
 
     def _evaluate_fallback(self, request: EvaluateRequest) -> EvaluateResponse:
         """Stdlib-only ``/evaluate``: per-point scalar kernels, no cache."""
-        pyk = _pykernels()
         points: list = []
         diagnostics: list = []
         for index, payload in enumerate(request.scenarios):
             try:
-                cost = pyk.total_transistor_cost(
+                cost = pykernels.total_transistor_cost(
                     payload.sd, payload.n_transistors, payload.feature_um,
                     payload.n_wafers, payload.yield_fraction,
                     payload.cost_per_cm2,
                     wafer_area_cm2=_WAFER_200MM_AREA_CM2, a0=EQ6_A0,
                     p1=EQ6_P1, p2=EQ6_P2, sd0=EQ6_SD0)
-                area = pyk.area_from_sd(payload.sd, payload.n_transistors,
-                                        payload.feature_um)
+                area = pykernels.area_from_sd(
+                    payload.sd, payload.n_transistors, payload.feature_um)
             except ValueError as exc:
                 if request.policy == "raise":
                     raise DomainError(str(exc)) from exc

@@ -4,25 +4,22 @@ Implements the ``Y(A_w, λ, N_w, s_d, N_tr)`` dependency of the paper's
 generalized cost model (eq. 7), substituting for refs [31], [32], [34].
 """
 
-from .models import (
-    MurphyYield,
-    NegativeBinomialYield,
-    PoissonYield,
-    SeedsYield,
-    YieldModel,
-    bose_einstein,
-    yield_model,
-)
-from .defects import DEFAULT_DEFECT_MODEL, DefectDensityModel
-from .critical_area import DEFAULT_CRITICAL_AREA_MODEL, CriticalAreaModel
-from .learning import DEFAULT_LEARNING_CURVE, YieldLearningCurve
-from .composite import DEFAULT_COMPOSITE_YIELD, CompositeYield
-from .simulation import DefectField, WaferYieldExperiment, simulated_yield
-from .layout_critical_area import (
-    ShortCriticalArea,
-    critical_area_curve,
-    expected_short_faults,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "models": (
+        "MurphyYield", "NegativeBinomialYield", "PoissonYield", "SeedsYield",
+        "YieldModel", "bose_einstein", "yield_model",
+    ),
+    "defects": ("DEFAULT_DEFECT_MODEL", "DefectDensityModel"),
+    "critical_area": ("DEFAULT_CRITICAL_AREA_MODEL", "CriticalAreaModel"),
+    "learning": ("DEFAULT_LEARNING_CURVE", "YieldLearningCurve"),
+    "composite": ("DEFAULT_COMPOSITE_YIELD", "CompositeYield"),
+    "simulation": ("DefectField", "WaferYieldExperiment", "simulated_yield"),
+    "layout_critical_area": (
+        "ShortCriticalArea", "critical_area_curve", "expected_short_faults",
+    ),
+})
 
 __all__ = [
     "YieldModel",

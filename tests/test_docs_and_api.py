@@ -38,17 +38,38 @@ SUBPACKAGES = [
 ]
 
 
+#: Every package in the source tree, found on disk rather than listed.
+PACKAGES = sorted(
+    ".".join(init.parent.relative_to(REPO / "src").parts)
+    for init in (REPO / "src" / "repro").rglob("__init__.py"))
+
+#: Imports one module in a fresh interpreter and touches every export.
+RESOLVE_ALL = """
+import importlib, sys
+module = importlib.import_module(sys.argv[1])
+missing = sorted(set(module.__all__) - set(dir(module)))
+assert not missing, f"dir() lacks {missing}"
+for name in module.__all__:
+    getattr(module, name)
+"""
+
+
 class TestPublicApiHygiene:
     @pytest.mark.parametrize("package", SUBPACKAGES)
     def test_package_has_docstring(self, package):
         module = importlib.import_module(package)
         assert module.__doc__ and module.__doc__.strip()
 
-    @pytest.mark.parametrize("package", SUBPACKAGES)
+    @pytest.mark.parametrize("package", sorted(set(SUBPACKAGES) | set(PACKAGES)))
     def test_all_exports_resolve(self, package):
-        module = importlib.import_module(package)
-        for symbol in getattr(module, "__all__", []):
-            assert hasattr(module, symbol), f"{package}.{symbol} missing"
+        # Exports load on first use, so an import error would wait until
+        # then: touch every ``__all__`` name in a new interpreter, where
+        # no earlier import can mask a missing one.
+        result = subprocess.run(
+            [sys.executable, "-c", RESOLVE_ALL, package],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
+        assert result.returncode == 0, f"{package}: {result.stderr}"
 
     @pytest.mark.parametrize("package", SUBPACKAGES[1:])
     def test_public_symbols_documented(self, package):

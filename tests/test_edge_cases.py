@@ -1,14 +1,19 @@
 """Assorted edge-case hardening across modules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro import engine
+from repro.api import Scenario, evaluate_many
 from repro.cost import PAPER_FIGURE4_MODEL, transistor_cost
 from repro.data import DesignRegistry
 from repro.density import decompression_index
 from repro.errors import DomainError, LayoutError
 from repro.layout import Layout, Rect, extract_patterns, standard_cell
 from repro.optimize import sd_sweep, volume_sweep
+from repro.robust import ErrorPolicy
 from repro.report import Series
 from repro.wafer import WAFER_200MM, gross_die_exact
 
@@ -51,6 +56,41 @@ class TestCostEdges:
         # Far above the bound the model is silicon-dominated but valid.
         c = PAPER_FIGURE4_MODEL.transistor_cost(1e6, 1e7, 0.18, 5000, 0.8, 8.0)
         assert np.isfinite(c)
+
+
+class TestFeatureOverflow:
+    """``λ²`` overflowing a float is a ``DomainError`` on both backends."""
+
+    HUGE = Scenario(n_transistors=1e7, feature_um=1e200)
+    MESSAGE = "lambda^2 overflows for feature_um=1e+200"
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_raise_policy_raises_the_same_domain_error(self, backend):
+        with warnings.catch_warnings(), engine.using(backend):
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                self.HUGE.evaluate()
+        assert str(excinfo.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_mask_policy_records_a_diagnostic(self, backend):
+        fine = self.HUGE.replace(feature_um=0.18)
+        diagnostics = []
+        with warnings.catch_warnings(), engine.using(backend):
+            warnings.simplefilter("error")
+            results = evaluate_many([self.HUGE, fine], policy=ErrorPolicy.MASK,
+                                    diagnostics=diagnostics)
+        assert np.isnan(results[0].cost_per_transistor_usd)
+        assert np.isfinite(results[1].cost_per_transistor_usd)
+        assert [(d.index, d.error_type, d.message) for d in diagnostics] == [
+            (0, "DomainError", self.MESSAGE)]
+
+    def test_array_feature_overflow_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lambda"):
+                PAPER_FIGURE4_MODEL.sd_curve(1e7, np.array([0.18, 1e200]),
+                                             5000, 0.4, 8.0)
 
 
 class TestDensityEdges:

@@ -1,0 +1,80 @@
+"""What a fresh process imports for a job: counted, never timed.
+
+Package initialisers resolve their exports on first use, so a process
+pays only for the modules its work touches. Each case runs in a new
+interpreter (the test process has long since imported everything) and
+checks which modules are in ``sys.modules`` afterwards.
+
+Every import here is lazy and the NumPy-dependent case skips without
+NumPy, so the CI ``no-numpy`` job runs this file too.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A meta-path hook refusing ``numpy``, installed before anything else.
+BLOCK_NUMPY = """
+import sys
+
+class _NumpyBlocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, _NumpyBlocker())
+"""
+
+needs_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                                 reason="NumPy is not installed")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The module names loaded once ``code`` ran in a fresh interpreter."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _present(loaded: set[str], names) -> list[str]:
+    """Which of ``names`` (or any of their submodules) were loaded."""
+    return sorted(m for m in loaded for name in names
+                  if m == name or m.startswith(name + "."))
+
+
+@needs_numpy
+def test_pricing_a_design_loads_no_tooling():
+    loaded = _loaded_after(
+        "from repro.api import Scenario\n"
+        "Scenario(n_transistors=1e7, feature_um=0.18).evaluate()\n")
+    assert "repro.engine.core" in loaded  # the evaluation really ran
+    assert _present(loaded, ["repro.lint", "repro.bench", "repro.layout",
+                             "repro.obs.history", "http.client",
+                             "asyncio"]) == []
+
+
+def test_serve_entry_point_loads_no_tooling():
+    loaded = _loaded_after("import repro.serve.__main__\n")
+    assert "repro.serve.app" in loaded
+    assert _present(loaded, ["repro.lint", "repro.bench",
+                             "repro.obs.history"]) == []
+
+
+def test_import_repro_without_numpy():
+    loaded = _loaded_after(BLOCK_NUMPY + "import repro\n"
+                           "import repro.obs, repro.serve.schemas\n")
+    assert "repro.serve.schemas" in loaded
+    assert "numpy" not in loaded

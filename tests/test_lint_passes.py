@@ -188,6 +188,43 @@ def test_api_flags_missing_all_ghost_export_and_docstrings(tmp_path):
     assert "no_all" in by_rule["API004"].path
 
 
+def test_api_reads_the_lazy_export_table(tmp_path):
+    # Names of a package's literal lazy-export table are bound; a seeded
+    # ``__all__`` entry in neither the module nor the table still fails.
+    result = run_pass(tmp_path, ApiParityPass(), {
+        "pkg/__init__.py": '''
+            """Package docstring."""
+
+            from . import _lazy
+
+            __getattr__, __dir__ = _lazy.attach(__name__, {
+                "mod": ("f", "g as h"),
+                "sub": (),
+            })
+
+            __all__ = ["f", "h", "sub", "ghost"]
+        ''',
+    })
+    assert [(f.rule, f.message) for f in result.findings] == [
+        ("API001", "__all__ lists 'ghost' but the module never binds it")]
+
+
+def test_api_distrusts_a_non_literal_lazy_table(tmp_path):
+    result = run_pass(tmp_path, ApiParityPass(), {
+        "pkg/__init__.py": '''
+            """Package docstring."""
+
+            from . import _lazy
+
+            TABLE = {"mod": ("f",)}
+            __getattr__, __dir__ = _lazy.attach(__name__, TABLE)
+
+            __all__ = ["f"]
+        ''',
+    })
+    assert rules_of(result) == ["API001"]
+
+
 def test_api_main_modules_are_exempt(tmp_path):
     result = run_pass(tmp_path, ApiParityPass(), {
         "__main__.py": "print('cli')\n"})

@@ -2,10 +2,10 @@
 
 The obs package is stdlib-only by design: a scrape endpoint must not
 drag the numeric stack into a process that only forwards telemetry.
-This file loads ``repro.obs`` under an import hook that *blocks*
-``numpy`` — with synthetic ``repro`` / ``repro.report`` package stubs
-so the package ``__init__`` (which imports the NumPy-backed model
-modules) never runs — then exercises the Prometheus render/parse path,
+This file imports the real ``repro.obs`` under an import hook that
+*blocks* ``numpy`` (package initialisers load their submodules on first
+use, so nothing pulls the model stack in) and keeps that world for the
+whole module while it exercises the Prometheus render/parse path,
 snapshots and the run history.
 
 Like ``test_engine_nonumpy.py``, every import here is lazy so the CI
@@ -14,12 +14,8 @@ Like ``test_engine_nonumpy.py``, every import here is lazy so the CI
 
 import importlib
 import sys
-import types
-from pathlib import Path
 
 import pytest
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class _NumpyBlocker:
@@ -31,37 +27,26 @@ class _NumpyBlocker:
         return None
 
 
-def _load_obs_without_numpy():
-    """Import ``repro.obs`` in a world where ``import numpy`` fails.
+@pytest.fixture(scope="module")
+def nobs():
+    """``repro.obs`` imported, and used, in a world where ``import numpy`` fails.
 
-    ``repro/__init__.py`` imports the whole model stack, so the parent
-    packages are replaced by bare path-only stubs: submodule imports
-    (``repro.errors``, ``repro.report.tables``) resolve normally from
-    the source tree, but no package initialiser ever pulls in NumPy.
+    The world spans every test here: the package resolves its exports
+    on first use, so each test's first touch of a name imports the
+    submodule with NumPy still blocked.
     """
     blocker = _NumpyBlocker()
     hidden = {name: sys.modules.pop(name) for name in list(sys.modules)
               if name.split(".")[0] in ("numpy", "repro")}
     sys.meta_path.insert(0, blocker)
-    repro_stub = types.ModuleType("repro")
-    repro_stub.__path__ = [str(SRC / "repro")]
-    report_stub = types.ModuleType("repro.report")
-    report_stub.__path__ = [str(SRC / "repro" / "report")]
-    sys.modules["repro"] = repro_stub
-    sys.modules["repro.report"] = report_stub
     try:
-        return importlib.import_module("repro.obs")
+        yield importlib.import_module("repro.obs")
     finally:
         sys.meta_path.remove(blocker)
         for name in list(sys.modules):
             if name.split(".")[0] == "repro":
                 del sys.modules[name]
         sys.modules.update(hidden)
-
-
-@pytest.fixture(scope="module")
-def nobs():
-    return _load_obs_without_numpy()
 
 
 @pytest.fixture(autouse=True)
@@ -74,7 +59,7 @@ def clean(nobs):
 
 
 def test_loads_without_numpy(nobs):
-    assert "numpy" not in sys.modules or True  # loading itself is the test
+    assert "numpy" not in sys.modules
     assert callable(nobs.bridge_engine_metrics)
     assert callable(nobs.render_prometheus)
 
@@ -93,25 +78,9 @@ def test_render_parse_round_trip(nobs):
 def test_bridge_is_a_noop_without_the_engine(nobs):
     # The engine imports NumPy, which is blocked: bridging must quietly
     # skip rather than fail a scrape on a telemetry-only interpreter.
-    # The bridge imports the engine lazily at *call* time, so the
-    # numpy-less world has to be rebuilt around the call itself.
-    blocker = _NumpyBlocker()
-    hidden = {name: sys.modules.pop(name) for name in list(sys.modules)
-              if name.split(".")[0] in ("numpy", "repro")}
-    sys.meta_path.insert(0, blocker)
-    repro_stub = types.ModuleType("repro")
-    repro_stub.__path__ = [str(SRC / "repro")]
-    sys.modules["repro"] = repro_stub
-    try:
-        reg = nobs.MetricsRegistry()
-        nobs.bridge_engine_metrics(reg)
-        assert reg.is_empty()
-    finally:
-        sys.meta_path.remove(blocker)
-        for name in list(sys.modules):
-            if name.split(".")[0] == "repro":
-                del sys.modules[name]
-        sys.modules.update(hidden)
+    reg = nobs.MetricsRegistry()
+    nobs.bridge_engine_metrics(reg)
+    assert reg.is_empty()
 
 
 def test_snapshot_bundle_without_numpy(nobs, tmp_path):

@@ -306,6 +306,21 @@ class TestCliEntryPoint:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_main_records_a_run_with_history(self, capsys, tmp_path):
+        from repro.obs import HistoryStore
+        from repro.serve.__main__ import main
+
+        path = tmp_path / "runs.sqlite"
+        ready = threading.Event()
+        stop = threading.Event()
+        stop.set()  # serve, then shut down at once
+        assert main(["--port", "0", "--history", str(path)],
+                    ready=ready, stop=stop) == 0
+        assert ready.is_set()
+        assert f"-> {path}" in capsys.readouterr().out
+        with HistoryStore(path) as store:
+            assert [run.command for run in store.runs()] == ["repro.serve"]
+
     def test_bad_flag_exits_2(self, capsys):
         from repro.serve.__main__ import main
 

@@ -3,8 +3,8 @@
 ``repro.serve`` is stdlib-first: a throwaway container that only needs
 point costs (or a health probe) should not have to install the numeric
 stack. This file rebuilds the same numpy-blocked world as
-``test_engine_nonumpy.py`` / ``test_obs_nonumpy.py`` — an import hook
-refusing ``numpy`` plus bare path-only ``repro`` package stubs — then
+``test_obs_nonumpy.py`` — an import hook refusing ``numpy`` around a
+fresh import of the real package — then
 exercises the pure-python scalar fallback end to end over HTTP:
 ``/evaluate`` serves ``backend: "python"`` values identical to the
 ``engine.pykernels`` reference, ``/healthz`` stays green, and the
@@ -19,18 +19,17 @@ import importlib
 import json
 import math
 import sys
-import types
 import urllib.error
 import urllib.request
-from pathlib import Path
+import warnings
 
 import pytest
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE = {"n_transistors": 1e7, "feature_um": 0.18, "sd": 300.0,
         "n_wafers": 5_000.0, "yield_fraction": 0.4, "cost_per_cm2": 8.0}
 BAD = {**BASE, "yield_fraction": -1.0}
+#: ``λ²`` overflows a float: a domain error, not an ``OverflowError``.
+HUGE = {**BASE, "feature_um": 1e200}
 
 
 class _NumpyBlocker:
@@ -54,12 +53,6 @@ def _serve_without_numpy():
     hidden = {name: sys.modules.pop(name) for name in list(sys.modules)
               if name.split(".")[0] in ("numpy", "repro")}
     sys.meta_path.insert(0, blocker)
-    repro_stub = types.ModuleType("repro")
-    repro_stub.__path__ = [str(SRC / "repro")]
-    report_stub = types.ModuleType("repro.report")
-    report_stub.__path__ = [str(SRC / "repro" / "report")]
-    sys.modules["repro"] = repro_stub
-    sys.modules["repro.report"] = report_stub
     try:
         yield importlib.import_module("repro.serve")
     finally:
@@ -72,7 +65,7 @@ def _serve_without_numpy():
 
 def _reference_cost(serve):
     """The scalar kernels' answer for ``BASE``, computed directly."""
-    pykernels = serve.service._pykernels()
+    pykernels = importlib.import_module("repro.engine.pykernels")
     constants = importlib.import_module("repro.constants")
     cost = pykernels.total_transistor_cost(
         BASE["sd"], BASE["n_transistors"], BASE["feature_um"],
@@ -155,3 +148,20 @@ def test_grid_routes_degrade_to_503_without_numpy():
             body = json.loads(excinfo.value.read())
             assert body["code"] == "ExecutionError"
             assert "numpy" in body["message"].lower()
+
+
+def test_overflowing_feature_is_a_domain_error_without_numpy():
+    with _serve_without_numpy() as serve, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with serve.start_server() as handle:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(f"{handle.url}/evaluate", {"scenario": HUGE})
+            assert excinfo.value.code == 422
+            assert json.loads(excinfo.value.read())["code"] == "DomainError"
+
+            body = _post(f"{handle.url}/evaluate",
+                         {"scenarios": [HUGE, BASE], "policy": "mask"})
+            assert [p["ok"] for p in body["results"]] == [False, True]
+            [diagnostic] = body["diagnostics"]
+            assert diagnostic["error_type"] == "DomainError"
+            assert "lambda^2 overflows" in diagnostic["message"]
