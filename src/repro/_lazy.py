@@ -19,6 +19,12 @@ resolves to the submodule itself, so ``package.perf`` works before
 anything imported it. ``"attr as name"`` re-exports ``attr`` under
 another name, as ``from .cache import stats as cache_stats`` would.
 
+A plain module may declare a table too. Its keys are relative to the
+package the module is in, as a ``from .`` import in it would be, and a
+dotted key reaches into a sibling package: ``repro.api`` re-exports the
+wire schemas from ``"serve.schemas"`` without importing them. A dotted
+key binds only its names, not the module itself.
+
 The lint pass behind API001 reads the same literal table
 (:func:`static_exports`), so ``__all__`` still may list only names the
 package binds.
@@ -36,37 +42,40 @@ def _entries(exports: dict) -> dict[str, tuple[str, str | None]]:
     """``{exported name: (submodule, attribute or None for the module)}``."""
     where: dict[str, tuple[str, str | None]] = {}
     for submodule, names in exports.items():
-        where[submodule] = (submodule, None)
+        if "." not in submodule:
+            where[submodule] = (submodule, None)
         for entry in names:
             attr, _, alias = entry.partition(" as ")
             where[alias or attr] = (submodule, attr)
     return where
 
 
-def attach(package: str, exports: dict[str, tuple[str, ...]]):
-    """Return the ``(__getattr__, __dir__)`` pair for ``package``.
+def attach(name: str, exports: dict[str, tuple[str, ...]]):
+    """Return the ``(__getattr__, __dir__)`` pair for module ``name``.
 
-    ``exports`` maps submodule names (relative to ``package``) to the
-    names the package re-exports from each.
+    ``exports`` maps module names, relative to the package ``name`` is
+    in (``name`` itself for a package), to the names ``name``
+    re-exports from each.
     """
     where = _entries(exports)
+    package = sys.modules[name].__package__
 
-    def __getattr__(name: str):
+    def __getattr__(attr_name: str):
         try:
-            submodule, attr = where[name]
+            submodule, attr = where[attr_name]
         except KeyError:
             raise AttributeError(
-                f"module {package!r} has no attribute {name!r}") from None
+                f"module {name!r} has no attribute {attr_name!r}") from None
         # ``__import__`` rather than ``importlib.import_module``: only the
         # former is logged by ``python -X importtime``.
         __import__(f"{package}.{submodule}")
         module = sys.modules[f"{package}.{submodule}"]
         value = module if attr is None else getattr(module, attr)
-        setattr(sys.modules[package], name, value)
+        setattr(sys.modules[name], attr_name, value)
         return value
 
     def __dir__() -> list[str]:
-        return sorted(set(vars(sys.modules[package])) | set(where))
+        return sorted(set(vars(sys.modules[name])) | set(where))
 
     return __getattr__, __dir__
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _lazy
 from .constants import ASSUMED_YIELD, MANUFACTURING_COST_PER_CM2_USD
 from .cost.total import PAPER_FIGURE4_MODEL, TotalCostModel
 from .data.records import RoadmapNode
@@ -37,24 +38,19 @@ from .errors import DomainError, ReproError
 from .obs import metrics as obs_metrics
 from .obs.instrument import traced
 from .robust.policy import ErrorPolicy
-from .serve.schemas import (
-    DiagnosticPayload,
-    ErrorResponse,
-    EvaluatedPoint,
-    EvaluateRequest,
-    EvaluateResponse,
-    OptimalSdRequest,
-    OptimalSdResponse,
-    ParetoPoint,
-    ParetoRequest,
-    ParetoResponse,
-    ScenarioPayload,
-    SensitivityRequest,
-    SensitivityResponse,
-    SweepRequest,
-    SweepResponse,
-)
 from .wafer.specs import WaferSpec
+
+# The wire schemas, one surface with the HTTP layer (see repro.serve),
+# load on first use: pricing a design never imports them.
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "serve.schemas": (
+        "DiagnosticPayload", "ErrorResponse", "EvaluatedPoint",
+        "EvaluateRequest", "EvaluateResponse", "OptimalSdRequest",
+        "OptimalSdResponse", "ParetoPoint", "ParetoRequest", "ParetoResponse",
+        "ScenarioPayload", "SensitivityRequest", "SensitivityResponse",
+        "SweepRequest", "SweepResponse",
+    ),
+})
 
 __all__ = [
     "Scenario",
@@ -200,15 +196,12 @@ class Scenario:
         candidate was infeasible under ``MASK`` (each dropped candidate
         lands in the optional ``diagnostics`` list).
         """
-        from .optimize import evaluate_points, pareto_front
-        points = evaluate_points(self.cost_model, self.n_transistors,
-                                 self.feature_um, self.n_wafers,
-                                 self.yield_fraction, self.cost_per_cm2,
-                                 sd_values=values, policy=policy,
-                                 diagnostics=diagnostics)
-        if not points:
-            return []
-        return pareto_front(points)
+        from .optimize import evaluate_front
+        return evaluate_front(self.cost_model, self.n_transistors,
+                              self.feature_um, self.n_wafers,
+                              self.yield_fraction, self.cost_per_cm2,
+                              sd_values=values, policy=policy,
+                              diagnostics=diagnostics)
 
     def sensitivity(self, parameters=None, rel_step: float = 0.05,
                     sd_max: float = 5000.0,
@@ -235,11 +228,12 @@ class Scenario:
                    max_iter: int = 500, retry=None):
         """The cost-minimising density ``s_d`` at this operating point.
 
-        Delegates to :func:`repro.optimize.optimal_sd` (golden-section
-        over eq. 4) and returns its
+        Delegates to :func:`repro.optimize.optimal_sd` (the root of
+        eq. (4)'s stationarity equation) and returns its
         :class:`repro.optimize.OptimumResult`. Pass a
-        :class:`repro.robust.RetryBudget` as ``retry`` to widen the
-        bracket on :class:`repro.errors.ConvergenceError`.
+        :class:`repro.robust.RetryBudget` as ``retry`` to widen a
+        clipped bracket and to grow the iteration cap on
+        :class:`repro.errors.ConvergenceError`.
         """
         from .optimize import optimal_sd
         return optimal_sd(self.cost_model, self.n_transistors,

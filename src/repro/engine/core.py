@@ -61,7 +61,7 @@ __all__ = ["GridEvaluation", "block_threads", "configure_parallel",
 #: fastest of 8k/16k/32k/64k/128k/256k for eq. (4) over a 1M-point grid.
 _BLOCK = 65_536
 #: Grid size from which the blocks run on several threads. Not a knob:
-#: on a 2-vCPU host ``tools/pool_crossover.py`` had two threads beat one
+#: on a 2-vCPU host ``tools/thread_crossover.py`` had two threads beat one
 #: at 4 blocks (262 144 points) in 6 of 7 runs and at every larger size
 #: in every run; at 3 blocks the winner changed from run to run.
 _THREADS_FROM = 4 * _BLOCK

@@ -12,7 +12,8 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
         "optimal_sd_generalized", "optimum_vs_volume",
     ),
     "sensitivity": ("SensitivityEntry", "parameter_elasticities", "tornado"),
-    "pareto": ("DesignPoint", "evaluate_points", "knee_point", "pareto_front"),
+    "pareto": ("DesignPoint", "evaluate_front", "evaluate_points", "knee_point",
+               "pareto_front"),
     "node_choice": (
         "DEFAULT_NODE_LADDER_UM", "NodeChoice", "evaluate_nodes",
         "optimal_node",
@@ -35,6 +36,7 @@ __all__ = [
     "tornado",
     "DesignPoint",
     "evaluate_points",
+    "evaluate_front",
     "pareto_front",
     "knee_point",
     "NodeChoice",

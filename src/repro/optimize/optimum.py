@@ -9,17 +9,25 @@ has a unique interior optimum balancing
 * design cost, diverging as ``s_d → s_d0⁺`` (denser design = more
   failed iterations).
 
-:func:`optimal_sd` finds it with a golden-section search over
-:meth:`~repro.cost.total.TotalCostModel.sd_curve`, eq. (4) bound to the
-operating point once per solve (the curve is strictly unimodal on
-``(s_d0, ∞)``); :func:`optimal_sd_condition`
-verifies the analytic first-order condition; :func:`optimum_vs_volume`
-traces how the optimum migrates with wafer volume — the paper's
-Figure 4(a)→(b) contrast.
+:func:`optimal_sd` finds it as the one root of eq. (4)'s stationarity
+equation. With ``m = s_d − s_d0``, ``K = Cm_sq·N_w·A_w + C_MA`` and
+``A = A0·N_tr^p1``, ``dC_tr/ds_d = 0`` reads
+
+    ``f(m) = K·m^(p2+1) + A(1−p2)·m − p2·A·s_d0 = 0``.
+
+``f(0) < 0`` and ``f`` is convex on ``m > 0``, so the root is unique and
+a Newton iteration started right of it falls monotonically onto it in
+a handful of steps. A model with a test term has no such closed
+equation; its optimum is a golden-section search over
+:meth:`~repro.cost.total.TotalCostModel.sd_curve`.
+:func:`optimal_sd_condition` evaluates the first-order condition in
+$/cm²; :func:`optimum_vs_volume` traces how the optimum migrates with
+wafer volume — the paper's Figure 4(a)→(b) contrast.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +35,11 @@ import numpy as np
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..engine import map_scalar
-from ..errors import DomainError
+from ..errors import ConvergenceError, DomainError
 from ..obs import metrics as obs_metrics
 from ..obs.instrument import traced
 from ..robust.policy import ErrorPolicy
-from ..robust.retry import RetryBudget, note_retry
+from ..robust.retry import ConvergenceReport, RetryBudget, note_retry
 from ..robust.solvers import retrying_golden_min
 from ..validation import check_positive
 
@@ -50,7 +58,10 @@ class OptimumResult:
     cost_opt:
         Transistor cost at the optimum ($).
     iterations:
-        Golden-section iterations used (by the successful attempt).
+        Solver steps used by the successful attempt: Newton steps on
+        the stationarity equation, or golden-section steps for a model
+        with a test term and for eq. (7). 0 when the optimum sits on
+        the lower end of the bracket.
     bracket:
         The search interval (lo, hi) of the successful attempt.
     attempts:
@@ -63,6 +74,80 @@ class OptimumResult:
     iterations: int
     bracket: tuple[float, float]
     attempts: int = 1
+
+
+def _pow(x: float, y: float) -> float:
+    """``x ** y`` for floats, ``inf`` where Python's ``**`` would overflow."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _stationarity(model: TotalCostModel, n_transistors, feature_um, n_wafers,
+                  cost_per_cm2):
+    """``(r, g)``: eq. (4)'s stationarity equation divided by ``A``.
+
+    ``g(m) = f(m)/A = r·m^(p2+1) + (1−p2)·m − p2·s_d0`` with
+    ``r = K/A``; ``g(m)`` returns the value and the slope ``g'(m)``.
+    Only the ratio ``r`` carries the operating point, so the root does
+    not depend on ``Y`` or ``u``, and nothing overflows before ``r``
+    does. The arguments must have passed ``sd_curve``'s checks.
+    """
+    design = model.design_model
+    p2 = design.p2
+    k = (float(cost_per_cm2) * (float(n_wafers) * model.wafer.area_cm2)
+         + float(model.mask_cost(feature_um)))
+    a = design.a0 * _pow(float(n_transistors), design.p1)
+    r = k / a if a > 0 else math.inf
+    linear = 1.0 - p2
+    offset = p2 * design.sd0
+
+    def g(m: float) -> tuple[float, float]:
+        rm = r * _pow(m, p2)
+        return rm * m + linear * m - offset, (p2 + 1.0) * rm + linear
+
+    return r, g
+
+
+def _newton_start(r: float, p2: float, sd0: float) -> float:
+    """A margin right of ``g``'s root, for ``p2 > 1`` within ``2^(1/p2)`` of it.
+
+    ``r·m^(p2+1)`` alone reaches ``p2·s_d0`` at ``u1``. For ``p2 ≤ 1``
+    the linear term is ≥ 0, so the root is at most ``u1``. For
+    ``p2 > 1`` it is negative, and ``r·m^p2 = p2−1`` at ``u2``; the root
+    is at least the larger of the two, and ``2^(1/p2)`` times it makes
+    ``r·m^(p2+1)`` at least twice each negative part.
+    """
+    if not r > 0:
+        return math.inf
+    u1 = (p2 * sd0 / r) ** (1.0 / (p2 + 1.0))
+    if p2 <= 1.0:
+        return u1
+    u2 = ((p2 - 1.0) / r) ** (1.0 / p2)
+    return 2.0 ** (1.0 / p2) * max(u1, u2)
+
+
+def _newton(g, m: float, tol: float, max_iter: int) -> tuple[float, int | None]:
+    """Newton steps down onto the root of convex ``g`` from ``m`` right of it.
+
+    Returns ``(root, steps)``, or ``(last iterate, None)`` when
+    ``max_iter`` steps did not converge. Right of the root every step
+    lands right of it again, so the iterates fall monotonically; the
+    solve ends when ``g`` is no longer positive (to rounding) or a step
+    is at most ``tol`` of the margin, which leaves the next error far
+    below it.
+    """
+    for step in range(1, max_iter + 1):
+        value, slope = g(m)
+        if value <= 0:
+            return m, step
+        last, m = m, m - value / slope
+        if not m < last:  # a step below one ulp
+            return last, step
+        if last - m <= tol * m:
+            return m, step
+    return m, None
 
 
 @traced(equation="4", attach_result=True,
@@ -87,19 +172,23 @@ def optimal_sd(
     physically, design cost dominates so completely that ever-sparser
     design keeps paying; widen ``sd_max``).
 
-    The objective is :meth:`TotalCostModel.sd_curve`, built once per
-    solve: the operating point is validated and its ``s_d``-independent
-    factors computed before the first golden-section step, so each step
-    costs only the ``s_d`` part of eqs. (4)–(6) and the trace records
-    one ``sd_curve`` span per solve rather than one per evaluation.
+    Without a test term the optimum is the root of the stationarity
+    equation (see the module docstring): clipped when ``f`` is not yet
+    positive at ``0.999·sd_max``, ``s_d0``'s end of the bracket when
+    ``f`` is already ≥ 0 there, and otherwise found by Newton steps from
+    the right, ending when a step is at most ``tol`` of the margin.
+    Running out of ``max_iter`` steps raises
+    :class:`~repro.errors.ConvergenceError`. A model with a test term
+    takes a golden-section search over :meth:`TotalCostModel.sd_curve`
+    instead. Either way the curve is built once per solve, and the trace
+    records one ``sd_curve`` span.
 
     With a :class:`repro.robust.RetryBudget` the solver rides through
     both failure modes before giving up: a convergence stall restarts
-    with a grown iteration cap and perturbed lower bound, and a clipped
-    optimum re-solves with the bracket expanded by
-    :attr:`~repro.robust.RetryBudget.bracket_growth`. Final failures
-    carry a :class:`repro.robust.ConvergenceReport` (stalls) or name
-    the last bracket tried (clips).
+    with a grown iteration cap, and a clipped optimum re-solves with the
+    bracket expanded by :attr:`~repro.robust.RetryBudget.bracket_growth`.
+    Final failures carry a :class:`repro.robust.ConvergenceReport`
+    (stalls) or name the last bracket tried (clips).
     """
     sd0 = model.design_model.sd0
     lo = sd0 * (1 + 1e-6) + 1e-9
@@ -113,11 +202,46 @@ def optimal_sd(
         return float(curve(sd))
 
     solver = "optimize.optimum.optimal_sd"
+    max_attempts = 1 if retry is None else retry.max_attempts
+
+    if model.test_model is not None:
+        def solve(hi: float) -> tuple[float, float, int, int]:
+            return retrying_golden_min(fn, lo, hi, tol, max_iter, solver=solver,
+                                       retry=retry, lo_floor=sd0)
+    else:
+        r, g = _stationarity(model, n_transistors, feature_um, n_wafers,
+                             cost_per_cm2)
+        m_lo = lo - sd0
+
+        def solve(hi: float) -> tuple[float, float, int, int]:
+            clip = hi * (1 - 1e-3) - sd0
+            if not (m_lo < clip and g(clip)[0] > 0):
+                return hi, math.nan, 0, 1  # the root is at or past the clip
+            if g(m_lo)[0] >= 0:
+                return lo, fn(lo), 0, 1
+            start = min(clip, _newton_start(r, model.design_model.p2, sd0))
+            cap = max_iter
+            for attempt in range(1, max_attempts + 1):
+                m, steps = _newton(g, start, tol, cap)
+                if steps is not None:
+                    sd = max(sd0 + m, lo)
+                    return sd, fn(sd), steps, attempt
+                if attempt < max_attempts:
+                    note_retry(solver, attempt, "ConvergenceError")
+                    cap = max(cap + 1, int(cap * retry.iter_growth))
+            best = sd0 + m
+            raise ConvergenceError(
+                f"Newton solve of the eq.-(4) stationarity equation did not "
+                f"converge in {cap} iterations",
+                report=ConvergenceReport(
+                    solver=solver, attempts=max_attempts, iterations=cap,
+                    last_bracket=(lo, best), best_x=best,
+                    best_fx=fn(best) if lo <= best < math.inf else math.nan))
+
     hi = sd_max
     attempts_used = 0
-    for expansion in range(1, (1 if retry is None else retry.max_attempts) + 1):
-        sd_opt, cost_opt, iters, attempts = retrying_golden_min(
-            fn, lo, hi, tol, max_iter, solver=solver, retry=retry, lo_floor=sd0)
+    for expansion in range(1, max_attempts + 1):
+        sd_opt, cost_opt, iters, attempts = solve(hi)
         attempts_used += attempts
         if sd_opt <= hi * (1 - 1e-3):
             break

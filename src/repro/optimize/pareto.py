@@ -7,7 +7,9 @@ each candidate ``s_d`` maps to a vector of objectives (die area, total
 transistor cost, design budget), and :func:`pareto_front` extracts the
 non-dominated set. A designer can then see exactly which ``s_d`` values
 are rational choices under *any* weighting of the objectives, and
-:func:`knee_point` picks the balanced one.
+:func:`knee_point` picks the balanced one. :func:`evaluate_front` takes
+the front of a grid straight from the engine's arrays, building a
+:class:`DesignPoint` only for the points on it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from ..obs.instrument import traced
 from ..robust.policy import ErrorPolicy
 from .sweep import sd_grid
 
-__all__ = ["DesignPoint", "evaluate_points", "pareto_front", "knee_point"]
+__all__ = ["DesignPoint", "evaluate_points", "evaluate_front", "pareto_front",
+           "knee_point"]
 
-#: Cells per (rows, n) dominance mask in :func:`pareto_front`; bounds its
+#: Cells per (rows, n) dominance mask in :func:`_nondominated`; bounds its
 #: memory to a few MB however many points are compared.
 _DOMINANCE_CELLS = 1 << 20
 
@@ -43,6 +46,31 @@ class DesignPoint:
     def objectives(self) -> tuple[float, float, float]:
         """The minimised objective vector."""
         return (self.die_area_cm2, self.transistor_cost_usd, self.design_cost_usd)
+
+
+def _objectives(model, n_transistors, feature_um, n_wafers, yield_fraction,
+                cost_per_cm2, sd_values, policy, diagnostics):
+    """``(sd, objectives)`` of the grid's kept points: ``sd`` of shape
+    ``(n,)`` and the (area, cost, design) rows of shape ``(3, n)``."""
+    policy = ErrorPolicy.coerce(policy)
+    if sd_values is None:
+        sd_values = sd_grid(model.design_model.sd0, n=200)
+    sd_values = np.asarray(sd_values, dtype=float)
+    kernel = DesignObjectivesKernel(model, n_transistors, feature_um, n_wafers,
+                                    yield_fraction, cost_per_cm2)
+    evaluation = evaluate_grid(kernel, sd_values, policy=policy,
+                               where="optimize.pareto.evaluate_points",
+                               equation="4", parameter="sd")
+    if diagnostics is not None:
+        diagnostics.extend(evaluation.diagnostics)
+    kept = ~np.isnan(evaluation.values).all(axis=0)
+    return sd_values[kept], evaluation.values[:, kept]
+
+
+def _design_points(sd: np.ndarray, objectives: np.ndarray) -> list[DesignPoint]:
+    # Positional, in DesignPoint's field order: a frozen dataclass's
+    # __init__ is most of the cost of a point.
+    return list(map(DesignPoint, sd.tolist(), *objectives.tolist()))
 
 
 @traced(equation="4")
@@ -67,52 +95,97 @@ def evaluate_points(
     :class:`repro.robust.Diagnostic` per dropped candidate. COLLECT
     raises :class:`repro.errors.CollectedErrors` after the full grid.
     """
-    policy = ErrorPolicy.coerce(policy)
-    if sd_values is None:
-        sd_values = sd_grid(model.design_model.sd0, n=200)
-    sd_values = np.asarray(sd_values, dtype=float)
-    kernel = DesignObjectivesKernel(model, n_transistors, feature_um, n_wafers,
-                                    yield_fraction, cost_per_cm2)
-    evaluation = evaluate_grid(kernel, sd_values, policy=policy,
-                               where="optimize.pareto.evaluate_points",
-                               equation="4", parameter="sd")
-    area, cost, design = evaluation.values
-    kept = ~(np.isnan(area) & np.isnan(cost) & np.isnan(design))
-    points = [
-        DesignPoint(sd=sd, die_area_cm2=a, transistor_cost_usd=c, design_cost_usd=d)
-        for sd, a, c, d in zip(sd_values[kept].tolist(), area[kept].tolist(),
-                               cost[kept].tolist(), design[kept].tolist())
-    ]
-    if diagnostics is not None:
-        diagnostics.extend(evaluation.diagnostics)
-    return points
+    return _design_points(*_objectives(
+        model, n_transistors, feature_um, n_wafers, yield_fraction,
+        cost_per_cm2, sd_values, policy, diagnostics))
+
+
+@traced(equation="4")
+def evaluate_front(
+    model: TotalCostModel,
+    n_transistors: float,
+    feature_um: float,
+    n_wafers: float,
+    yield_fraction: float,
+    cost_per_cm2: float,
+    sd_values=None,
+    policy: ErrorPolicy = ErrorPolicy.RAISE,
+    diagnostics: list | None = None,
+) -> list[DesignPoint]:
+    """``pareto_front(evaluate_points(...))``, or ``[]`` when no point is kept.
+
+    Takes the same arguments as :func:`evaluate_points` and gives the
+    same points in the same order, but finds the front on the engine's
+    arrays and builds a :class:`DesignPoint` only for the points on it.
+    """
+    sd, objectives = _objectives(model, n_transistors, feature_um, n_wafers,
+                                 yield_fraction, cost_per_cm2, sd_values,
+                                 policy, diagnostics)
+    front = np.flatnonzero(_nondominated(objectives))
+    front = front[np.argsort(sd[front], kind="stable")]
+    return _design_points(sd[front], objectives[:, front])
+
+
+def _projection_cleared(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Points that no other point weakly dominates in ``(x, y)``.
+
+    One sort by ``(x, y)`` and a running minimum of ``y``: a point is
+    cleared when every point sorted before it has a larger ``y`` (NaN
+    never dominates, so the minimum skips it) and its neighbours are not
+    exact ``(x, y)`` twins. A point dominated in all objectives is weakly
+    dominated in every pair of them, so a cleared point is on the front.
+    """
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    before = np.full_like(ys, np.inf)
+    np.fmin.accumulate(ys[:-1], out=before[1:])
+    cleared = before > ys
+    twin = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
+    cleared[1:] &= ~twin
+    cleared[:-1] &= ~twin
+    out = np.empty_like(cleared)
+    out[order] = cleared
+    return out
+
+
+def _nondominated(objectives: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``objectives`` (one row per objective, one
+    column per point) that no other point dominates.
+
+    The (area, design cost) projection clears most points in one sweep
+    (on an ``s_d`` grid, where area rises and design cost falls, all of
+    them). Each point left is compared with every point on ``(rows, n)``
+    boolean masks built one objective at a time, in row blocks of at
+    most ``_DOMINANCE_CELLS`` cells.
+    """
+    keep = _projection_cleared(objectives[0], objectives[-1])
+    suspects = np.flatnonzero(~keep)
+    n = objectives.shape[1]
+    rows = max(1, _DOMINANCE_CELLS // max(n, 1))
+    for start in range(0, len(suspects), rows):
+        # le[i, j]: point j is <= suspect i in every objective so far;
+        # lt[i, j]: point j is < suspect i in at least one.
+        block = suspects[start:start + rows]
+        le = np.ones((len(block), n), dtype=bool)
+        lt = np.zeros((len(block), n), dtype=bool)
+        for col in objectives:
+            mine = col[block, None]
+            le &= col[None, :] <= mine
+            lt |= col[None, :] < mine
+        keep[block] = ~(le & lt).any(axis=1)
+    return keep
 
 
 def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:
     """Non-dominated subset (all objectives minimised), sorted by ``s_d``.
 
     Point A dominates B when A is ≤ B in every objective and < in at
-    least one. The test runs on ``(rows, n)`` boolean masks built one
-    objective column at a time, in row blocks of at most
-    ``_DOMINANCE_CELLS`` cells.
+    least one.
     """
     if not points:
         raise DomainError("cannot take the Pareto front of an empty set")
-    objs = np.array([p.objectives() for p in points])
-    n = len(points)
-    dominated = np.empty(n, dtype=bool)
-    rows = max(1, _DOMINANCE_CELLS // n)
-    for start in range(0, n, rows):
-        # le[i, j]: point j is <= point i in every objective so far;
-        # lt[i, j]: point j is < point i in at least one.
-        block = objs[start:start + rows]
-        le = np.ones((len(block), n), dtype=bool)
-        lt = np.zeros((len(block), n), dtype=bool)
-        for col, mine in zip(objs.T, block.T):
-            le &= col[None, :] <= mine[:, None]
-            lt |= col[None, :] < mine[:, None]
-        dominated[start:start + rows] = (le & lt).any(axis=1)
-    keep = [p for p, d in zip(points, dominated.tolist()) if not d]
+    objectives = np.array([p.objectives() for p in points]).T
+    keep = [p for p, k in zip(points, _nondominated(objectives).tolist()) if k]
     keep.sort(key=lambda p: p.sd)
     return keep
 

@@ -1,6 +1,6 @@
 """Solver hardening: retry budgets and convergence reports.
 
-The golden-section solvers (`repro.optimize.optimal_sd`,
+The scalar solvers (:func:`repro.optimize.optimal_sd`,
 :func:`repro.economics.profit_optimal_sd`) and the eq.-(6) calibration
 search can fail for recoverable reasons: a bracket too narrow for the
 optimum, an unlucky starting interval, an iteration cap one notch too

@@ -168,9 +168,9 @@ def test_raise_in_later_block_matches_unblocked_exception(name):
     assert str(blocked.value) == str(unblocked.value)
 
 
-def test_pool_crossover_tool_prints_the_table():
+def test_thread_crossover_tool_prints_the_table():
     out = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "pool_crossover.py"),
+        [sys.executable, str(REPO / "tools" / "thread_crossover.py"),
          "--sizes", "20000", "--repeats", "2"],
         capture_output=True, text=True, check=True, timeout=120).stdout
     lines = out.strip().splitlines()

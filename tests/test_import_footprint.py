@@ -66,6 +66,29 @@ def test_pricing_a_design_loads_no_tooling():
                              "asyncio"]) == []
 
 
+@needs_numpy
+def test_analysis_path_loads_no_wire_schemas():
+    loaded = _loaded_after(
+        "from repro.api import Scenario\n"
+        "scenario = Scenario(n_transistors=1e7, feature_um=0.18)\n"
+        "scenario.optimal_sd(); scenario.pareto(); scenario.sweep('n_wafers')\n"
+        "scenario.sensitivity(parameters=('n_wafers', 'yield_fraction'))\n")
+    assert "repro.optimize.sensitivity" in loaded  # the analysis really ran
+    assert _present(loaded, ["repro.serve"]) == []
+
+
+@needs_numpy
+def test_api_loads_the_wire_schemas_on_first_use():
+    loaded = _loaded_after(
+        "import sys\n"
+        "import repro.api\n"
+        "assert 'repro.serve.schemas' not in sys.modules\n"
+        "from repro.api import ScenarioPayload\n"
+        "from repro.serve.schemas import ScenarioPayload as wire\n"
+        "assert ScenarioPayload is wire\n")
+    assert "repro.serve.schemas" in loaded
+
+
 def test_serve_entry_point_loads_no_tooling():
     loaded = _loaded_after("import repro.serve.__main__\n")
     assert "repro.serve.app" in loaded

@@ -102,11 +102,13 @@ class TestFigure4:
     #: ``(x_opt, cost_opt)`` of the default 400-point ``sd_sweep``. The
     #: evaluation paths agree to ~1e-15; RTOL leaves room for libm
     #: ``pow`` differences across platforms, and is far below any
-    #: change a refactor of eqs. (4)-(6) could make by mistake.
+    #: change a refactor of eqs. (4)-(6) could make by mistake. Each
+    #: ``sd_opt`` is the root of the stationarity equation: the
+    #: first-order residual there is ~1e-14 $/cm².
     GOLDEN = {
-        "FIG4A": ((310.3548085821583, 4.6213406433717215e-06),
+        "FIG4A": ((310.35480059342234, 4.6213406433717215e-06),
                   (309.4997748853781, 4.621362583446931e-06)),
-        "FIG4B": ((167.63366015909997, 7.273240821993453e-07),
+        "FIG4B": ((167.6336598598064, 7.273240821993453e-07),
                   (167.5199967804392, 7.273246604992997e-07)),
     }
     RTOL = 1e-9

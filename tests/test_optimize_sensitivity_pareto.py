@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost import PAPER_FIGURE4_MODEL
 from repro.errors import DomainError
 from repro.optimize import pareto as pareto_mod
 from repro.optimize import (
     DesignPoint,
+    evaluate_front,
     evaluate_points,
     knee_point,
     parameter_elasticities,
@@ -169,6 +172,77 @@ class TestParetoAgainstLoop:
         a = DesignPoint(200.0, 1.0, 2.0, 3.0)
         b = DesignPoint(200.0, 3.0, 2.0, 1.0)
         assert pareto_front([b, a]) == [b, a]
+
+
+def _mask_front(points):
+    """Reference front: (n, n) dominance masks over every point, with no
+    projection filter."""
+    objs = np.array([p.objectives() for p in points])
+    le = np.ones((len(points), len(points)), dtype=bool)
+    lt = np.zeros_like(le)
+    for col in objs.T:
+        le &= col[None, :] <= col[:, None]
+        lt |= col[None, :] < col[:, None]
+    dominated = (le & lt).any(axis=1)
+    keep = [p for p, d in zip(points, dominated.tolist()) if not d]
+    keep.sort(key=lambda p: p.sd)
+    return keep
+
+
+#: Few distinct values (ties, signed zeros, NaN) mixed with arbitrary ones.
+objective = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, float("nan")]),
+                      st.floats(-1e3, 1e3))
+
+
+@st.composite
+def design_points(draw):
+    rows = draw(st.lists(st.tuples(objective, objective, objective),
+                         min_size=1, max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))  # duplicates
+    sds = draw(st.lists(st.sampled_from([150.0, 300.0]) | st.floats(101.0, 5e3),
+                        min_size=len(rows), max_size=len(rows)))
+    order = draw(st.permutations(range(len(rows))))
+    return [DesignPoint(sd, *rows[i]) for sd, i in zip(sds, order)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=design_points())
+def test_front_equals_the_dominance_mask(points):
+    assert pareto_front(points) == _mask_front(points)
+
+
+class TestEvaluateFront:
+    @pytest.mark.parametrize("values", [
+        None,
+        [150.0, 300.0, 150.0, 1200.0, 300.0],
+        np.geomspace(100.5, 5000.0, 50)[::-1],
+    ])
+    def test_equals_the_front_of_the_points(self, values):
+        points = evaluate_points(PAPER_FIGURE4_MODEL, **POINT, sd_values=values)
+        front = evaluate_front(PAPER_FIGURE4_MODEL, **POINT, sd_values=values)
+        assert front == _mask_front(points)
+        assert all(type(v) is float for p in front for v in (p.sd, *p.objectives()))
+
+    def test_every_point_of_an_sd_grid_is_on_the_front(self):
+        # Area rises and design cost falls with s_d: no point dominates
+        # another, so the projection sweep clears them all.
+        points = evaluate_points(PAPER_FIGURE4_MODEL, **POINT)
+        assert evaluate_front(PAPER_FIGURE4_MODEL, **POINT) == points
+        assert len(points) == 200
+
+    def test_mask_drops_and_reports_like_evaluate_points(self):
+        sd_values = np.array([50.0, 150.0, 90.0, 300.0, 100.0, 1200.0])
+        expected, got = [], []
+        points = evaluate_points(PAPER_FIGURE4_MODEL, **POINT, sd_values=sd_values,
+                                 policy="mask", diagnostics=expected)
+        front = evaluate_front(PAPER_FIGURE4_MODEL, **POINT, sd_values=sd_values,
+                               policy="mask", diagnostics=got)
+        assert front == pareto_front(points)
+        assert got == expected
+
+    def test_nothing_kept_is_an_empty_front(self):
+        assert evaluate_front(PAPER_FIGURE4_MODEL, **POINT, sd_values=[50.0, 90.0],
+                              policy="mask") == []
 
 
 class TestEvaluatePointsMask:
