@@ -3,19 +3,18 @@
 An in-process load generator drives a real ``repro.serve`` server over
 loopback HTTP: 16 concurrent clients issue single-point ``/evaluate``
 requests drawn from a small pool of operating points, so the run
-exercises the whole traffic path — JSON parse, micro-batch coalescing,
-the shared memo cache, and response rendering — rather than the bare
-kernel. Latencies land in a :class:`repro.obs.DurationSketch`, the
+exercises the whole traffic path — HTTP framing, JSON parse, pricing on
+the event loop, and response rendering — rather than the bare kernel. Latencies land in a :class:`repro.obs.DurationSketch`, the
 same log-bucketed estimator the span pipeline uses, so the reported
 p50/p99 match what ``/metrics`` would expose for a production scrape.
 
 The serving contract gated here is intentionally loose enough for a
-noisy CI box and tight enough to catch structural regressions (a lost
-cache, a serialized handler pool, a batcher stall):
+noisy CI box and tight enough to catch structural regressions (a
+serialized handler, a stalled loop, drifted arithmetic):
 
 * sustained throughput of at least 25 requests/second;
 * p99 request latency at or under 500 ms;
-* the shared cache absorbed repeat traffic (hit rate > 0).
+* every answer equals ``Scenario.evaluate`` of its point, bit for bit.
 """
 
 import json
@@ -23,6 +22,7 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.api import Scenario
 from repro.obs import DurationSketch
 from repro.serve import start_server
 
@@ -30,7 +30,7 @@ from repro.serve import start_server
 CLIENTS = 16
 #: Total requests issued per run.
 REQUESTS = 200
-#: Distinct operating points; REQUESTS/POINTS repeats hit the cache.
+#: Distinct operating points; each is requested REQUESTS/POINTS times.
 POINTS = 25
 
 BASE = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5_000.0,
@@ -41,49 +41,59 @@ MIN_THROUGHPUT_RPS = 25.0
 MAX_P99_S = 0.5
 
 
-def _bodies() -> list[bytes]:
-    return [
-        json.dumps({"scenario": {**BASE, "sd": 150.0 + 10.0 * (i % POINTS)}})
-        .encode()
-        for i in range(REQUESTS)
-    ]
+def _points() -> list[dict]:
+    return [{**BASE, "sd": 150.0 + 10.0 * (i % POINTS)}
+            for i in range(REQUESTS)]
 
 
 def regenerate_serve():
-    """Drive the load and return (throughput_rps, sketch, hit_rate)."""
+    """Drive the load; return (throughput_rps, sketch, answers).
+
+    ``answers`` pairs each request's point with its answered
+    ``(cost_per_transistor_usd, area_cm2)``.
+    """
     with start_server() as handle:
         url = f"{handle.url}/evaluate"
         sketch = DurationSketch("serve.evaluate")
 
-        def one(body: bytes) -> None:
+        def one(point: dict) -> tuple:
             request = urllib.request.Request(
-                url, data=body, method="POST",
-                headers={"Content-Type": "application/json"})
+                url, data=json.dumps({"scenario": point}).encode(),
+                method="POST", headers={"Content-Type": "application/json"})
             start = time.perf_counter()
             with urllib.request.urlopen(request, timeout=30) as reply:
-                reply.read()
+                body = reply.read()
             sketch.observe(time.perf_counter() - start)
+            (result,) = json.loads(body)["results"]
+            return point, (result["cost_per_transistor_usd"],
+                           result["area_cm2"])
 
-        bodies = _bodies()
-        # Warm up: first touch of each operating point populates the
-        # cache and pays the numpy import, not the measured run.
-        for body in bodies[:POINTS]:
-            one(body)
+        points = _points()
+        # Warm up the server and the client's connection path.
+        for point in points[:POINTS]:
+            one(point)
         sketch = DurationSketch("serve.evaluate")
 
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
-            list(pool.map(one, bodies))
+            answers = list(pool.map(one, points))
         elapsed = time.perf_counter() - start
+    return REQUESTS / elapsed, sketch, answers
 
-        stats = handle.service.cache_stats()
-        hit_rate = stats.hit_rate if stats is not None else 0.0
-    return REQUESTS / elapsed, sketch, hit_rate
+
+def _mismatches(answers) -> int:
+    """Answers that differ from ``Scenario.evaluate`` in any bit."""
+    wrong = 0
+    for point, got in answers:
+        expected = Scenario(**point).evaluate()
+        wrong += got != (expected.cost_per_transistor_usd, expected.area_cm2)
+    return wrong
 
 
 def test_serve(benchmark, save_artifact):
-    throughput, sketch, hit_rate = benchmark(regenerate_serve)
+    throughput, sketch, answers = benchmark(regenerate_serve)
     quantiles = sketch.percentiles()
+    wrong = _mismatches(answers)
 
     lines = [
         f"serve: {REQUESTS} /evaluate requests, {CLIENTS} concurrent "
@@ -94,11 +104,11 @@ def test_serve(benchmark, save_artifact):
         f"  p90        {quantiles['p90'] * 1e3:10.2f} ms",
         f"  p99        {quantiles['p99'] * 1e3:10.2f} ms "
         f"(ceiling {MAX_P99_S * 1e3:.0f} ms)",
-        f"  cache hit rate {hit_rate:6.2f}",
+        f"  answers != Scenario.evaluate: {wrong}",
     ]
     save_artifact("serve", "\n".join(lines))
 
     # Serving contract.
     assert throughput >= MIN_THROUGHPUT_RPS
     assert quantiles["p99"] <= MAX_P99_S
-    assert hit_rate > 0.0
+    assert wrong == 0

@@ -48,8 +48,8 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Eq. (4): fold in design cost, amortised over the wafer run.
-    # One Scenario per volume; evaluate_many batches them through the
-    # vectorized engine in a single call.
+    # One Scenario per volume; evaluate_many prices each operating
+    # point in stdlib floats.
     # ------------------------------------------------------------------
     scenarios = [
         Scenario(n_transistors=n_transistors, feature_um=feature_um, sd=sd,

@@ -17,7 +17,7 @@ Describe the product as a :class:`~repro.api.Scenario` and evaluate it:
 >>> f"{result.cost_per_transistor_usd:.2e} $/tx on {result.area_cm2:.2f} cm^2"
 '2.31e-06 $/tx on 0.97 cm^2'
 
-Batches vectorize through :mod:`repro.engine` (``evaluate_many``); the
+``evaluate_many`` prices a batch, one operating point at a time; the
 per-equation entry points remain in the subpackages below:
 
 >>> from repro.cost import transistor_cost
@@ -35,9 +35,10 @@ modules that name needs (see :mod:`repro._lazy`).
     the documented entry point for pricing designs.
 ``repro.engine``
     Vectorized batch-evaluation backend (NumPy kernels, memo cache,
-    blocks spread across threads) behind the facade and the
-    sweep/roadmap hot loops; ``repro.engine.set_backend`` selects
-    ``auto``/``numpy``/``python``.
+    blocks spread across threads) behind the sweep/roadmap hot loops,
+    plus the stdlib single-point pricing behind the facade;
+    ``repro.engine.set_backend`` selects ``auto``/``numpy``/``python``
+    for the grids.
 ``repro.data``
     Table A1 (49 industrial designs) and the reconstructed ITRS-1999
     roadmap.
@@ -69,8 +70,9 @@ modules that name needs (see :mod:`repro._lazy`).
     retry budgets, quarantine CSV loading, and fault injection.
 ``repro.serve``
     Cost-model-as-a-service: the HTTP/JSON layer over the facade
-    (``python -m repro.serve``), with micro-batching, a shared memo
-    cache, rate limiting, and the error-policy → status-code contract.
+    (``python -m repro.serve``), with ``/evaluate`` priced on the event
+    loop without NumPy, rate limiting, and the error-policy →
+    status-code contract.
 ``repro.constants``
     The paper-sourced numeric anchors (Eq. (6) fit, Table A1 / ITRS
     cost figures) every other module imports instead of re-typing.

@@ -6,9 +6,10 @@ operating point — the product (``N_tr``, node), the drawing density
 ``s_d``, the wafer run, and the yield/cost anchors — and
 
 * :func:`evaluate` prices one scenario;
-* :func:`evaluate_many` prices a batch, dispatching scenarios that
-  share a cost model through one vectorized
-  :mod:`repro.engine` call.
+* :func:`evaluate_many` prices a batch, one operating point at a time
+  in stdlib floats (:func:`repro.engine.points.price_points`): no
+  ``s_d`` curve is shared between two scenarios, so there is nothing
+  to vectorise.
 
 >>> from repro.api import Scenario, evaluate
 >>> result = evaluate(Scenario(n_transistors=10e6, feature_um=0.18))
@@ -25,16 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import _lazy
 from .constants import ASSUMED_YIELD, MANUFACTURING_COST_PER_CM2_USD
 from .cost.total import PAPER_FIGURE4_MODEL, TotalCostModel
 from .data.records import RoadmapNode
-from .density.metrics import area_from_sd
-from .engine import evaluate_grid, map_scalar
-from .engine.kernels import OperatingPointsKernel
-from .errors import DomainError, ReproError
+from .engine.points import price_points
+from .errors import DomainError
 from .obs import metrics as obs_metrics
 from .obs.instrument import traced
 from .robust.policy import ErrorPolicy
@@ -248,13 +245,14 @@ class ScenarioResult:
     """The priced scenario.
 
     ``cost_per_transistor_usd`` is NaN when the point was masked under
-    :attr:`ErrorPolicy.MASK` (check :attr:`ok`).
+    :attr:`ErrorPolicy.MASK` (check :attr:`ok`). ``backend`` names the
+    arithmetic that priced it: ``"python"``, stdlib floats.
     """
 
     scenario: Scenario
     cost_per_transistor_usd: float
     area_cm2: float
-    backend: str = "numpy"
+    backend: str = "python"
 
     @property
     def die_cost_usd(self) -> float:
@@ -267,88 +265,32 @@ class ScenarioResult:
         return math.isfinite(self.cost_per_transistor_usd)
 
 
-def _grouped(scenarios: list[Scenario]) -> list[tuple[TotalCostModel, list[int]]]:
-    """Group scenario indices by cost-model identity (repr of the frozen
-    dataclass — the same identity the engine cache keys on)."""
-    groups: dict[str, tuple[TotalCostModel, list[int]]] = {}
-    for i, scn in enumerate(scenarios):
-        model = scn.cost_model
-        _, indices = groups.setdefault(repr(model), (model, []))
-        indices.append(i)
-    return list(groups.values())
-
-
-def _area(scenario: Scenario, guarded: bool) -> float:
-    if not guarded:
-        return float(area_from_sd(scenario.sd, scenario.n_transistors,
-                                  scenario.feature_um))
-    try:
-        return float(area_from_sd(scenario.sd, scenario.n_transistors,
-                                  scenario.feature_um))
-    except ReproError:
-        return math.nan
-
-
 @traced(equation="4")
 def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
-                  diagnostics: list | None = None,
-                  cache: bool = True) -> list[ScenarioResult]:
-    """Price a batch of scenarios, vectorizing per shared cost model.
+                  diagnostics: list | None = None) -> list[ScenarioResult]:
+    """Price a batch of scenarios, one operating point at a time.
 
-    Under ``RAISE`` every group of scenarios sharing a model evaluates
-    in one :func:`repro.engine.evaluate_grid` batch (memo-cached,
-    threaded past the engine's size cut-over). Under ``MASK``/``COLLECT``
-    the batch runs point-wise so each infeasible scenario produces the
-    exact legacy :class:`~repro.robust.Diagnostic` — MASK yields NaN
-    results (plus entries in the optional ``diagnostics`` list),
-    COLLECT raises the aggregate after every scenario was tried.
+    Each scenario is priced under its own cost model's
+    :attr:`~repro.cost.TotalCostModel.scalar_params` by
+    :func:`repro.engine.points.price_points` (a component model that
+    overrides a cost method is priced by its fields, as its stock
+    parent would be). ``RAISE`` propagates the
+    first failure; ``MASK`` yields NaN results (plus entries in the
+    optional ``diagnostics`` list); ``COLLECT`` raises the aggregate
+    after every scenario was tried.
     """
-    policy = ErrorPolicy.coerce(policy)
     scenarios = list(scenarios)
-    n = len(scenarios)
-    costs = np.full(n, np.nan, dtype=float)
-    arrays = tuple(
-        np.asarray([getattr(s, name) for s in scenarios], dtype=float)
-        for name in ("sd", "n_transistors", "feature_um", "n_wafers",
-                     "yield_fraction", "cost_per_cm2"))
-    backend = "numpy"
-    if policy is ErrorPolicy.RAISE:
-        for model, indices in _grouped(scenarios):
-            kernel = OperatingPointsKernel(model, *arrays)
-            evaluation = evaluate_grid(
-                kernel, np.asarray(indices, dtype=float), policy=policy,
-                where="api.evaluate_many", equation="4",
-                parameter="scenario", cache=cache)
-            costs[indices] = evaluation.values
-            backend = evaluation.backend
-        collected: tuple = ()
-    else:
-        log = None
-        for model, indices in _grouped(scenarios):
-            kernel = OperatingPointsKernel(model, *arrays)
-            group_costs, log = map_scalar(
-                indices, kernel.point, policy=policy,
-                where="api.evaluate_many", equation="4",
-                parameter="scenario", value_of=float,
-                on_error=lambda i: math.nan, log=log)
-            costs[indices] = group_costs
-        collected = log.finish() if log is not None else ()
+    values, collected = price_points(
+        scenarios, [s.cost_model.scalar_params for s in scenarios], policy)
     if diagnostics is not None:
         diagnostics.extend(collected)
-    guarded = policy is not ErrorPolicy.RAISE
-    obs_metrics.observe("api_evaluate_many_scenarios", float(n))
-    return [
-        ScenarioResult(scenario=scn, cost_per_transistor_usd=float(costs[i]),
-                       area_cm2=_area(scn, guarded), backend=backend)
-        for i, scn in enumerate(scenarios)
-    ]
+    obs_metrics.observe("api_evaluate_many_scenarios", float(len(scenarios)))
+    return [ScenarioResult(scenario=scn, cost_per_transistor_usd=cost,
+                           area_cm2=area)
+            for scn, (cost, area) in zip(scenarios, values)]
 
 
 @traced(equation="4")
 def evaluate(scenario: Scenario) -> ScenarioResult:
-    """Price one scenario (always ``RAISE``; failures propagate).
-
-    Single evaluations skip the engine's memo cache — one-point grids
-    would only churn the LRU.
-    """
-    return evaluate_many([scenario], cache=False)[0]
+    """Price one scenario (always ``RAISE``; failures propagate)."""
+    return evaluate_many([scenario])[0]

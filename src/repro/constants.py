@@ -30,6 +30,7 @@ __all__ = [
     "MPU_DIE_COST_1999_USD",
     "MANUFACTURING_COST_PER_CM2_USD",
     "ASSUMED_YIELD",
+    "WAFER_200MM_DIAMETER_MM",
     "PaperConstant",
     "PAPER_CONSTANT_ALIASES",
 ]
@@ -54,6 +55,12 @@ MPU_DIE_COST_1999_USD = 34.0
 MANUFACTURING_COST_PER_CM2_USD = 8.0
 #: Yield ``Y`` held flat across the roadmap (fraction).
 ASSUMED_YIELD = 0.8
+
+# --- Figure 4 wafer format ----------------------------------------------------
+
+#: Diameter of the 200 mm wafers the Figure-4 configuration amortises
+#: eq.-(5) development cost over (mm).
+WAFER_200MM_DIAMETER_MM = 200.0
 
 
 class PaperConstant(NamedTuple):

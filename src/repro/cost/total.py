@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ..engine.points import Eq4Params
 from ..errors import DomainError
 from ..obs.instrument import traced
 from ..units import um_to_cm
@@ -110,6 +112,28 @@ class TotalCostModel:
 
     def __post_init__(self) -> None:
         check_fraction(self.utilization, "utilization")
+
+    @cached_property
+    def scalar_params(self) -> Eq4Params:
+        """This model's eq.-(4) inputs as plain numbers (built once).
+
+        What :func:`repro.engine.points.price_points` prices a single
+        operating point with: the component models' parameters, read
+        field by field, not their methods.
+        """
+        design = self.design_model
+        mask = self.mask_model
+        test = self.test_model
+        return Eq4Params(
+            wafer_area_cm2=self.wafer.area_cm2, a0=design.a0, p1=design.p1,
+            p2=design.p2, sd0=design.sd0,
+            masks=((mask.anchor_cost_usd, mask.anchor_feature_um,
+                    mask.exponent, mask.reference_layers)
+                   if self.include_masks else None),
+            utilization=self.utilization,
+            test=(None if test is None else
+                  (test.seconds_per_mtransistor, test.tester_rate_usd_per_hour,
+                   test.handling_usd_per_die)))
 
     # -- eq. (5) ---------------------------------------------------------
     def mask_cost(self, feature_um) -> float:

@@ -18,7 +18,10 @@ python-level per-point loops. It is the dispatch layer behind
 * :mod:`repro.engine.backend` — ``auto``/``numpy``/``python`` mode
   selection (:func:`disable` forces the pure-python fallback);
 * :mod:`repro.engine.pykernels` — stdlib-only scalar kernels used when
-  NumPy is absent or the python backend is forced.
+  NumPy is absent or the python backend is forced;
+* :mod:`repro.engine.points` — :func:`price_points`, eq. (4) at single
+  operating points in those kernels (``evaluate_many`` and the
+  server's ``/evaluate``), with no NumPy import.
 
 Typical use goes through the re-exports::
 
@@ -46,12 +49,14 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
         "parallel_settings",
     ),
     "kernels": (),
+    "points": ("Eq4Params", "price_points"),
     "pykernels": (),
 })
 
 __all__ = [
     "BACKENDS",
     "CacheStats",
+    "Eq4Params",
     "GridCache",
     "GridEvaluation",
     "backend",
@@ -69,6 +74,8 @@ __all__ = [
     "map_scalar",
     "numpy_available",
     "parallel_settings",
+    "points",
+    "price_points",
     "pykernels",
     "resolved_backend",
     "set_backend",

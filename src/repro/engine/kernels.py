@@ -55,7 +55,6 @@ __all__ = [
     "Eq7SdKernel",
     "Eq4VolumeKernel",
     "DesignObjectivesKernel",
-    "OperatingPointsKernel",
 ]
 
 #: Stock yield statistics the pure-python backend can replicate.
@@ -415,85 +414,3 @@ class DesignObjectivesKernel:
                 _part(self.n_transistors), _part(self.feature_um),
                 _part(self.n_wafers), _part(self.yield_fraction),
                 _part(self.cost_per_cm2))
-
-
-@dataclass(frozen=True, eq=False)
-class OperatingPointsKernel:
-    """Eq. (4) over heterogeneous operating points (the Scenario batch).
-
-    Every parameter is an equal-length array; the evaluation grid is
-    the index vector ``0..n-1``. One vectorized model call covers all
-    points that share this kernel's model.
-    """
-
-    model: TotalCostModel
-    sd: np.ndarray
-    n_transistors: np.ndarray
-    feature_um: np.ndarray
-    n_wafers: np.ndarray
-    yield_fraction: np.ndarray
-    cost_per_cm2: np.ndarray
-
-    n_outputs = 1
-
-    def _pick(self, indices) -> tuple:
-        i = np.asarray(indices, dtype=int)
-        return (self.sd[i], self.n_transistors[i], self.feature_um[i],
-                self.n_wafers[i], self.yield_fraction[i], self.cost_per_cm2[i])
-
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized eq. (4) over the selected scenario indices."""
-        sd, n_tr, feature, n_w, y, c = self._pick(xs)
-        return np.asarray(self.model.transistor_cost(
-            sd, n_tr, feature, n_w, y, c), dtype=float)
-
-    def point(self, x: float) -> float:
-        """Scalar eq. (4) at one scenario index."""
-        i = int(x)
-        return float(self.model.transistor_cost(
-            float(self.sd[i]), float(self.n_transistors[i]),
-            float(self.feature_um[i]), float(self.n_wafers[i]),
-            float(self.yield_fraction[i]), float(self.cost_per_cm2[i])))
-
-    def point_py(self, x: float) -> float:
-        """Scalar eq. (4) at one index through the pure-python kernels."""
-        i = int(x)
-        model = self.model
-        design = model.design_model
-        feature = float(self.feature_um[i])
-        mask_cost = 0.0
-        if model.include_masks:
-            mask = model.mask_model
-            mask_cost = _translated(
-                pyk.mask_set_cost, feature,
-                anchor_cost_usd=mask.anchor_cost_usd,
-                anchor_feature_um=mask.anchor_feature_um,
-                exponent=mask.exponent,
-                reference_layers=mask.reference_layers)
-        return _translated(
-            pyk.total_transistor_cost, float(self.sd[i]),
-            float(self.n_transistors[i]), feature, float(self.n_wafers[i]),
-            float(self.yield_fraction[i]), float(self.cost_per_cm2[i]),
-            wafer_area_cm2=model.wafer.area_cm2,
-            a0=design.a0, p1=design.p1, p2=design.p2, sd0=design.sd0,
-            mask_cost_usd=mask_cost, utilization=model.utilization,
-            test=_test_triple(model.test_model))
-
-    def feasible(self, xs: np.ndarray) -> np.ndarray:
-        """Scenarios whose every parameter sits in the model domain."""
-        i = np.asarray(xs, dtype=int)
-        sd, n_tr, feature, n_w, y, c = (self.sd[i], self.n_transistors[i],
-                                        self.feature_um[i], self.n_wafers[i],
-                                        self.yield_fraction[i],
-                                        self.cost_per_cm2[i])
-        ok = np.isfinite(sd) & (sd > self.model.design_model.sd0)
-        for positive in (n_tr, feature, n_w, c):
-            ok &= np.isfinite(positive) & (positive > 0)
-        ok &= np.isfinite(y) & (y > 0) & (y <= 1)
-        return ok
-
-    def token(self) -> tuple:
-        """Cache identity: model configuration + all parameter arrays."""
-        return ("OperatingPointsKernel", repr(self.model), self.sd,
-                self.n_transistors, self.feature_um, self.n_wafers,
-                self.yield_fraction, self.cost_per_cm2)

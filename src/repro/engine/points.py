@@ -1,0 +1,131 @@
+"""Eq. (4) at single operating points, in stdlib floats.
+
+Every :class:`repro.api.Scenario`, and every point of a served
+``/evaluate``, is its own operating point: no ``s_d`` curve is shared
+between two of them, so an array call has nothing to vectorise and
+would only add dispatch. :func:`price_points` prices a list of points
+one at a time through :func:`repro.engine.pykernels.total_transistor_cost`
+and :func:`~repro.engine.pykernels.area_from_sd` under an
+:class:`~repro.robust.ErrorPolicy`. Both ``repro.api.evaluate_many`` and
+the server's ``/evaluate`` use it, so the library and the wire give the
+same floats and the same diagnostics.
+
+The module imports no NumPy: the server prices with
+:data:`FIGURE4_PARAMS`, read from :mod:`repro.constants`, and answers
+``/evaluate`` on an interpreter that has none.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from ..constants import (
+    EQ6_A0,
+    EQ6_P1,
+    EQ6_P2,
+    EQ6_SD0,
+    WAFER_200MM_DIAMETER_MM,
+)
+from ..errors import DomainError
+from ..robust.policy import DiagnosticLog, ErrorPolicy
+from . import pykernels
+
+__all__ = ["Eq4Params", "FIGURE4_PARAMS", "price_points"]
+
+#: The ``where`` of every diagnostic :func:`price_points` records: the
+#: facade's batch entry point, which both callers answer for.
+WHERE = "api.evaluate_many"
+
+
+@dataclass(frozen=True, slots=True)
+class Eq4Params:
+    """The model side of eq. (4) as plain numbers.
+
+    ``masks`` is ``None`` (no ``C_MA`` term) or the mask-set model's
+    ``(anchor_cost_usd, anchor_feature_um, exponent, reference_layers)``;
+    ``C_MA`` depends on each point's node, so it is priced per point.
+    ``test`` is ``None`` or the §2.5 ``(seconds_per_mtransistor,
+    tester_rate_usd_per_hour, handling_usd_per_die)`` triple.
+    :attr:`repro.cost.TotalCostModel.scalar_params` builds one from a
+    model.
+    """
+
+    wafer_area_cm2: float
+    a0: float
+    p1: float
+    p2: float
+    sd0: float
+    masks: tuple | None = None
+    utilization: float = 1.0
+    test: tuple | None = None
+
+
+#: ``PAPER_FIGURE4_MODEL.scalar_params`` from :mod:`repro.constants`
+#: alone: eq. (6)'s fit, 200 mm wafers (``WaferSpec.area_cm2``'s
+#: ``π·r²``), no mask or test term, full utilization.
+FIGURE4_PARAMS = Eq4Params(
+    wafer_area_cm2=math.pi * (WAFER_200MM_DIAMETER_MM / 20.0) ** 2,
+    a0=EQ6_A0, p1=EQ6_P1, p2=EQ6_P2, sd0=EQ6_SD0)
+
+
+def _cost(point, params: Eq4Params) -> float:
+    feature_um = point.feature_um
+    mask_cost = 0.0
+    if params.masks is not None:
+        anchor_cost, anchor_feature, exponent, layers = params.masks
+        mask_cost = pykernels.mask_set_cost(
+            feature_um, anchor_cost_usd=anchor_cost,
+            anchor_feature_um=anchor_feature, exponent=exponent,
+            reference_layers=layers)
+    return pykernels.total_transistor_cost(
+        point.sd, point.n_transistors, feature_um, point.n_wafers,
+        point.yield_fraction, point.cost_per_cm2,
+        wafer_area_cm2=params.wafer_area_cm2, a0=params.a0, p1=params.p1,
+        p2=params.p2, sd0=params.sd0, mask_cost_usd=mask_cost,
+        utilization=params.utilization, test=params.test)
+
+
+def price_points(points, params, policy=ErrorPolicy.RAISE):
+    """Eq.-(4) cost and eq.-(2) die area of each operating point, in order.
+
+    ``points`` is a sequence of records carrying ``sd``,
+    ``n_transistors``, ``feature_um``, ``n_wafers``, ``yield_fraction``
+    and ``cost_per_cm2`` (a :class:`repro.api.Scenario` or a wire
+    ``ScenarioPayload``); ``params`` is one :class:`Eq4Params` for all
+    of them or a sequence with one per point.
+
+    Returns ``(values, diagnostics)``: one ``(cost, area)`` pair per
+    point and the :class:`~repro.robust.Diagnostic` tuple. Under
+    ``RAISE`` the first failing point raises its
+    :class:`~repro.errors.DomainError`. Under ``MASK``/``COLLECT`` it
+    costs NaN (its area stays, NaN only if the area fails too) and adds
+    one diagnostic at ``where="api.evaluate_many"``, equation ``"4"``,
+    parameter ``"scenario"``, value the float index; ``COLLECT`` then
+    raises :class:`~repro.errors.CollectedErrors` once every point was
+    tried.
+    """
+    policy = ErrorPolicy.coerce(policy)
+    shared = params if isinstance(params, Eq4Params) else None
+    values = []
+    log = None
+    for i, point in enumerate(points):
+        try:
+            cost = _cost(point, shared if shared is not None else params[i])
+        except pykernels.KernelError as exc:
+            if policy is ErrorPolicy.RAISE:
+                raise DomainError(str(exc)) from exc
+            if log is None:
+                log = DiagnosticLog(policy, WHERE, equation="4")
+            log.capture(DomainError(str(exc)), parameter="scenario",
+                        value=float(i), index=i)
+            cost = math.nan
+        try:
+            area = pykernels.area_from_sd(point.sd, point.n_transistors,
+                                          point.feature_um)
+        except pykernels.KernelError as exc:
+            if policy is ErrorPolicy.RAISE:
+                raise DomainError(str(exc)) from exc
+            area = math.nan
+        values.append((cost, area))
+    return values, (log.finish() if log is not None else ())

@@ -13,9 +13,9 @@ so the two backends agree to machine precision.
 Because the module cannot import :mod:`repro.errors`, domain failures
 raise :class:`KernelError` (a ``ValueError`` subclass) with messages
 mirroring :mod:`repro.validation`; the in-package adapters in
-:mod:`repro.engine.kernels` translate it to
-:class:`repro.errors.DomainError` so diagnostics are identical across
-backends.
+:mod:`repro.engine.kernels` and :mod:`repro.engine.points` translate it
+to :class:`repro.errors.DomainError` so diagnostics are identical
+across backends.
 
 No calibration constant is bound here — every ``a0``/``sd0``/anchor
 parameter is an explicit argument supplied by the caller (in-package:
@@ -172,10 +172,20 @@ def design_margin(sd, sd0) -> float:
 
 
 def design_cost(n_transistors, sd, *, a0, p1, p2, sd0) -> float:
-    """Eq. (6): ``C_DE = A0 · N_tr^p1 / (s_d − s_d0)^p2`` in $."""
+    """Eq. (6): ``C_DE = A0 · N_tr^p1 / (s_d − s_d0)^p2`` in $.
+
+    A power that leaves the float range (``N_tr^p1`` or ``(s_d −
+    s_d0)^p2`` overflowing, or the margin's power underflowing to 0)
+    fails like any other infeasible point.
+    """
     n_transistors = positive(n_transistors, "n_transistors")
     m = design_margin(sd, sd0)
-    return a0 * n_transistors**p1 / m**p2
+    try:
+        return a0 * n_transistors**p1 / m**p2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise KernelError(
+            f"eq. (6) design cost is out of float range for "
+            f"n_transistors={n_transistors!r}, sd={float(sd)!r}") from exc
 
 
 # -- mask-set cost (the C_MA of eq. 5) ----------------------------------------
@@ -230,7 +240,9 @@ def total_transistor_cost(sd, n_transistors, feature_um, n_wafers,
     """Eq. (4): ``C_tr = λ² s_d/(u·Y) · (Cm_sq + Cd_sq + Ct_sq)`` in $.
 
     ``test`` is ``None`` (no test term) or a ``(seconds_per_mtransistor,
-    tester_rate_usd_per_hour, handling_usd_per_die)`` triple.
+    tester_rate_usd_per_hour, handling_usd_per_die)`` triple. A cost
+    that is not a finite float (a subnormal ``Y`` divides past the float
+    range) raises instead of returning ``inf``.
     """
     sd_value = positive(sd, "sd")
     feature_cm = um_to_cm(positive(feature_um, "feature_um"))
@@ -251,8 +263,17 @@ def total_transistor_cost(sd, n_transistors, feature_um, n_wafers,
         raise KernelError(
             f"lambda^2 overflows for feature_um={float(feature_um)!r}") from exc
     effective_yield = yield_fraction * utilization
-    return (lambda_sq * sd_value / effective_yield
-            * (cost_per_cm2 + cd_sq + ct_sq))
+    try:
+        cost = (lambda_sq * sd_value / effective_yield
+                * (cost_per_cm2 + cd_sq + ct_sq))
+    except ZeroDivisionError:  # ``u·Y`` underflowed to 0
+        cost = math.inf
+    if not math.isfinite(cost):
+        raise KernelError(
+            f"eq. (4) transistor cost is not finite for sd={sd_value!r}, "
+            f"feature_um={float(feature_um)!r}, n_wafers={float(n_wafers)!r}, "
+            f"yield_fraction={yield_fraction!r}")
+    return cost
 
 
 # -- wafer cost (the Cm_sq(A_w, λ, N_w) of eq. 7) -----------------------------

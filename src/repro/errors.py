@@ -89,8 +89,8 @@ class ExecutionError(ReproError, RuntimeError):
     """The execution substrate, not the model, failed.
 
     Raised by :mod:`repro.serve` when it cannot run a request: a grid
-    route without the NumPy backend, a closed or dead micro-batcher, an
-    oversized request body, an unknown route. Distinct from
+    route without the NumPy backend, an oversized request body, an
+    unknown route. Distinct from
     :class:`DomainError`: the *model* inputs were fine; the service
     could not evaluate them. The HTTP layer answers 503 unless the
     route picks a more specific status (404, 429).

@@ -37,7 +37,6 @@ __all__ = [
     "enable",
     "get_tracer",
     "is_enabled",
-    "record_span",
     "remove_span_hook",
     "span",
 ]
@@ -308,20 +307,3 @@ def span(name: str, **attrs) -> "Span | _NullSpan":
         parent_id=None if parent is None else parent.span_id,
         depth=0 if parent is None else parent.depth + 1,
     )
-
-
-def record_span(name: str, start: float, end: float, **attrs) -> None:
-    """Record a root span that the caller timed with ``perf_counter``.
-
-    For a region that crosses an ``await`` on an event loop, where the
-    context variable behind :func:`span` does not follow the work. The
-    span is never current, so it has no children, and the live span
-    hooks never see it. A no-op while observability is disabled.
-    """
-    if not _ENABLED:
-        return
-    sp = Span(name, attrs, span_id=_TRACER.next_id(), parent_id=None,
-              depth=0)
-    sp.start = start
-    sp.end = end
-    _TRACER.record(sp)

@@ -8,7 +8,7 @@ means a service, not a script. This package serves the
 * :mod:`repro.serve.schemas` — frozen request/response dataclasses;
   the single wire contract shared by server and client;
 * :mod:`repro.serve.service` — :class:`CostService`, the
-  transport-free coordinator (shared memo cache, micro-batching,
+  transport-free coordinator (``/evaluate`` priced in stdlib floats,
   error-policy semantics);
 * :mod:`repro.serve.app` — the routes (``POST /evaluate`` /
   ``/sweep`` / ``/pareto`` / ``/sensitivity`` / ``/optimal_sd``,
@@ -33,7 +33,6 @@ See ``docs/serving.md`` for the endpoint and error-contract reference.
 from .. import _lazy
 
 __getattr__, __dir__ = _lazy.attach(__name__, {
-    "batcher": ("MicroBatcher",),
     "client": ("ServeClient", "ServeError"),
     "ratelimit": ("TokenBucket",),
     "schemas": (
@@ -56,7 +55,6 @@ __all__ = [
     "EvaluatedPoint",
     "EvaluateRequest",
     "EvaluateResponse",
-    "MicroBatcher",
     "OptimalSdRequest",
     "OptimalSdResponse",
     "ParetoPoint",

@@ -13,13 +13,6 @@ Flags (``FLAG VALUE`` or ``FLAG=VALUE``):
 ``--rate R`` / ``--burst B``
     Token-bucket rate limiting of the evaluation routes: ``R``
     requests/second sustained, bursts up to ``B`` (default: no limit).
-``--cache N``
-    Shared memo-cache capacity in entries (default 256; 0 disables).
-``--batch-max N`` / ``--batch-window S``
-    Micro-batcher limits: coalesce up to ``N`` concurrent single-point
-    evaluations, waiting at most ``S`` seconds (defaults 64 / 0.002).
-``--no-batch``
-    Disable coalescing; every request dispatches directly.
 ``--history PATH``
     Record the serving session (spans, metrics, engine counters) into
     the run-history store at ``PATH`` on shutdown; defaults to
@@ -37,8 +30,7 @@ from ..errors import DomainError, ReproError
 from .app import start_server
 
 _USAGE = ("usage: python -m repro.serve [--host HOST] [--port PORT] "
-          "[--rate R] [--burst B] [--cache N] [--batch-max N] "
-          "[--batch-window S] [--no-batch] [--history PATH]")
+          "[--rate R] [--burst B] [--history PATH]")
 
 
 def _split_value_flag(argv, flag):
@@ -84,12 +76,7 @@ def main(argv=None, ready: "threading.Event | None" = None,
         argv, port = _split_value_flag(argv, "--port")
         argv, rate = _split_value_flag(argv, "--rate")
         argv, burst = _split_value_flag(argv, "--burst")
-        argv, cache = _split_value_flag(argv, "--cache")
-        argv, batch_max = _split_value_flag(argv, "--batch-max")
-        argv, batch_window = _split_value_flag(argv, "--batch-window")
         argv, history_path = _split_value_flag(argv, "--history")
-        batching = "--no-batch" not in argv
-        argv = [a for a in argv if a != "--no-batch"]
         if argv:
             raise DomainError(f"unknown argument {argv[0]!r}")
         kwargs = {
@@ -100,13 +87,6 @@ def main(argv=None, ready: "threading.Event | None" = None,
             else None,
             "burst": _number(burst, "--burst", int) if burst is not None
             else 16,
-            "cache_entries": _number(cache, "--cache", int)
-            if cache is not None else 256,
-            "batch_max": _number(batch_max, "--batch-max", int)
-            if batch_max is not None else 64,
-            "batch_wait_s": _number(batch_window, "--batch-window", float)
-            if batch_window is not None else 0.002,
-            "batching": batching,
         }
     except DomainError as exc:
         print(f"{exc}; {_USAGE}", file=sys.stderr)

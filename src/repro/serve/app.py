@@ -10,15 +10,14 @@ one :mod:`asyncio` event loop on a daemon thread, and returns a
   :mod:`repro.serve.schemas`;
 * ``GET /healthz`` — :func:`repro.obs.health_payload` liveness JSON;
 * ``GET /metrics`` — the Prometheus registry, bridged live with both
-  engine-side and serve-side (cache/batcher/rate-limiter) state.
+  engine-side and serve-side (rate-limiter) state.
 
-Concurrency: the loop thread frames and parses every request. A
-RAISE-policy ``/evaluate`` stays on the loop: cache hits are answered
-there and then, and misses wait on the micro-batcher without holding
-a thread. Everything that calls the engine or may block (MASK/COLLECT
-``/evaluate``, the stdlib-only fallback, the grid routes, ``/healthz``
-and ``/metrics``) runs on the transport's bounded worker pool, so no
-engine call ever runs on the loop.
+Concurrency: the loop thread frames and parses every request, and
+answers every ``/evaluate`` there and then: pricing a point is a few
+microseconds of stdlib arithmetic (:mod:`repro.serve.service`), less
+than a hop to a thread would cost. Everything that may run long (the
+grid routes, ``/healthz`` and ``/metrics``) runs on the transport's
+bounded worker pool.
 
 The error contract maps the :mod:`repro.errors` taxonomy onto status
 codes — the body is always an :class:`ErrorResponse` whose ``code`` is
@@ -43,10 +42,9 @@ Every evaluation request makes one ``serve.<route>`` span covering the
 service call — when tracing is enabled, span durations feed the
 p50/p90/p99 sketches that ``/metrics`` renders as
 ``repro_span_duration_seconds`` — and counts once into the gated
-``serve_requests_total{route,status}`` counter. Three stage timings
+``serve_requests_total{route,status}`` counter. Two stage timings
 join the same sketches without making spans: ``serve.parse`` (body to
-request dataclass), ``serve.batch_wait`` (a miss waiting on the
-micro-batcher) and ``serve.encode`` (response dataclass to bytes).
+request dataclass) and ``serve.encode`` (response dataclass to bytes).
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from ..errors import ExecutionError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
 from ..obs.exposition import health_payload, render_prometheus
-from ..obs.trace import record_span
 from ..obs.trace import span as obs_span
 from ..obs.transport import HttpServer, Reply
 from .ratelimit import TokenBucket
@@ -112,9 +109,8 @@ class ServerHandle:
         return self._server.url
 
     def close(self) -> None:
-        """Stop serving, release the port, stop the batcher (idempotent)."""
+        """Stop serving and release the port (idempotent)."""
         self._server.close()
-        self.service.close()
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -135,26 +131,19 @@ def _error_reply(status: int, exc: BaseException,
                  headers=headers)
 
 
-def _bridge_serve_metrics(registry, service: CostService,
-                          limiter: "TokenBucket | None"):
-    """Publish serve-side state into the registry at scrape time.
-
-    The rate limiter bridges here (``serve_ratelimit_lifetime_total{
-    event=granted|throttled}`` by delta, plus a ``serve_ratelimit_tokens``
-    gauge); cache and batcher bridging live on the service.
-    """
-    service.bridge_metrics(registry)
-    if limiter is not None:
-        stats = limiter.stats()
-        for event, lifetime in (("granted", stats["granted"]),
-                                ("throttled", stats["throttled"])):
-            counter = registry.counter("serve_ratelimit_lifetime_total",
-                                       {"event": event})
-            delta = lifetime - counter.value
-            if delta > 0:
-                counter.inc(delta)
-        registry.gauge("serve_ratelimit_tokens").set(stats["tokens"])
-    return registry
+def _bridge_limiter_metrics(registry, limiter: TokenBucket) -> None:
+    """Publish the rate limiter's state into the registry at scrape time:
+    ``serve_ratelimit_lifetime_total{event=granted|throttled}`` by delta,
+    plus a ``serve_ratelimit_tokens`` gauge."""
+    stats = limiter.stats()
+    for event, lifetime in (("granted", stats["granted"]),
+                            ("throttled", stats["throttled"])):
+        counter = registry.counter("serve_ratelimit_lifetime_total",
+                                   {"event": event})
+        delta = lifetime - counter.value
+        if delta > 0:
+            counter.inc(delta)
+    registry.gauge("serve_ratelimit_tokens").set(stats["tokens"])
 
 
 def _count(route: str, status: int) -> None:
@@ -195,7 +184,8 @@ class _Routes:
 
     def _render_metrics(self) -> bytes:
         obs_telemetry.bridge_engine_metrics(self._registry)
-        _bridge_serve_metrics(self._registry, self._service, self._limiter)
+        if self._limiter is not None:
+            _bridge_limiter_metrics(self._registry, self._limiter)
         return render_prometheus(self._registry).encode("utf-8")
 
     async def _healthz(self) -> Reply:
@@ -225,46 +215,17 @@ class _Routes:
             _count(route, 400)
             return _error_reply(400, exc)
         _stage("parse", perf_counter() - began)
-        if route == "evaluate" and self._service.batched(parsed):
-            return self._evaluate_on_loop(parsed)
+        if route == "evaluate":
+            return self._evaluate(parsed)
         return self._in_pool(route, parsed)
 
-    def _evaluate_on_loop(self, request: EvaluateRequest):
-        """RAISE ``/evaluate``: hits answer here, misses await the batcher.
-
-        The ``serve.evaluate`` span is timed by hand: a miss crosses an
-        ``await``, where a context-managed span cannot follow.
-        """
-        began = perf_counter()
-        service = self._service
+    def _evaluate(self, request: EvaluateRequest) -> Reply:
+        """``/evaluate``, answered on the loop within its span."""
         try:
-            pending = service.lookup(request)
-            if pending.misses:
-                return self._await_batch(began, pending,
-                                         service.submit(pending))
-            response = service.finish(pending, ())
-        except Exception as exc:
-            record_span("serve.evaluate", began, perf_counter(),
-                        error=type(exc).__name__)
-            if not isinstance(exc, ReproError):
-                raise
+            with obs_span("serve.evaluate"):
+                response = self._service.evaluate(request)
+        except ReproError as exc:
             return self._failed("evaluate", exc)
-        record_span("serve.evaluate", began, perf_counter())
-        return self._ok("evaluate", response)
-
-    async def _await_batch(self, began: float, pending, futures) -> Reply:
-        waited = perf_counter()
-        try:
-            fresh = [await asyncio.wrap_future(f) for f in futures]
-            _stage("batch_wait", perf_counter() - waited)
-            response = self._service.finish(pending, fresh)
-        except Exception as exc:
-            record_span("serve.evaluate", began, perf_counter(),
-                        error=type(exc).__name__)
-            if not isinstance(exc, ReproError):
-                raise
-            return self._failed("evaluate", exc)
-        record_span("serve.evaluate", began, perf_counter())
         return self._ok("evaluate", response)
 
     async def _in_pool(self, route: str, request) -> Reply:
@@ -307,26 +268,18 @@ def _transport_error(status: int, exc: BaseException, request) -> Reply:
 
 
 def start_server(host: str = "127.0.0.1", port: int = 0, *,
-                 service: "CostService | None" = None,
                  registry=None,
-                 rate: "float | None" = None, burst: int = 16,
-                 cache_entries: int = 256, batch_max: int = 64,
-                 batch_wait_s: float = 0.002,
-                 batching: bool = True) -> ServerHandle:
+                 rate: "float | None" = None,
+                 burst: int = 16) -> ServerHandle:
     """Serve the cost model over HTTP from a daemon thread.
 
     ``port=0`` binds an ephemeral port — read it back from
     :attr:`ServerHandle.port`. ``rate`` (requests/second, ``burst``
     capacity) enables token-bucket limiting of the POST routes;
     ``None`` disables it. ``/healthz`` and ``/metrics`` are never rate
-    limited, so probes and scrapers keep working under load. Pass an
-    existing ``service`` to share its cache between servers; otherwise
-    one is built from the ``cache_entries``/``batch_*`` knobs and owned
-    (closed) by the handle.
+    limited, so probes and scrapers keep working under load.
     """
-    svc = service if service is not None else CostService(
-        cache_entries=cache_entries, batch_max=batch_max,
-        batch_wait_s=batch_wait_s, batching=batching)
+    svc = CostService()
     reg = registry if registry is not None else obs_metrics.get_registry()
     limiter = TokenBucket(rate, burst) if rate is not None else None
     server = HttpServer(host, port, _Routes(svc, reg, limiter),

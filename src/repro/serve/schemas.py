@@ -14,8 +14,8 @@ mapped request's fields (same names, same unit suffixes). Adding a
 facade method without a matching route schema fails the build.
 
 This module is deliberately stdlib-only (``json`` + ``dataclasses``):
-it must import on an interpreter without NumPy so a telemetry-only or
-fallback deployment can still speak the protocol.
+it must import on an interpreter without NumPy, where the server
+still answers ``/evaluate``.
 ``ScenarioPayload.to_scenario`` is the single place the NumPy-backed
 facade is touched, and it imports lazily.
 """

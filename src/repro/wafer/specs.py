@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..constants import WAFER_200MM_DIAMETER_MM
 from ..errors import DomainError
 from ..validation import check_nonnegative, check_positive
 
@@ -71,7 +72,7 @@ class WaferSpec:
 
 
 WAFER_150MM = WaferSpec(name="150mm", diameter_mm=150.0)
-WAFER_200MM = WaferSpec(name="200mm", diameter_mm=200.0)
+WAFER_200MM = WaferSpec(name="200mm", diameter_mm=WAFER_200MM_DIAMETER_MM)
 WAFER_300MM = WaferSpec(name="300mm", diameter_mm=300.0)
 
 

@@ -28,7 +28,6 @@ from repro.engine.kernels import (
     Eq4SdKernel,
     Eq4VolumeKernel,
     Eq7SdKernel,
-    OperatingPointsKernel,
 )
 from repro.errors import CollectedErrors, ReproError
 from repro.robust import ErrorPolicy
@@ -71,22 +70,8 @@ def objectives(n, bad=(), fill=BAD_SD):
             _sd_grid(n, bad, fill))
 
 
-def operating_points(n, bad=(), fill=BAD_SD):
-    rng = np.random.default_rng(n)
-    sd = rng.uniform(150.0, 1200.0, n)
-    sd[list(bad)] = fill
-    kernel = OperatingPointsKernel(
-        PAPER_FIGURE4_MODEL, sd=sd,
-        n_transistors=rng.uniform(1e6, 1e8, n),
-        feature_um=rng.choice([0.13, 0.18, 0.25], n),
-        n_wafers=rng.uniform(1e3, 1e5, n),
-        yield_fraction=rng.uniform(0.2, 0.9, n),
-        cost_per_cm2=rng.uniform(4.0, 12.0, n))
-    return kernel, np.arange(n, dtype=float)
-
-
 KERNELS = {"eq4": eq4, "eq7": eq7, "volume": volume,
-           "objectives": objectives, "operating_points": operating_points}
+           "objectives": objectives}
 SIZES = (B - 1, B, B + 1, 3 * B + 7)
 POLICIES = (ErrorPolicy.RAISE, ErrorPolicy.MASK, ErrorPolicy.COLLECT)
 

@@ -60,7 +60,7 @@ def test_pricing_a_design_loads_no_tooling():
     loaded = _loaded_after(
         "from repro.api import Scenario\n"
         "Scenario(n_transistors=1e7, feature_um=0.18).evaluate()\n")
-    assert "repro.engine.core" in loaded  # the evaluation really ran
+    assert "repro.engine.points" in loaded  # the evaluation really ran
     assert _present(loaded, ["repro.lint", "repro.bench", "repro.layout",
                              "repro.obs.history", "http.client",
                              "asyncio"]) == []
@@ -94,6 +94,32 @@ def test_serve_entry_point_loads_no_tooling():
     assert "repro.serve.app" in loaded
     assert _present(loaded, ["repro.lint", "repro.bench",
                              "repro.obs.history"]) == []
+
+
+def test_served_evaluate_loads_no_numpy():
+    loaded = _loaded_after(
+        "import io, json, sys, threading, urllib.request\n"
+        "from repro.serve.__main__ import main\n"
+        "out, ready, stop = io.StringIO(), threading.Event(), threading.Event()\n"
+        "real, sys.stdout = sys.stdout, out\n"
+        "server = threading.Thread(target=main, args=(\n"
+        "    ['--port', '0', '--history='], ready, stop))\n"
+        "server.start()\n"
+        "assert ready.wait(60)\n"
+        "url = out.getvalue().split('listening on ')[1].split()[0]\n"
+        "point = {'n_transistors': 1e7, 'feature_um': 0.18}\n"
+        "for body in ({'scenario': point},\n"
+        "             {'scenarios': [point, {**point, 'sd': 50.0}],\n"
+        "              'policy': 'mask'}):\n"
+        "    request = urllib.request.Request(url + '/evaluate',\n"
+        "                                     json.dumps(body).encode())\n"
+        "    with urllib.request.urlopen(request, timeout=60) as reply:\n"
+        "        assert reply.status == 200\n"
+        "stop.set()\n"
+        "server.join(60)\n"
+        "sys.stdout = real\n")
+    assert "repro.engine.points" in loaded  # the requests were priced
+    assert _present(loaded, ["numpy"]) == []
 
 
 def test_import_repro_without_numpy():

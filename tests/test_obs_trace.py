@@ -216,9 +216,9 @@ class TestCliTrace:
         header = [l for l in result.stdout.splitlines() if l.startswith("trace:")]
         assert header, "missing trace section"
         n_spans = int(header[0].split()[1])
-        assert n_spans >= 10
+        assert n_spans >= 9
         trace_text = result.stdout.split("trace:", 1)[1]
-        for module in ("cost.", "density.", "roadmap.", "optimize."):
+        for module in ("api.", "cost.", "density.", "roadmap.", "optimize."):
             assert module in trace_text, f"no {module} span in CLI trace"
 
     def test_metrics_flag_appends_nonempty_table(self):

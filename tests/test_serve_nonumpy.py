@@ -2,13 +2,14 @@
 
 ``repro.serve`` is stdlib-first: a throwaway container that only needs
 point costs (or a health probe) should not have to install the numeric
-stack. This file rebuilds the same numpy-blocked world as
+stack. ``/evaluate`` has one code path, the stdlib scalar one
+(:func:`repro.engine.points.price_points`), with or without NumPy.
+This file rebuilds the same numpy-blocked world as
 ``test_obs_nonumpy.py`` — an import hook refusing ``numpy`` around a
-fresh import of the real package — then
-exercises the pure-python scalar fallback end to end over HTTP:
-``/evaluate`` serves ``backend: "python"`` values identical to the
-``engine.pykernels`` reference, ``/healthz`` stays green, and the
-grid routes degrade honestly to 503 instead of lying with garbage.
+fresh import of the real package — then runs that path end to end
+over HTTP: ``/evaluate`` serves ``backend: "python"`` values identical
+to the ``engine.pykernels`` reference, ``/healthz`` stays green, and
+the grid routes degrade honestly to 503 instead of lying with garbage.
 
 Every import is lazy so the CI ``no-numpy`` job can run this file on a
 stdlib-only interpreter.
@@ -45,9 +46,9 @@ class _NumpyBlocker:
 def _serve_without_numpy():
     """Yield ``repro.serve`` in a world where ``import numpy`` fails.
 
-    The world must wrap the *calls*, not just the import: the service
-    probes for NumPy lazily, so tearing the blocker down before a
-    request would silently flip it back onto the array backend.
+    The world must wrap the *calls*, not just the import: the grid
+    routes import NumPy on first use, so tearing the blocker down
+    before a request would let them load it.
     """
     blocker = _NumpyBlocker()
     hidden = {name: sys.modules.pop(name) for name in list(sys.modules)
@@ -89,36 +90,33 @@ def _post(url, body_dict):
 def test_import_and_service_fall_back_to_python():
     with _serve_without_numpy() as serve:
         assert "numpy" not in sys.modules
-        with serve.CostService() as service:
-            assert service.numpy_backend is False
-            request = serve.EvaluateRequest.from_dict({"scenario": BASE})
-            response = service.evaluate(request)
-            assert response.backend == "python"
-            cost, area = _reference_cost(serve)
-            point = response.results[0]
-            assert point.cost_per_transistor_usd == cost
-            assert point.area_cm2 == area
-            assert point.ok
+        request = serve.EvaluateRequest.from_dict({"scenario": BASE})
+        response = serve.CostService().evaluate(request)
+        assert "numpy" not in sys.modules
+        assert response.backend == "python"
+        cost, area = _reference_cost(serve)
+        point = response.results[0]
+        assert point.cost_per_transistor_usd == cost
+        assert point.area_cm2 == area
+        assert point.ok
 
 
 def test_mask_policy_diagnostics_without_numpy():
     with _serve_without_numpy() as serve:
-        with serve.CostService() as service:
-            request = serve.EvaluateRequest.from_dict(
-                {"scenarios": [BASE, BAD], "policy": "mask"})
-            response = service.evaluate(request)
-            assert [p.ok for p in response.results] == [True, False]
-            assert len(response.diagnostics) == 1
-            assert response.diagnostics[0].error_type == "DomainError"
+        request = serve.EvaluateRequest.from_dict(
+            {"scenarios": [BASE, BAD], "policy": "mask"})
+        response = serve.CostService().evaluate(request)
+        assert [p.ok for p in response.results] == [True, False]
+        assert len(response.diagnostics) == 1
+        assert response.diagnostics[0].error_type == "DomainError"
 
 
 def test_raise_policy_maps_to_domain_error_without_numpy():
     with _serve_without_numpy() as serve:
         errors = importlib.import_module("repro.errors")
-        with serve.CostService() as service:
-            request = serve.EvaluateRequest.from_dict({"scenario": BAD})
-            with pytest.raises(errors.DomainError, match="yield"):
-                service.evaluate(request)
+        request = serve.EvaluateRequest.from_dict({"scenario": BAD})
+        with pytest.raises(errors.DomainError, match="yield"):
+            serve.CostService().evaluate(request)
 
 
 def test_http_evaluate_and_healthz_without_numpy():
@@ -136,7 +134,8 @@ def test_http_evaluate_and_healthz_without_numpy():
 
             with urllib.request.urlopen(f"{handle.url}/metrics",
                                         timeout=10) as reply:
-                assert "serve_backend_numpy 0" in reply.read().decode()
+                assert reply.status == 200
+            assert "numpy" not in sys.modules
 
 
 def test_grid_routes_degrade_to_503_without_numpy():

@@ -1,114 +1,14 @@
-"""Traffic engineering units: the micro-batcher and the token bucket.
+"""Traffic engineering units: the token bucket.
 
-The batcher's contract is *exact* coalescing — a burst of concurrent
-submissions produces results bit-identical to sequential evaluation —
-plus failure isolation (one poisoned item in a batch must not fail its
-innocent batch-mates). The token bucket's contract is the 429 arith-
-metic: grants until the burst is spent, then a seconds-to-wait figure
-that matches the refill rate (tested with a fake clock, no sleeping).
+The token bucket's contract is the 429 arithmetic: grants until the
+burst is spent, then a seconds-to-wait figure that matches the refill
+rate (tested with a fake clock, no sleeping).
 """
-
-import threading
 
 import pytest
 
-from repro.api import Scenario, evaluate
-from repro.errors import DomainError, ExecutionError, ReproError
-from repro.serve import MicroBatcher, TokenBucket
-
-
-def _scenarios(n):
-    return [Scenario(n_transistors=1e7, feature_um=0.18, sd=150.0 + 10.0 * i,
-                     n_wafers=5_000.0, yield_fraction=0.4, cost_per_cm2=8.0)
-            for i in range(n)]
-
-
-class TestMicroBatcher:
-    def test_coalesces_a_concurrent_burst(self):
-        calls = []
-
-        def evaluate_batch(items):
-            calls.append(len(items))
-            return [i * 10 for i in items]
-
-        with MicroBatcher(evaluate_batch, max_batch=64,
-                          max_wait_s=0.05) as batcher:
-            futures = [batcher.submit(i) for i in range(16)]
-            assert [f.result(timeout=5) for f in futures] == [
-                i * 10 for i in range(16)]
-        stats = batcher.stats()
-        assert stats["items"] == 16
-        assert stats["batches"] < 16  # at least some coalescing happened
-        assert stats["largest"] == max(calls)
-
-    def test_batched_results_bit_identical_to_sequential(self):
-        from repro.api import evaluate_many
-
-        def price(scenarios):
-            return [r.cost_per_transistor_usd
-                    for r in evaluate_many(scenarios, cache=False)]
-
-        scenarios = _scenarios(32)
-        sequential = [evaluate(s).cost_per_transistor_usd for s in scenarios]
-        with MicroBatcher(price, max_batch=32, max_wait_s=0.05) as batcher:
-            futures = [batcher.submit(s) for s in scenarios]
-            batched = [f.result(timeout=30) for f in futures]
-        # Bit-identical, not approximately equal: the engine batch
-        # kernel is elementwise, so coalescing must not change a single
-        # ULP of any result.
-        assert batched == sequential
-
-    def test_failure_isolation(self):
-        def price(items):
-            if any(i < 0 for i in items):
-                raise DomainError("negative item in batch")
-            return [i * 2 for i in items]
-
-        with MicroBatcher(price, max_batch=8, max_wait_s=0.05) as batcher:
-            futures = [batcher.submit(i) for i in (1, -1, 2)]
-            results = []
-            for future in futures:
-                try:
-                    results.append(future.result(timeout=5))
-                except ReproError as exc:
-                    results.append(type(exc).__name__)
-        assert results == [2, "DomainError", 4]
-        assert batcher.stats()["fallbacks"] == 1
-
-    def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(lambda items: items)
-        batcher.close()
-        with pytest.raises(ExecutionError, match="closed"):
-            batcher.submit(1)
-
-    def test_close_is_idempotent_and_drains(self):
-        batcher = MicroBatcher(lambda items: items, max_wait_s=0.0)
-        future = batcher.submit("x")
-        batcher.close()
-        batcher.close()
-        assert future.result(timeout=5) == "x"
-
-    def test_rejects_bad_limits(self):
-        with pytest.raises(ExecutionError, match="max_batch"):
-            MicroBatcher(lambda items: items, max_batch=0)
-        with pytest.raises(ExecutionError, match="max_wait_s"):
-            MicroBatcher(lambda items: items, max_wait_s=-1.0)
-
-    def test_many_threads_submitting_concurrently(self):
-        with MicroBatcher(lambda items: [i + 1 for i in items],
-                          max_batch=16, max_wait_s=0.01) as batcher:
-            results = {}
-
-            def worker(i):
-                results[i] = batcher.submit(i).result(timeout=10)
-
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(64)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert results == {i: i + 1 for i in range(64)}
+from repro.errors import DomainError
+from repro.serve import TokenBucket
 
 
 class _FakeClock:

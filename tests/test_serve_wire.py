@@ -1,4 +1,4 @@
-"""Wire encoding and the serve cache key, against their reference forms.
+"""Wire encoding and decoding, against their reference forms.
 
 ``_Wire.to_dict`` and ``from_dict`` read each class's field layout once
 instead of reflecting on every call. These properties pin them to the
@@ -7,11 +7,6 @@ reflective forms they replace: ``to_json`` is byte-identical to
 every wire class, with NaN, ±inf, −0.0, ``None`` and non-ASCII text
 drawn on purpose, and ``from_dict`` builds the same record, or raises
 the same :class:`DomainError` message, as the field-by-field loop.
-
-``CostService._scenario_key`` hashes the model once per service and
-only the six operating-point floats per request. It must separate
-exactly the points the old recursive key over ``repr(model)``
-separated.
 """
 
 import dataclasses
@@ -20,15 +15,12 @@ import math
 import types
 import typing
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost.total import PAPER_FIGURE4_MODEL
-from repro.engine.cache import GridCache
 from repro.errors import DomainError
-from repro.serve import CostService, EvaluateRequest, schemas
+from repro.serve import EvaluateRequest, schemas
 from repro.serve.schemas import ScenarioPayload
 
 WIRE_CLASSES = [
@@ -201,74 +193,3 @@ class TestDecoding:
     def test_deep_nesting_is_a_domain_error(self):
         with pytest.raises(DomainError, match="nested too deeply"):
             EvaluateRequest.from_json("[" * 100_000)
-
-
-POINT = ScenarioPayload(n_transistors=1e7, feature_um=0.18, sd=300.0,
-                        n_wafers=5_000.0, yield_fraction=0.4,
-                        cost_per_cm2=8.0)
-KEY_FIELDS = ("n_transistors", "feature_um", "sd", "n_wafers",
-              "yield_fraction", "cost_per_cm2")
-
-
-def _old_key(payload) -> bytes:
-    """The recursive per-request key the service used to compute."""
-    token = ("serve.evaluate", repr(PAPER_FIGURE4_MODEL),
-             payload.n_transistors, payload.feature_um, payload.n_wafers,
-             payload.yield_fraction, payload.cost_per_cm2)
-    return GridCache.key(token, np.asarray([payload.sd], dtype=float))
-
-
-@pytest.fixture(scope="module")
-def service():
-    with CostService() as svc:
-        yield svc
-
-
-class TestScenarioKey:
-    @pytest.mark.parametrize("field", KEY_FIELDS)
-    def test_each_field_changes_the_key(self, service, field):
-        moved = dataclasses.replace(
-            POINT, **{field: getattr(POINT, field) * (1.0 + 2 ** -52)})
-        assert service._scenario_key(moved) != service._scenario_key(POINT)
-
-    @pytest.mark.parametrize("field", KEY_FIELDS)
-    def test_negative_zero_is_its_own_point(self, service, field):
-        plus = dataclasses.replace(POINT, **{field: 0.0})
-        minus = dataclasses.replace(POINT, **{field: -0.0})
-        assert service._scenario_key(plus) != service._scenario_key(minus)
-
-    def test_equal_payloads_share_a_key(self, service):
-        twin = ScenarioPayload.from_dict(json.loads(POINT.to_json()))
-        assert twin is not POINT
-        assert service._scenario_key(twin) == service._scenario_key(POINT)
-        relabelled = dataclasses.replace(POINT, label="other")
-        assert service._scenario_key(relabelled) == \
-            service._scenario_key(POINT)
-
-    def test_key_is_per_model_not_per_service(self):
-        with CostService() as one, CostService() as two:
-            assert one._scenario_key(POINT) == two._scenario_key(POINT)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(*(st.sampled_from([0.0, -0.0, 1.0, 300.0,
-                                                   math.nan, math.inf])
-                                for _ in KEY_FIELDS)),
-                    min_size=2, max_size=6))
-    def test_separates_exactly_what_the_old_key_did(self, service, rows):
-        payloads = [ScenarioPayload(**dict(zip(KEY_FIELDS, row)))
-                    for row in rows]
-        new = [service._scenario_key(p) for p in payloads]
-        old = [_old_key(p) for p in payloads]
-        for i in range(len(payloads)):
-            for j in range(len(payloads)):
-                assert (new[i] == new[j]) == (old[i] == old[j])
-
-    def test_sequential_burst_hit_counts(self):
-        # The burst test's traffic, sequentially: 32 distinct points,
-        # each sent twice → 32 misses then 32 hits.
-        with CostService() as svc:
-            for i in range(64):
-                payload = dataclasses.replace(POINT, sd=150.0 + 10.0 * (i % 32))
-                svc.evaluate(EvaluateRequest(scenarios=(payload,)))
-            stats = svc.cache_stats()
-        assert (stats.hits, stats.misses) == (32, 32)
