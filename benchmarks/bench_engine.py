@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from repro.cost import PAPER_FIGURE4_MODEL
-from repro.engine import clear_cache, evaluate_grid
+from repro.engine import evaluate_grid
 from repro.engine.kernels import Eq4SdKernel
 from repro.optimize import sd_grid
 
@@ -43,15 +43,13 @@ def _best_of(fn) -> float:
 def regenerate_engine():
     """Scalar vs vectorized wall times + values on the Figure-4 grid."""
     kernel = _kernel()
-    clear_cache()
     scalar_values = np.array([kernel.point(float(x)) for x in GRID])
     vector_values = evaluate_grid(
-        kernel, GRID, where="bench.engine", equation="4", parameter="sd",
-        cache=False).values
+        kernel, GRID, where="bench.engine", equation="4",
+        parameter="sd").values
     t_scalar = _best_of(lambda: [kernel.point(float(x)) for x in GRID])
     t_vector = _best_of(lambda: evaluate_grid(
-        kernel, GRID, where="bench.engine", equation="4", parameter="sd",
-        cache=False))
+        kernel, GRID, where="bench.engine", equation="4", parameter="sd"))
     return t_scalar, t_vector, scalar_values, vector_values
 
 

@@ -73,7 +73,7 @@ def _loop_enabled_labeled_inc() -> None:
 
 def _loop_disabled_history_note() -> None:
     for _ in range(CALLS):
-        obs.note_evaluation("numpy", 1024, False)
+        obs.note_evaluation("numpy", 1024)
 
 
 def regenerate_overhead():

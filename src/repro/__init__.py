@@ -34,8 +34,8 @@ modules that name needs (see :mod:`repro._lazy`).
     The facade: ``Scenario`` records in, ``ScenarioResult`` out —
     the documented entry point for pricing designs.
 ``repro.engine``
-    Vectorized batch-evaluation backend (NumPy kernels, memo cache,
-    blocks spread across threads) behind the sweep/roadmap hot loops,
+    Vectorized batch-evaluation backend (NumPy kernels, blocks
+    spread across threads) behind the sweep/roadmap hot loops,
     plus the stdlib single-point pricing behind the facade;
     ``repro.engine.set_backend`` selects ``auto``/``numpy``/``python``
     for the grids.

@@ -7,7 +7,7 @@ mapping each submodule to the names the package re-exports from it::
 
     __getattr__, __dir__ = _lazy.attach(__name__, {
         "total": ("TotalCostModel", "PAPER_FIGURE4_MODEL"),
-        "cache": ("GridCache", "stats as cache_stats"),
+        "core": ("evaluate_grid", "parallel_settings as settings"),
         "perf": (),
     })
 
@@ -17,7 +17,7 @@ imports ``package.total``, binds the name in the package namespace,
 and every later access is a plain attribute lookup. A table key also
 resolves to the submodule itself, so ``package.perf`` works before
 anything imported it. ``"attr as name"`` re-exports ``attr`` under
-another name, as ``from .cache import stats as cache_stats`` would.
+another name, as ``from .core import parallel_settings as settings`` would.
 
 A plain module may declare a table too. Its keys are relative to the
 package the module is in, as a ``from .`` import in it would be, and a

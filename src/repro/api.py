@@ -265,6 +265,13 @@ class ScenarioResult:
         return math.isfinite(self.cost_per_transistor_usd)
 
 
+def _pricing(model: TotalCostModel):
+    """What :func:`price_points` prices under ``model``: its scalar
+    parameters, or its own ``transistor_cost`` when it has none."""
+    params = model.scalar_params
+    return model.transistor_cost if params is None else params
+
+
 @traced(equation="4")
 def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
                   diagnostics: list | None = None) -> list[ScenarioResult]:
@@ -272,16 +279,16 @@ def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
 
     Each scenario is priced under its own cost model's
     :attr:`~repro.cost.TotalCostModel.scalar_params` by
-    :func:`repro.engine.points.price_points` (a component model that
-    overrides a cost method is priced by its fields, as its stock
-    parent would be). ``RAISE`` propagates the
-    first failure; ``MASK`` yields NaN results (plus entries in the
-    optional ``diagnostics`` list); ``COLLECT`` raises the aggregate
-    after every scenario was tried.
+    :func:`repro.engine.points.price_points`; a model whose components
+    are not all their exact stock types (a subclass may override a cost
+    method) is priced by its own ``transistor_cost``. ``RAISE``
+    propagates the first failure; ``MASK`` yields NaN results (plus
+    entries in the optional ``diagnostics`` list); ``COLLECT`` raises
+    the aggregate after every scenario was tried.
     """
     scenarios = list(scenarios)
     values, collected = price_points(
-        scenarios, [s.cost_model.scalar_params for s in scenarios], policy)
+        scenarios, [_pricing(s.cost_model) for s in scenarios], policy)
     if diagnostics is not None:
         diagnostics.extend(collected)
     obs_metrics.observe("api_evaluate_many_scenarios", float(len(scenarios)))

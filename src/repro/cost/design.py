@@ -83,6 +83,12 @@ class DesignCostModel:
             m = sd - self.sd0  # the same IEEE subtraction as the array path
             if m > 0:
                 return m
+        elif type(sd) is np.ndarray and sd.dtype == np.float64 and sd.ndim:
+            # Finite, > 0 and > s_d0 all hold exactly when 0 < m < inf
+            # (a NaN fails both), so two reductions replace the checks.
+            m = sd - self.sd0
+            if 0.0 < m.min(initial=math.inf) and m.max(initial=0.0) < math.inf:
+                return m
         sd = check_positive(sd, "sd")
         m = np.asarray(sd, dtype=float) - self.sd0
         if np.any(m <= 0):

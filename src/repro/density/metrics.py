@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.pykernels import lambda_sq_message
 from ..errors import DomainError
 from ..units import cm_to_um, um_to_cm
 from ..validation import check_positive
@@ -90,11 +91,18 @@ def area_from_sd(sd, n_transistors, feature_um):
     n_transistors = check_positive(n_transistors, "n_transistors")
     feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
     try:
-        return n_transistors * sd * feature_cm**2
+        lambda_sq = feature_cm**2
     except OverflowError as exc:
         raise DomainError(
             f"implied die area overflows for feature_um={feature_um!r}, "
             f"sd={sd!r}, n_transistors={n_transistors!r}") from exc
+    if isinstance(lambda_sq, float):
+        if not lambda_sq:
+            raise DomainError(lambda_sq_message(lambda_sq, feature_um))
+    elif not lambda_sq.all():
+        raise DomainError(lambda_sq_message(
+            0.0, np.broadcast_to(feature_um, lambda_sq.shape)[lambda_sq == 0].flat[0]))
+    return n_transistors * sd * lambda_sq
 
 
 def transistors_from_sd(sd, area_cm2, feature_um):

@@ -13,8 +13,6 @@ python-level per-point loops. It is the dispatch layer behind
   dispatch over 64k-point blocks, spread across threads for large
   grids; :func:`configure_parallel` caps the threads) and
   :func:`map_scalar` (the scalar-sweep loop);
-* :mod:`repro.engine.cache` — content-addressed memo cache for
-  repeated grid evaluations;
 * :mod:`repro.engine.backend` — ``auto``/``numpy``/``python`` mode
   selection (:func:`disable` forces the pure-python fallback);
 * :mod:`repro.engine.pykernels` — stdlib-only scalar kernels used when
@@ -28,7 +26,6 @@ Typical use goes through the re-exports::
     from repro import engine
     with engine.using("python"):
         ...  # dispatches run the pure-python kernels here
-    engine.cache_stats().hit_rate
 """
 
 from __future__ import annotations
@@ -39,10 +36,6 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
     "backend": (
         "BACKENDS", "current_backend", "disable", "enable", "numpy_available",
         "resolved_backend", "set_backend", "using",
-    ),
-    "cache": (
-        "CacheStats", "GridCache", "clear as clear_cache",
-        "configure as configure_cache", "stats as cache_stats",
     ),
     "core": (
         "GridEvaluation", "configure_parallel", "evaluate_grid", "map_scalar",
@@ -55,15 +48,9 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
 
 __all__ = [
     "BACKENDS",
-    "CacheStats",
     "Eq4Params",
-    "GridCache",
     "GridEvaluation",
     "backend",
-    "cache",
-    "cache_stats",
-    "clear_cache",
-    "configure_cache",
     "configure_parallel",
     "core",
     "current_backend",

@@ -6,8 +6,7 @@ a kernel (see :mod:`repro.engine.kernels`), a 1-D grid, and the same
 :class:`GridEvaluation` whose values and diagnostics are numerically
 and behaviourally identical to the per-point loops it replaces:
 
-* ``RAISE`` — vectorized batch calls over ``_BLOCK``-point slices and
-  the content-addressed memo cache;
+* ``RAISE`` — vectorized batch calls over ``_BLOCK``-point slices;
 * ``MASK``/``COLLECT`` — a vectorized feasibility split: the provably
   safe subset is batched block by block, everything else re-runs
   through the scalar model call so each failing point produces the
@@ -52,7 +51,6 @@ from ..obs import telemetry as obs_telemetry
 from ..obs import trace as obs_trace
 from ..robust.policy import DiagnosticLog, ErrorPolicy
 from . import backend as _backend
-from . import cache as _cache
 
 __all__ = ["GridEvaluation", "block_threads", "configure_parallel",
            "evaluate_grid", "map_scalar", "parallel_settings"]
@@ -129,7 +127,6 @@ class GridEvaluation:
     values: np.ndarray
     diagnostics: tuple
     backend: str
-    cache_hit: bool = False
     chunks: int = 1
     workers: int = 1
 
@@ -340,8 +337,7 @@ def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
 
 
 def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
-              where: str, equation: str, parameter: str,
-              cache: bool) -> GridEvaluation:
+              where: str, equation: str, parameter: str) -> GridEvaluation:
     """The policy/backend dispatch body of :func:`evaluate_grid`."""
     if mode == "python":
         values, diagnostics = _scalar_loop(kernel, xs, policy, where,
@@ -351,13 +347,6 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
         values, diagnostics, threads = _masked_batch(
             kernel, xs, policy, where, equation, parameter)
         return GridEvaluation(values, diagnostics, "numpy", workers=threads)
-    use_cache = cache and _cache.grid_cache.enabled and not obs_trace.is_enabled()
-    key = b""
-    if use_cache:
-        key = _cache.grid_cache.key(kernel.token(), xs)
-        hit = _cache.grid_cache.get(key)
-        if hit is not None:
-            return GridEvaluation(hit, (), "numpy", cache_hit=True)
     threads = 1
     try:
         values, threads = _blocked_batch(kernel, xs)
@@ -368,22 +357,17 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
         # whole grid so the caller gets the unblocked exception.
         values = kernel.batch(xs)
     values = np.asarray(values, dtype=float)
-    if use_cache:
-        _cache.grid_cache.put(key, values)
     obs_metrics.observe("engine_grid_points", float(xs.size))
     return GridEvaluation(values, (), "numpy", workers=threads)
 
 
 def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
-                  equation: str = "", parameter: str = "x",
-                  cache: bool = True) -> GridEvaluation:
+                  equation: str = "", parameter: str = "x") -> GridEvaluation:
     """Evaluate ``kernel`` over ``grid`` under the configured backend.
 
     ``where``/``equation``/``parameter`` feed straight into the
     ``DiagnosticLog``, so rewired call sites keep their historical
-    diagnostic identities. ``cache=False`` opts a call site out of the
-    memo cache (the cache is also skipped for MASK/COLLECT and while
-    tracing is enabled — see :mod:`repro.engine.cache`).
+    diagnostic identities.
 
     While observability is enabled the whole dispatch runs inside an
     ``engine.evaluate_grid`` span (block-thread spans parent under it)
@@ -400,10 +384,9 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
                         policy=policy.name.lower(),
                         points=int(xs.size)) as sp:
         result = _dispatch(kernel, xs, policy, mode, where, equation,
-                           parameter, cache)
+                           parameter)
         sp.set_attr("chunks", result.chunks)
         sp.set_attr("workers", result.workers)
-        sp.set_attr("cache_hit", result.cache_hit)
         if enclosing is not None:
             # DiagnosticLog annotates the *current* span at capture time,
             # which is now this engine span; mirror the robust.* attrs onto
@@ -418,8 +401,7 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
                         labels={"backend": result.backend})
         obs_metrics.inc("engine_chunks_total", float(result.chunks),
                         labels={"backend": result.backend})
-        obs_telemetry.note_evaluation(result.backend, int(xs.size),
-                                      result.cache_hit)
+        obs_telemetry.note_evaluation(result.backend, int(xs.size))
         return result
 
 

@@ -16,9 +16,7 @@ how to evaluate a 1-D grid of the swept parameter four ways:
   through :meth:`point` so every infeasible point produces the exact
   legacy diagnostic.
 
-:meth:`token` returns the kernel's content identity (model repr plus
-fixed operating point) for the content-addressed cache. Kernels are
-frozen dataclasses of frozen models.
+Kernels are frozen dataclasses of frozen models.
 
 A kernel that can evaluate in place (today :class:`Eq4SdKernel`) also
 defines ``prepare()`` and accepts ``batch(xs, out=, scratch=)``: the
@@ -58,9 +56,8 @@ __all__ = [
 ]
 
 #: Stock yield statistics the pure-python backend can replicate.
-#: A tuple of pairs (not a dict): kernels read this binding, and an
-#: immutable binding is part of the code version, so it needs no
-#: token() coverage (lint rule PURE002).
+#: A tuple of pairs (not a dict): kernels read this binding while block
+#: threads share them, so it must be immutable (lint rule PURE002).
 _PY_STATISTICS = (
     (PoissonYield, "poisson"),
     (MurphyYield, "murphy"),
@@ -92,16 +89,6 @@ def _translated(fn, *args, **kwargs):
     except pyk.KernelError as exc:
         raise DomainError(str(exc)) from exc
 
-
-
-def _part(value):
-    """A cache-token part: numeric values hash as floats, anything else
-    by repr (so a not-yet-validated garbage argument still builds a key
-    and fails later in the model's own validation)."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return repr(value)
 
 def _test_triple(test_model):
     """The §2.5 test-model parameters as a pykernels triple (or None)."""
@@ -195,12 +182,6 @@ class Eq4SdKernel:
     def feasible(self, xs: np.ndarray) -> np.ndarray:
         """Points strictly above the eq.-(6) divergence at ``s_d0``."""
         return np.isfinite(xs) & (xs > self.model.design_model.sd0)
-
-    def token(self) -> tuple:
-        """Cache identity: model configuration + fixed operating point."""
-        return ("Eq4SdKernel", repr(self.model), _part(self.n_transistors),
-                _part(self.feature_um), _part(self.n_wafers),
-                _part(self.yield_fraction), _part(self.cost_per_cm2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,12 +277,6 @@ class Eq7SdKernel:
         """Points strictly above the eq.-(6) divergence at ``s_d0``."""
         return np.isfinite(xs) & (xs > self.model.design_model.sd0)
 
-    def token(self) -> tuple:
-        """Cache identity: model configuration + fixed operating point."""
-        return ("Eq7SdKernel", repr(self.model), _part(self.n_transistors),
-                _part(self.feature_um), _part(self.n_wafers),
-                _part(self.maturity))
-
 
 @dataclass(frozen=True, eq=False)
 class Eq4VolumeKernel:
@@ -342,12 +317,6 @@ class Eq4VolumeKernel:
     def feasible(self, xs: np.ndarray) -> np.ndarray:
         """Volumes must be strictly positive (eq.-5 amortisation)."""
         return np.isfinite(xs) & (xs > 0)
-
-    def token(self) -> tuple:
-        """Cache identity: model configuration + fixed operating point."""
-        return ("Eq4VolumeKernel", repr(self.model), _part(self.sd),
-                _part(self.n_transistors), _part(self.feature_um),
-                _part(self.yield_fraction), _part(self.cost_per_cm2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,10 +376,3 @@ class DesignObjectivesKernel:
     def feasible(self, xs: np.ndarray) -> np.ndarray:
         """Points strictly above the eq.-(6) divergence at ``s_d0``."""
         return np.isfinite(xs) & (xs > self.model.design_model.sd0)
-
-    def token(self) -> tuple:
-        """Cache identity: model configuration + fixed operating point."""
-        return ("DesignObjectivesKernel", repr(self.model),
-                _part(self.n_transistors), _part(self.feature_um),
-                _part(self.n_wafers), _part(self.yield_fraction),
-                _part(self.cost_per_cm2))

@@ -27,7 +27,7 @@ from ..constants import (
     EQ6_SD0,
     WAFER_200MM_DIAMETER_MM,
 )
-from ..errors import DomainError
+from ..errors import DomainError, ReproError
 from ..robust.policy import DiagnosticLog, ErrorPolicy
 from . import pykernels
 
@@ -69,7 +69,11 @@ FIGURE4_PARAMS = Eq4Params(
     a0=EQ6_A0, p1=EQ6_P1, p2=EQ6_P2, sd0=EQ6_SD0)
 
 
-def _cost(point, params: Eq4Params) -> float:
+def _cost(point, params) -> float:
+    if not isinstance(params, Eq4Params):
+        return float(params(point.sd, point.n_transistors, point.feature_um,
+                            point.n_wafers, point.yield_fraction,
+                            point.cost_per_cm2))
     feature_um = point.feature_um
     mask_cost = 0.0
     if params.masks is not None:
@@ -93,7 +97,10 @@ def price_points(points, params, policy=ErrorPolicy.RAISE):
     ``n_transistors``, ``feature_um``, ``n_wafers``, ``yield_fraction``
     and ``cost_per_cm2`` (a :class:`repro.api.Scenario` or a wire
     ``ScenarioPayload``); ``params`` is one :class:`Eq4Params` for all
-    of them or a sequence with one per point.
+    of them or a sequence with one per point, where an entry may also be
+    a callable with ``TotalCostModel.transistor_cost``'s signature (a
+    model that :attr:`~repro.cost.TotalCostModel.scalar_params` cannot
+    describe prices its points itself).
 
     Returns ``(values, diagnostics)``: one ``(cost, area)`` pair per
     point and the :class:`~repro.robust.Diagnostic` tuple. Under
@@ -112,13 +119,15 @@ def price_points(points, params, policy=ErrorPolicy.RAISE):
     for i, point in enumerate(points):
         try:
             cost = _cost(point, shared if shared is not None else params[i])
-        except pykernels.KernelError as exc:
+        except (pykernels.KernelError, ReproError) as exc:
+            error = exc if isinstance(exc, ReproError) else DomainError(str(exc))
             if policy is ErrorPolicy.RAISE:
-                raise DomainError(str(exc)) from exc
+                if error is exc:
+                    raise
+                raise error from exc
             if log is None:
                 log = DiagnosticLog(policy, WHERE, equation="4")
-            log.capture(DomainError(str(exc)), parameter="scenario",
-                        value=float(i), index=i)
+            log.capture(error, parameter="scenario", value=float(i), index=i)
             cost = math.nan
         try:
             area = pykernels.area_from_sd(point.sd, point.n_transistors,

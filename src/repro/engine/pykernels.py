@@ -28,6 +28,7 @@ import math
 
 __all__ = [
     "KernelError",
+    "lambda_sq_message",
     "um_to_cm",
     "positive",
     "nonnegative",
@@ -115,6 +116,17 @@ def um_to_cm(value_um: float) -> float:
     return float(value_um) / _UM_PER_CM
 
 
+def lambda_sq_message(lambda_sq: float, feature_um) -> str:
+    """Why ``λ²`` (``lambda_sq``, in cm²) left the float range.
+
+    One message for every path that squares ``λ``: an overflow to
+    ``inf``, or an underflow to 0 (a subnormal ``feature_um``) that
+    would price every design at exactly 0.
+    """
+    how = "overflows" if lambda_sq else "underflows to 0"
+    return f"lambda^2 {how} for feature_um={float(feature_um)!r}"
+
+
 # -- density identities (eq. 2) ----------------------------------------------
 
 def area_from_sd(sd, n_transistors, feature_um) -> float:
@@ -123,11 +135,14 @@ def area_from_sd(sd, n_transistors, feature_um) -> float:
     n_transistors = positive(n_transistors, "n_transistors")
     feature_cm = um_to_cm(positive(feature_um, "feature_um"))
     try:
-        return n_transistors * sd * feature_cm**2
+        lambda_sq = feature_cm**2
     except OverflowError as exc:
         raise KernelError(
             f"die area overflows for sd={sd!r}, n_transistors={n_transistors!r}"
         ) from exc
+    if not lambda_sq:
+        raise KernelError(lambda_sq_message(lambda_sq, feature_um))
+    return n_transistors * sd * lambda_sq
 
 
 def transistor_density_from_sd(sd, feature_um) -> float:
@@ -259,9 +274,10 @@ def total_transistor_cost(sd, n_transistors, feature_um, n_wafers,
             tester_rate_usd_per_hour=rate, handling_usd_per_die=handling)
     try:
         lambda_sq = feature_cm**2
-    except OverflowError as exc:
-        raise KernelError(
-            f"lambda^2 overflows for feature_um={float(feature_um)!r}") from exc
+    except OverflowError:
+        lambda_sq = math.inf
+    if not 0.0 < lambda_sq < math.inf:
+        raise KernelError(lambda_sq_message(lambda_sq, feature_um))
     effective_yield = yield_fraction * utilization
     try:
         cost = (lambda_sq * sd_value / effective_yield

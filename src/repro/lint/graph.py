@@ -146,7 +146,7 @@ class DataBinding:
     binding some function rebinds via ``global``. Immutable bindings
     (numbers, strings, tuples of immutables, ``frozenset``/
     ``re.compile`` results, aliases) are part of the code version, so
-    reading them never needs cache-token coverage. ``value_class`` is
+    a kernel may read them (lint rule PURE002). ``value_class`` is
     the package class qname when the value is ``Cls(...)``.
     """
 

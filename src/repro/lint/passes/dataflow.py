@@ -3,11 +3,11 @@
 They mechanize two invariants the engine's correctness rests on but no
 runtime test can economically cover:
 
-* the SHA-256 memo cache is only sound if every kernel is transitively
-  pure and its ``token()`` covers everything its body reads
-  (PURE001/PURE002), and memoized or traced bodies never mutate shared
-  state (PURE003) — checked on the project-wide call graph built by
-  :mod:`repro.lint.graph`;
+* the engine's block threads share one kernel, so every kernel body
+  must be transitively pure (PURE001) and read no module-level state
+  that can change under it (PURE002), and memoized or traced bodies
+  never mutate shared state (PURE003) — checked on the project-wide
+  call graph built by :mod:`repro.lint.graph`;
 * metric objects, which request and block threads update at once,
   keep their per-metric lock discipline (CONC002).
 
@@ -30,7 +30,7 @@ from .base import LintPass, RuleSpec
 
 __all__ = ["KernelPurityPass", "ConcurrencyPass"]
 
-#: The kernel evaluation surface whose purity the memo cache relies on.
+#: The kernel evaluation surface the block threads run concurrently.
 _KERNEL_BODY_METHODS = ("batch", "point", "point_py", "feasible")
 
 #: Decorators marking a function as memoized or traced.
@@ -65,8 +65,8 @@ class KernelPurityPass(LintPass):
                  "kernel body transitively reaches an impure call, "
                  "module-state write, or argument mutation"),
         RuleSpec("PURE002", Severity.ERROR,
-                 "kernel reads state its token() does not cover — would "
-                 "silently poison memo-cache keys"),
+                 "kernel reads mutable module-level state — block threads "
+                 "sharing the kernel could see it change mid-grid"),
         RuleSpec("PURE003", Severity.ERROR,
                  "@traced/cached function directly mutates module-level "
                  "state"),
@@ -83,15 +83,13 @@ class KernelPurityPass(LintPass):
             if info is None:
                 continue
             for cls in info.classes.values():
-                if "token" not in cls.methods:
+                if "batch" not in cls.methods:
                     continue
                 yield from self._check_kernel(project, module, graph, cls)
         yield from self._check_cached(project, by_rel, graph)
 
     def _check_kernel(self, project: LintProject, module: LintModule,
                       graph: CallGraph, cls: ClassInfo) -> Iterator[Finding]:
-        covered = _class_self_reads(graph, cls, cls.methods["token"])
-        reported_fields: set[str] = set()
         reported_effects: set[tuple] = set()
         reported_reads: set[str] = set()
         for method_name in _KERNEL_BODY_METHODS:
@@ -115,23 +113,8 @@ class KernelPurityPass(LintPass):
                     f"{cls.name}.{method_name}() {verb} "
                     f"'{te.effect.detail}'{_chain_text(te.chain)}",
                     suggestion="kernel bodies must be deterministic pure "
-                               "functions of the fields token() covers")
-            # PURE002a: dataclass fields read but absent from token().
-            fields_read = _class_self_reads(graph, cls, qname)
-            token_line = graph.functions[cls.methods["token"]].line
-            for field_name in sorted(fields_read):
-                if field_name not in cls.fields or field_name in covered:
-                    continue
-                if field_name in reported_fields:
-                    continue
-                reported_fields.add(field_name)
-                yield self.finding(
-                    project, module, "PURE002", token_line,
-                    f"kernel field '{field_name}' is read by "
-                    f"{cls.name}.{method_name}() but not covered by token()",
-                    suggestion="add the field to token() so cache keys "
-                               "see it")
-            # PURE002b: mutable module-level bindings on the body path.
+                               "functions of the kernel's fields")
+            # Mutable module-level bindings on the body path.
             for te in graph.transitive_reads(qname):
                 binding = graph.data_binding(te.effect.detail)
                 if binding is None or not binding.mutable:
@@ -143,9 +126,9 @@ class KernelPurityPass(LintPass):
                     project, module, "PURE002", line,
                     f"module-level mutable state '{te.effect.detail}' is "
                     f"read on the {cls.name}.{method_name}() path"
-                    f"{_chain_text(te.chain)} and is outside token()",
+                    f"{_chain_text(te.chain)}",
                     suggestion="bind the value immutably (tuple/frozenset) "
-                               "or fold it into token()")
+                               "or make it a kernel field")
 
     def _check_cached(self, project: LintProject, by_rel: dict,
                       graph: CallGraph) -> Iterator[Finding]:
@@ -239,19 +222,6 @@ def _module_dotted(module: LintModule) -> str:
     if name.endswith(".__init__"):
         return name[: -len(".__init__")]
     return name
-
-
-def _class_self_reads(graph: CallGraph, cls: ClassInfo,
-                      root: str) -> frozenset[str]:
-    """Union of ``self`` attribute reads over same-class methods
-    reachable from ``root`` (other classes' ``self`` is a different
-    object, so their reads do not count toward this kernel)."""
-    reads: set[str] = set()
-    for qname in graph.reachable(root):
-        summary = graph.functions.get(qname)
-        if summary is not None and summary.cls is cls:
-            reads.update(summary.self_reads)
-    return frozenset(reads)
 
 
 def _has_lock_attr(cls: ast.ClassDef) -> bool:

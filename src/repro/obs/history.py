@@ -2,7 +2,7 @@
 
 Every other observability surface in this package is *amnesiac*: spans,
 metrics, and sketches live in process-local state and evaporate at
-exit, so a regression in cache hit-rate or a span's p99 between
+exit, so a regression in a counter or a span's p99 between
 yesterday's run and today's is invisible. This module is
 the longitudinal memory — a SQLite-backed store where each instrumented
 run (the CLI report, ``python -m repro.bench``, engine sweeps) appends
@@ -361,7 +361,7 @@ class HistoryStore:
         ``registry`` defaults to a snapshot of the process-global
         registry with engine-side state bridged in
         (:func:`~repro.obs.telemetry.bridge_engine_metrics`), so the
-        cache hit-rate is captured even when live metrics were off.
+        block-thread setting is captured even when live metrics were off.
         ``extra_samples`` lets a producer add derived scalar series (the
         bench runner stores per-bench medians this way) without
         inventing registry metrics for them.
@@ -494,7 +494,7 @@ class HistoryStore:
         """One stored series across runs, oldest first, as typed points.
 
         ``metric``/``labels`` follow the registry key convention
-        (``series("engine_cache_events_total", {"event": "hit"})``);
+        (``series("engine_points_total", {"backend": "numpy"})``);
         ``field`` selects a sub-sample of histograms and sketches
         (``series("engine.evaluate_grid", field="p99")``). Passing a
         pre-built sample key as ``metric`` (with ``labels=None`` and
@@ -574,7 +574,7 @@ class RunRecorder:
 
     While active, the engine's sink
     (:func:`repro.obs.telemetry.note_evaluation`) feeds it per-
-    ``evaluate_grid`` telemetry (evaluations, points, cache hits),
+    ``evaluate_grid`` telemetry (evaluations and points),
     stored as ``history_*`` counters alongside the registry snapshot.
     The record is written on *clean* exit only — a run that died does
     not poison the trend series with a partial payload.
@@ -591,16 +591,13 @@ class RunRecorder:
         self._started_iso = ""
         self._evaluations = 0
         self._points = 0
-        self._cache_hits = 0
         self.record: RunRecord | None = None
 
-    def note(self, backend: str, points: int, cache_hit: bool) -> None:
+    def note(self, backend: str, points: int) -> None:
         """Fold one engine grid evaluation into the run (thread-safe)."""
         with self._lock:
             self._evaluations += 1
             self._points += int(points)
-            if cache_hit:
-                self._cache_hits += 1
             if backend and not self._backend:
                 self._backend = backend
 
@@ -629,8 +626,6 @@ class RunRecorder:
         registry.counter("history_grid_evaluations_total").inc(
             self._evaluations)
         registry.counter("history_grid_points_total").inc(self._points)
-        registry.counter("history_grid_cache_hits_total").inc(
-            self._cache_hits)
         with self._lock:
             self.record = self._store.record_run(
                 self._command, wall_time_s=wall, backend=self._backend,

@@ -1,7 +1,7 @@
 """Process-local metrics: labeled counters, gauges, and histograms.
 
 A deliberately small, dependency-free registry in the Prometheus
-spirit: *counters* only go up (evaluations per model, cache hits),
+spirit: *counters* only go up (evaluations per model, requests),
 *gauges* hold the latest value (iterations of the last optimiser run),
 *histograms* accumulate value distributions (grid sizes, simulated
 yields) as count/sum/min/max plus fixed decade buckets — enough for a
@@ -9,10 +9,10 @@ text report and a Prometheus exposition without reservoir sampling.
 
 Every metric may carry a **frozen label set** — an immutable, sorted
 tuple of ``(key, value)`` pairs fixed at creation
-(``engine_cache_events_total{event="hit"}``). The registry keys
-metrics by *name plus labels*, so the same family name with different
-labels yields distinct series, exactly as a Prometheus scrape would
-see them. Label keys must be ``snake_case`` (enforced here and by lint
+(``engine_dispatch_total{backend="numpy",policy="raise"}``). The
+registry keys metrics by *name plus labels*, so the same family name
+with different labels yields distinct series, exactly as a Prometheus
+scrape would see them. Label keys must be ``snake_case`` (enforced here and by lint
 rule ``OBS003`` for literal call sites).
 
 All ingestion paths (:meth:`Counter.inc`, :meth:`Gauge.set`,

@@ -1,9 +1,9 @@
 """Engine-side state bridged into the metric registry and run history.
 
 :func:`bridge_engine_metrics` snapshots the engine's out-of-registry
-state (cache lifetime counters, block-thread settings) into labeled
-registry metrics. The ``/metrics`` endpoint, the snapshot writer and
-the run-history recorder call it just before they read the registry.
+state (the block-thread setting) into registry metrics. The
+``/metrics`` endpoint, the snapshot writer and the run-history recorder
+call it just before they read the registry.
 
 :func:`note_evaluation` is the engine's run-history sink. It lives here,
 not in :mod:`repro.obs.history`, so the engine does not import the
@@ -34,7 +34,7 @@ def current_recorder():
     return _recorder
 
 
-def note_evaluation(backend: str, points: int, cache_hit: bool) -> None:
+def note_evaluation(backend: str, points: int) -> None:
     """Engine history sink: one branch when no recorder is active.
 
     Called by :func:`repro.engine.evaluate_grid` after every dispatch;
@@ -44,38 +44,22 @@ def note_evaluation(backend: str, points: int, cache_hit: bool) -> None:
     recorder = _recorder
     if recorder is None:
         return
-    recorder.note(backend, points, cache_hit)
+    recorder.note(backend, points)
 
 
 def bridge_engine_metrics(
         registry: "MetricsRegistry | None" = None) -> "MetricsRegistry":
-    """Snapshot engine-side state into labeled registry metrics.
+    """Snapshot engine-side state into registry metrics.
 
-    Publishes the grid cache's *lifetime* counters (which keep counting
-    while gated live metrics are off) as
-    ``engine_cache_lifetime_total{event=...}`` — set by delta, so
-    repeated bridging never double-counts — plus current-state gauges
-    (``engine_cache_entries``, ``engine_cache_max_entries``,
-    ``engine_cache_hit_rate``, ``engine_parallel_enabled``). A no-op
-    when the engine (and hence NumPy) is unavailable, so exposition
-    works in stdlib-only deploys. Returns the registry.
+    Publishes the block-thread setting as the ``engine_parallel_enabled``
+    gauge. A no-op when the engine (and hence NumPy) is unavailable, so
+    exposition works in stdlib-only deploys. Returns the registry.
     """
     registry = registry if registry is not None else _metrics.get_registry()
     try:
-        from ..engine import cache, core  # the first NumPy import
+        from ..engine import core  # the first NumPy import
     except ImportError:
         return registry
-    stats = cache.stats()
-    for event, lifetime in (("hit", stats.hits), ("miss", stats.misses),
-                            ("eviction", stats.evictions)):
-        counter = registry.counter("engine_cache_lifetime_total",
-                                   {"event": event})
-        delta = lifetime - counter.value
-        if delta > 0:
-            counter.inc(delta)
-    registry.gauge("engine_cache_entries").set(stats.entries)
-    registry.gauge("engine_cache_max_entries").set(stats.max_entries)
-    registry.gauge("engine_cache_hit_rate").set(stats.hit_rate)
     parallel = core.parallel_settings()
     registry.gauge(
         "engine_parallel_enabled").set(1.0 if parallel["enabled"] else 0.0)

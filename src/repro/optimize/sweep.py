@@ -7,8 +7,9 @@ minimum, and convenience accessors used by the plots/benches.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,19 +108,30 @@ class SweepResult:
         return self.cost_at(x_value) / self.cost_opt - 1.0
 
 
+@lru_cache(maxsize=16)
+def _geometric(start: float, stop: float, n: int, offset: float) -> np.ndarray:
+    """``offset + np.geomspace(start, stop, n)``, built once per argument
+    set; read-only, so callers get a copy."""
+    grid = offset + np.geomspace(start, stop, n)
+    grid.flags.writeable = False
+    return grid
+
+
 def sd_grid(sd0: float, sd_max: float = 1000.0, n: int = 400, margin: float = 5.0) -> np.ndarray:
     """A grid of ``s_d`` values safely above the divergence at ``s_d0``.
 
     Starts at ``s_d0 + margin`` (the design cost diverges at ``s_d0``)
     and spaces points geometrically, which resolves the steep left wall
-    of the U-curve better than a linear grid.
+    of the U-curve better than a linear grid. Each call returns a new
+    array; the grid itself is built once per argument set.
     """
     sd0 = check_positive(sd0, "sd0")
     if sd_max <= sd0 + margin:
         raise DomainError(f"sd_max={sd_max} must exceed sd0+margin={sd0 + margin}")
     if n < 2:
         raise DomainError("n must be >= 2")
-    return sd0 + np.geomspace(margin, sd_max - sd0, n)
+    return _geometric(float(margin), float(sd_max - sd0), operator.index(n),
+                      sd0).copy()
 
 
 @traced(equation="4", attach_result=True,
@@ -138,7 +150,7 @@ def sd_sweep(
     """Figure 4's sweep: eq. (4) cost versus ``s_d`` at a fixed point.
 
     The grid dispatches through :func:`repro.engine.evaluate_grid`:
-    one vectorized batch (memo-cached) on the NumPy backend, the exact
+    one vectorized batch on the NumPy backend, the exact
     per-point scalar loop on the pure-python fallback. Under the
     default ``policy=ErrorPolicy.RAISE`` any infeasible point aborts
     the sweep — the historical behavior. MASK/COLLECT yield NaN-masked
@@ -227,7 +239,7 @@ def volume_sweep(
     """
     policy = ErrorPolicy.coerce(policy)
     if n_wafers_values is None:
-        n_wafers_values = np.geomspace(100, 1e6, 200)
+        n_wafers_values = _geometric(100.0, 1e6, 200, 0.0).copy()
     n_wafers_values = np.asarray(n_wafers_values, dtype=float)
     obs_metrics.observe("optimize_sweep_grid_points", n_wafers_values.size)
     kernel = Eq4VolumeKernel(model, sd, n_transistors, feature_um,

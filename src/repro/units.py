@@ -64,6 +64,8 @@ _LENGTH_UNITS_CM = {
 
 def um_to_cm(value_um):
     """Convert micrometres to centimetres."""
+    if type(value_um) is float:
+        return value_um / UM_PER_CM
     return np.asarray(value_um, dtype=float) / UM_PER_CM if np.ndim(value_um) else float(value_um) / UM_PER_CM
 
 

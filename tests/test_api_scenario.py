@@ -14,7 +14,13 @@ import pytest
 
 from repro import Scenario, ScenarioResult, evaluate, evaluate_many
 from repro.constants import ASSUMED_YIELD, MANUFACTURING_COST_PER_CM2_USD
-from repro.cost import PAPER_FIGURE4_MODEL
+from repro.cost import (
+    PAPER_FIGURE4_MODEL,
+    DesignCostModel,
+    MaskSetCostModel,
+    TestCostModel,
+    TotalCostModel,
+)
 from repro.data import load_itrs_1999
 from repro.density import area_from_sd
 from repro.errors import CollectedErrors, DomainError
@@ -174,3 +180,80 @@ class TestEvaluateMany:
             sds, 10e6, 0.18, 5_000.0, 0.4, 8.0)
         got = np.array([r.cost_per_transistor_usd for r in results])
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+class _FreeMasks(MaskSetCostModel):
+    def cost(self, feature_um, n_layers=None):
+        return 0.0
+
+
+class _FlatDesign(DesignCostModel):
+    def cost(self, n_transistors, sd):
+        return 1e6
+
+
+class _NoTest(TestCostModel):
+    def cost_per_cm2(self, sd, feature_um, n_transistors):
+        return 0.0
+
+
+class _HalfPrice(TotalCostModel):
+    def transistor_cost(self, *args):
+        return 0.5 * super().transistor_cost(*args)
+
+
+class _NoMasks(MaskSetCostModel):
+    def cost(self, feature_um, n_layers=None):
+        raise DomainError("no mask set for this node")
+
+
+#: One model per component a subclass can reprice.
+OVERRIDDEN = {
+    "mask_model": TotalCostModel(mask_model=_FreeMasks()),
+    "design_model": TotalCostModel(design_model=_FlatDesign()),
+    "test_model": TotalCostModel(test_model=_NoTest()),
+    "model": _HalfPrice(),
+}
+
+
+class TestOverriddenComponents:
+    """A component that is not its exact stock type prices by its methods."""
+
+    @pytest.mark.parametrize("component", sorted(OVERRIDDEN))
+    def test_evaluate_returns_the_models_own_answer(self, component):
+        model = OVERRIDDEN[component]
+        assert model.scalar_params is None
+        scenarios = [BASE.replace(model=model, sd=sd) for sd in (250.0, 600.0)]
+        for scn, res in zip(scenarios, evaluate_many(scenarios)):
+            assert res.cost_per_transistor_usd == model.transistor_cost(
+                scn.sd, scn.n_transistors, scn.feature_um, scn.n_wafers,
+                scn.yield_fraction, scn.cost_per_cm2)
+            assert res.area_cm2 == evaluate(scn.replace(
+                model=PAPER_FIGURE4_MODEL)).area_cm2
+
+    def test_overridden_mask_cost_changes_the_price(self):
+        stock = BASE.replace(model=TotalCostModel())
+        free = BASE.replace(model=OVERRIDDEN["mask_model"])
+        assert free.evaluate().cost_per_transistor_usd < \
+            stock.evaluate().cost_per_transistor_usd
+        assert free.evaluate().cost_per_transistor_usd == \
+            BASE.replace(model=TotalCostModel(include_masks=False)) \
+            .evaluate().cost_per_transistor_usd
+
+    def test_unused_mask_subclass_keeps_the_scalar_path(self):
+        model = TotalCostModel(mask_model=_FreeMasks(), include_masks=False)
+        assert model.scalar_params == PAPER_FIGURE4_MODEL.scalar_params
+
+    def test_failures_follow_the_policy(self):
+        model = TotalCostModel(mask_model=_NoMasks())
+        scenarios = [BASE, BASE.replace(model=model)]
+        with pytest.raises(DomainError, match="no mask set"):
+            evaluate_many(scenarios)
+        diagnostics = []
+        results = evaluate_many(scenarios, policy=ErrorPolicy.MASK,
+                                diagnostics=diagnostics)
+        assert results[0].ok and not results[1].ok
+        [diagnostic] = diagnostics
+        assert (diagnostic.where, diagnostic.parameter, diagnostic.index,
+                diagnostic.message) == ("api.evaluate_many", "scenario", 1,
+                                        "no mask set for this node")

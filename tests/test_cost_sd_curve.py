@@ -18,6 +18,7 @@ from repro import obs
 from repro.cost import (
     PAPER_FIGURE4_MODEL,
     DesignCostModel,
+    MaskSetCostModel,
     TestCostModel,
     TotalCostModel,
 )
@@ -137,7 +138,9 @@ BAD = {
 
 
 def _first_error(model, kw):
-    """The first failing check, in the order eq. (4) has always used."""
+    """The first failing check, in the order eq. (4) has always used:
+    the arguments, then ``λ²`` leaving the float range (a subnormal
+    feature size squares to 0), then the margin and ``C_MA``."""
     try:
         check_positive(kw["sd"], "sd")
         check_positive(kw["feature_um"], "feature_um")
@@ -145,6 +148,9 @@ def _first_error(model, kw):
         check_positive(kw["cost_per_cm2"], "cost_per_cm2")
         check_positive(kw["n_wafers"], "n_wafers")
         check_positive(kw["n_transistors"], "n_transistors")
+        if um_to_cm(kw["feature_um"]) ** 2 == 0.0:
+            raise DomainError(
+                f"lambda^2 underflows to 0 for feature_um={kw['feature_um']!r}")
         model.design_model.margin(kw["sd"])
         model.mask_cost(kw["feature_um"])
     except DomainError as exc:
@@ -166,7 +172,7 @@ def test_two_bad_arguments_raise_the_first_error(config):
     checked = 0
     for kw in _bad_pairs():
         expected = _first_error(model, kw)
-        if expected is None:  # e.g. a subnormal feature size without masks
+        if expected is None:
             continue
         with pytest.raises(DomainError) as exc_info:
             model.transistor_cost(**kw)
@@ -188,12 +194,20 @@ def test_optimal_sd_reports_the_first_bad_fixed_argument(config):
         assert str(exc_info.value) == expected, kw
 
 
+class _NoMaskSet(MaskSetCostModel):
+    """A mask model that prices no node (a subnormal feature size, which
+    breaks the stock mask-count model, now fails earlier, at λ²)."""
+
+    def cost(self, feature_um, n_layers=None):
+        raise DomainError("no mask set for this node")
+
+
 def test_mask_model_error_follows_the_margin_check():
-    model = CONFIGS["masks"]
-    curve = model.sd_curve(**dict(POINT, feature_um=1e-320))
+    model = TotalCostModel(mask_model=_NoMaskSet())
+    curve = model.sd_curve(**POINT)
     with pytest.raises(DomainError, match="full-custom bound"):
         curve(50.0)
-    with pytest.raises(DomainError, match="mask-count model"):
+    with pytest.raises(DomainError, match="no mask set"):
         curve(300.0)
 
 
@@ -326,3 +340,63 @@ def test_in_place_curve_equals_general_curve(data):
         assert _outcome(lambda: out) == expected
     kernel = Eq4SdKernel(model, **point)
     assert _outcome(lambda: kernel.batch(sd)) == expected
+
+
+#: The scalar types a fixed argument may arrive as; ``int`` only for
+#: integral values.
+SCALAR_TYPES = {
+    "float": float,
+    "int": int,
+    "np.float64": np.float64,
+    "0-d array": np.array,
+}
+
+
+@st.composite
+def typed_fixed_points(draw):
+    """A fixed operating point as floats, and the same values each given
+    as one of the scalar types (edges of the float range included)."""
+    point = dict(
+        n_transistors=float(draw(st.one_of(st.integers(1, 10**12),
+                                           st.floats(1.0, 1e300)))),
+        feature_um=draw(st.one_of(st.floats(0.01, 2.0), st.just(1.0),
+                                  st.just(1e-301), st.just(1e200))),
+        n_wafers=float(draw(st.one_of(st.integers(1, 10**7),
+                                      st.floats(1e-320, 1e7)))),
+        yield_fraction=draw(st.one_of(st.floats(1e-320, 1.0), st.just(1.0))),
+        cost_per_cm2=float(draw(st.one_of(st.integers(1, 1000),
+                                          st.floats(1e-3, 1e6)))),
+    )
+    typed = {}
+    for name, value in point.items():
+        kinds = [k for k in SCALAR_TYPES if k != "int" or value.is_integer()]
+        typed[name] = SCALAR_TYPES[draw(st.sampled_from(kinds))](
+            int(value) if value.is_integer() else value)
+    return point, typed
+
+
+def _curve_outcomes(model, point, sds):
+    """Per ``s_d``: the cost's bits or the DomainError message, plus the
+    same for the whole grid (or the message of building the curve)."""
+    try:
+        curve = model.sd_curve(**point)
+    except DomainError as exc:
+        return ("error", str(exc))
+    grid = np.array(sds, dtype=float)
+    return ([_outcome(lambda sd=sd: curve(sd)) for sd in sds],
+            _outcome(lambda: curve(grid)),
+            _outcome(lambda: curve(grid, out=np.empty_like(grid),
+                                   scratch=np.empty_like(grid))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fixed_argument_type_changes_nothing(data):
+    model = data.draw(st.sampled_from(INPLACE_MODELS))
+    point, typed = data.draw(typed_fixed_points())
+    sd0 = model.design_model.sd0
+    sds = data.draw(st.lists(st.one_of(
+        margins.map(lambda m: sd0 + m), st.just(sd0 * 0.5),
+        st.just(1e300)), min_size=1, max_size=6))
+    assert _curve_outcomes(model, typed, sds) == \
+        _curve_outcomes(model, point, sds)

@@ -21,7 +21,7 @@ import pytest
 
 from repro import obs
 from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
-from repro.engine import clear_cache, evaluate_grid
+from repro.engine import evaluate_grid
 from repro.engine import core as engine_core
 from repro.engine.kernels import (
     DesignObjectivesKernel,
@@ -76,16 +76,9 @@ SIZES = (B - 1, B, B + 1, 3 * B + 7)
 POLICIES = (ErrorPolicy.RAISE, ErrorPolicy.MASK, ErrorPolicy.COLLECT)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
-
-
 def _evaluate(kernel, grid, policy):
     return evaluate_grid(kernel, grid, policy=policy, where="test.blocked",
-                         equation="4", parameter="x", cache=False)
+                         equation="4", parameter="x")
 
 
 def _diagnostics(fn):
@@ -363,15 +356,15 @@ def test_helper_spans_parent_under_the_engine_span(threads):
 def test_helper_runs_under_the_callers_errstate(threads):
     threads(2)
     kernel, grid = eq4(4 * SMALL_BLOCK)
-    grid[:] = 1e300  # (s_d - s_d0) ** p2 overflows
     raised = []
 
     def record(kernel, xs):
         try:
-            return kernel.batch(xs)
+            np.multiply(xs, 1e308)  # overflows: raises under over="raise"
         except FloatingPointError:
             raised.append(True)
             raise
+        return kernel.batch(xs)
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         _evaluate(HandOff(kernel, on_helper=record), grid, ErrorPolicy.RAISE)

@@ -11,12 +11,7 @@ import pytest
 
 from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
 from repro.data import DesignRegistry, load_itrs_1999
-from repro.engine import (
-    cache_stats,
-    clear_cache,
-    evaluate_grid,
-    using,
-)
+from repro.engine import evaluate_grid, using
 from repro.engine.kernels import (
     DesignObjectivesKernel,
     Eq4SdKernel,
@@ -55,20 +50,13 @@ def scalar_reference(kernel, grid):
     return np.array([kernel.point(float(x)) for x in grid], dtype=float).T
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
-
-
 class TestBatchScalarParity:
     @pytest.mark.parametrize("grid_name", sorted(GRIDS))
     def test_eq4_matches_scalar(self, grid_name):
         kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
         grid = GRIDS[grid_name]
         evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                   equation="4", parameter="sd", cache=False)
+                                   equation="4", parameter="sd")
         assert evaluation.backend == "numpy"
         assert max_relative_error(
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
@@ -79,7 +67,7 @@ class TestBatchScalarParity:
                              feature_um=0.18, n_wafers=5_000)
         grid = GRIDS[grid_name]
         evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                   equation="7", parameter="sd", cache=False)
+                                   equation="7", parameter="sd")
         assert max_relative_error(
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
 
@@ -89,8 +77,7 @@ class TestBatchScalarParity:
                                  yield_fraction=0.4, cost_per_cm2=8.0)
         grid = np.geomspace(1e2, 5e5, 80)
         evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                   equation="4", parameter="n_wafers",
-                                   cache=False)
+                                   equation="4", parameter="n_wafers")
         assert max_relative_error(
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
 
@@ -98,7 +85,7 @@ class TestBatchScalarParity:
         kernel = DesignObjectivesKernel(PAPER_FIGURE4_MODEL, **FIG4A)
         grid = GRIDS["figure4"]
         evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                   equation="4", parameter="sd", cache=False)
+                                   equation="4", parameter="sd")
         assert evaluation.values.shape == (3, grid.size)
         assert max_relative_error(
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
@@ -108,11 +95,9 @@ class TestPythonBackend:
     def test_python_backend_matches_numpy(self):
         kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
         grid = GRIDS["figure4"]
-        reference = evaluate_grid(kernel, grid, where="test.parity",
-                                  cache=False).values
+        reference = evaluate_grid(kernel, grid, where="test.parity").values
         with using("python"):
-            evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                       cache=False)
+            evaluation = evaluate_grid(kernel, grid, where="test.parity")
         assert evaluation.backend == "python"
         assert max_relative_error(evaluation.values, reference) <= 1e-12
 
@@ -120,11 +105,9 @@ class TestPythonBackend:
         kernel = Eq7SdKernel(DEFAULT_GENERALIZED_MODEL, n_transistors=1e7,
                              feature_um=0.18, n_wafers=5_000)
         grid = GRIDS["itrs"]
-        reference = evaluate_grid(kernel, grid, where="test.parity",
-                                  cache=False).values
+        reference = evaluate_grid(kernel, grid, where="test.parity").values
         with using("python"):
-            evaluation = evaluate_grid(kernel, grid, where="test.parity",
-                                       cache=False)
+            evaluation = evaluate_grid(kernel, grid, where="test.parity")
         assert max_relative_error(evaluation.values, reference) <= 1e-12
 
     def test_python_backend_mask_diagnostics_match_numpy(self):
@@ -132,11 +115,11 @@ class TestPythonBackend:
         grid = np.array([50.0, 300.0, 400.0, 60.0])
         numpy_eval = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
                                    where="test.parity", equation="4",
-                                   parameter="sd", cache=False)
+                                   parameter="sd")
         with using("python"):
             python_eval = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
                                         where="test.parity", equation="4",
-                                        parameter="sd", cache=False)
+                                        parameter="sd")
         np.testing.assert_array_equal(np.isnan(numpy_eval.values),
                                       np.isnan(python_eval.values))
         assert ([str(d) for d in numpy_eval.diagnostics]
@@ -149,7 +132,7 @@ class TestMaskCollect:
         grid = np.array([50.0, 300.0, 400.0, 60.0])
         evaluation = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
                                    where="test.parity", equation="4",
-                                   parameter="sd", cache=False)
+                                   parameter="sd")
         assert np.isnan(evaluation.values[[0, 3]]).all()
         assert np.isfinite(evaluation.values[[1, 2]]).all()
         assert [d.index for d in evaluation.diagnostics] == [0, 3]
@@ -159,7 +142,7 @@ class TestMaskCollect:
         kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
         grid = np.array([50.0, 300.0, 400.0])
         evaluation = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
-                                   where="test.parity", cache=False)
+                                   where="test.parity")
         expected = scalar_reference(kernel, grid[1:])
         assert max_relative_error(evaluation.values[1:], expected) <= 1e-12
 
@@ -171,8 +154,7 @@ class TestMaskCollect:
                              yield_fraction=0.0, cost_per_cm2=8.0)
         grid = np.array([200.0, 300.0, 400.0])
         evaluation = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
-                                   where="test.parity", parameter="sd",
-                                   cache=False)
+                                   where="test.parity", parameter="sd")
         assert np.isnan(evaluation.values).all()
         assert len(evaluation.diagnostics) == grid.size
 
@@ -181,42 +163,5 @@ class TestMaskCollect:
         grid = np.array([50.0, 300.0, 60.0])
         with pytest.raises(CollectedErrors, match=r"2 point\(s\) failed"):
             evaluate_grid(kernel, grid, policy=ErrorPolicy.COLLECT,
-                          where="test.parity", parameter="sd", cache=False)
+                          where="test.parity", parameter="sd")
 
-
-class TestCache:
-    def test_identical_evaluation_hits_cache(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = GRIDS["figure4"]
-        first = evaluate_grid(kernel, grid, where="test.cache")
-        second = evaluate_grid(kernel, grid, where="test.cache")
-        assert not first.cache_hit
-        assert second.cache_hit
-        np.testing.assert_array_equal(first.values, second.values)
-        assert cache_stats().hits == 1
-
-    def test_changed_grid_misses(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = GRIDS["figure4"].copy()
-        evaluate_grid(kernel, grid, where="test.cache")
-        grid[0] += 1e-9
-        second = evaluate_grid(kernel, grid, where="test.cache")
-        assert not second.cache_hit
-
-    def test_changed_operating_point_misses(self):
-        grid = GRIDS["figure4"]
-        evaluate_grid(Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A), grid,
-                      where="test.cache")
-        other = dict(FIG4A, n_wafers=50_000)
-        second = evaluate_grid(Eq4SdKernel(PAPER_FIGURE4_MODEL, **other),
-                               grid, where="test.cache")
-        assert not second.cache_hit
-
-    def test_cache_false_opts_out(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = GRIDS["figure4"]
-        evaluate_grid(kernel, grid, where="test.cache", cache=False)
-        second = evaluate_grid(kernel, grid, where="test.cache", cache=False)
-        assert not second.cache_hit
-        stats = cache_stats()
-        assert stats.hits == 0 and stats.misses == 0

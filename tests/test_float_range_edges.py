@@ -1,0 +1,154 @@
+"""Operating points at the edges of the float range fail alike everywhere.
+
+A cost that leaves the float range is a classified
+:class:`~repro.errors.DomainError`, never a ``RuntimeWarning`` and never
+a silent ``inf`` or 0: the same message from ``Scenario.evaluate`` (the
+scalar kernels), ``Scenario.sweep`` (``sd_curve``, whether it takes the
+in-place path or not) and a served ``/evaluate``, and one diagnostic per
+point under ``MASK``. CI runs this file with ``-W error::RuntimeWarning``.
+"""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from repro.api import Scenario
+from repro.cost import PAPER_FIGURE4_MODEL
+from repro.cost.total import _lambda_sq
+from repro.density import area_from_sd
+from repro.engine import pykernels
+from repro.engine.kernels import Eq4SdKernel
+from repro.errors import DomainError
+from repro.robust import ErrorPolicy
+from repro.serve import ServeClient, ServeError, start_server
+from repro.units import um_to_cm
+
+BASE = dict(n_transistors=1e7, feature_um=0.18, sd=300.0, n_wafers=5_000.0,
+            yield_fraction=0.4, cost_per_cm2=8.0)
+
+#: (field, value, message): each breaks eq. (4) only by leaving the float range.
+EDGES = [
+    ("sd", 1e300,
+     "eq. (6) design cost is out of float range for "
+     "n_transistors=10000000.0, sd=1e+300"),
+    ("yield_fraction", 1e-320,
+     "eq. (4) transistor cost is not finite for sd=300.0, feature_um=0.18, "
+     "n_wafers=5000.0, yield_fraction=1e-320"),
+    ("n_wafers", 1e-320,
+     "eq. (4) transistor cost is not finite for sd=300.0, feature_um=0.18, "
+     "n_wafers=1e-320, yield_fraction=0.4"),
+    ("feature_um", 1e-301, "lambda^2 underflows to 0 for feature_um=1e-301"),
+    ("feature_um", 1e200, "lambda^2 overflows for feature_um=1e+200"),
+]
+IDS = [f"{field}={value!r}" for field, value, _ in EDGES]
+
+
+@pytest.fixture(autouse=True)
+def no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def _message(fn):
+    with pytest.raises(DomainError) as raised:
+        fn()
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("field, value, message", EDGES, ids=IDS)
+def test_evaluate_and_sweep_raise_the_same_message(field, value, message):
+    scenario = Scenario(**{**BASE, field: value})
+    sd = scenario.sd
+    assert _message(scenario.evaluate) == message
+    assert _message(lambda: scenario.sweep("sd", values=[sd, sd])) == message
+    # Past the engine's block size the in-place path answers.
+    grid = np.full(70_000, sd)
+    assert _message(lambda: scenario.sweep("sd", values=grid)) == message
+
+
+@pytest.mark.parametrize("field, value, message", EDGES, ids=IDS)
+def test_curve_and_in_place_curve_raise_the_same_message(field, value,
+                                                         message):
+    point = {**BASE, field: value}
+    sd = point.pop("sd")
+    with pytest.raises(DomainError) as raised:
+        curve = PAPER_FIGURE4_MODEL.sd_curve(**point)
+        grid = np.array([sd, 400.0, 500.0])
+        assert _message(lambda: curve(sd)) == message
+        assert _message(lambda: curve(grid)) == message
+        out, scratch = np.empty(3), np.empty(3)
+        assert _message(lambda: curve(grid, out=out, scratch=scratch)) == message
+        raise DomainError(message)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("field, value, message", EDGES[:3], ids=IDS[:3])
+def test_mask_sweep_gives_one_diagnostic_per_point(field, value, message):
+    scenario = Scenario(**{**BASE, field: value})
+    result = scenario.sweep("sd", values=[scenario.sd, scenario.sd],
+                            policy=ErrorPolicy.MASK)
+    assert np.isnan(result.cost).all()
+    assert [(d.index, d.message) for d in result.diagnostics] == \
+        [(0, message), (1, message)]
+
+
+def test_mask_sweep_keeps_the_points_in_range():
+    scenario = Scenario(**BASE)
+    result = scenario.sweep("sd", values=[300.0, 1e300, 600.0],
+                            policy=ErrorPolicy.MASK)
+    assert result.cost[0] == scenario.evaluate().cost_per_transistor_usd
+    assert math.isnan(result.cost[1]) and result.cost[2] > 0
+    [diagnostic] = result.diagnostics
+    assert diagnostic.index == 1
+
+
+def test_grid_that_only_nears_the_edge_is_priced_in_place():
+    # Every point is in range, so the answer is the scalar path's.
+    model = PAPER_FIGURE4_MODEL
+    kernel = Eq4SdKernel(model, 1e7, 0.18, 5_000.0, 0.4, 8.0)
+    grid = np.array([100.0 + 1e-9, 300.0, 1e250])
+    out = kernel.batch(grid)
+    for sd, cost in zip(grid.tolist(), out.tolist()):
+        assert cost == model.transistor_cost(sd, 1e7, 0.18, 5_000.0, 0.4, 8.0)
+
+
+SUBNORMAL = 1e-301
+UNDERFLOW = "lambda^2 underflows to 0 for feature_um=1e-301"
+
+
+def test_subnormal_feature_fails_on_every_path():
+    assert _message(lambda: _lambda_sq(um_to_cm(SUBNORMAL), SUBNORMAL)) == \
+        UNDERFLOW
+    assert _message(lambda: _lambda_sq(um_to_cm(np.array([0.18, SUBNORMAL])),
+                                       np.array([0.18, SUBNORMAL]))) == \
+        UNDERFLOW
+    with pytest.raises(pykernels.KernelError, match=re.escape(UNDERFLOW)):
+        pykernels.total_transistor_cost(
+            300.0, 1e7, SUBNORMAL, 5_000.0, 0.4, 8.0, wafer_area_cm2=314.0,
+            a0=1000.0, p1=1.0, p2=1.2, sd0=100.0)
+    with pytest.raises(pykernels.KernelError, match=re.escape(UNDERFLOW)):
+        pykernels.area_from_sd(300.0, 1e7, SUBNORMAL)
+    assert _message(lambda: area_from_sd(300.0, 1e7, SUBNORMAL)) == UNDERFLOW
+    assert _message(lambda: area_from_sd(
+        np.array([300.0, 400.0]), 1e7, np.array([0.18, SUBNORMAL]))) == \
+        UNDERFLOW
+    scenario = Scenario(n_transistors=1e7, feature_um=SUBNORMAL)
+    assert _message(scenario.optimal_sd) == UNDERFLOW
+    assert _message(scenario.pareto) == UNDERFLOW
+
+
+def test_subnormal_feature_is_a_422_on_the_wire():
+    point = {"n_transistors": 1e7, "feature_um": SUBNORMAL}
+    with start_server() as handle:
+        client = ServeClient(handle.url)
+        with pytest.raises(ServeError) as refused:
+            client.evaluate(point)
+        masked = client.evaluate_many([point], policy="mask")
+    assert refused.value.status == 422
+    assert refused.value.error.message == UNDERFLOW
+    assert masked.results[0].cost_per_transistor_usd is None
+    assert masked.diagnostics[0].message == UNDERFLOW

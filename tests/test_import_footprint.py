@@ -78,6 +78,15 @@ def test_analysis_path_loads_no_wire_schemas():
 
 
 @needs_numpy
+def test_pareto_front_hashes_nothing():
+    loaded = _loaded_after(
+        "from repro.api import Scenario\n"
+        "Scenario(n_transistors=1e7, feature_um=0.18).pareto()\n")
+    assert "repro.engine.core" in loaded  # the grid really went through it
+    assert _present(loaded, ["hashlib", "repro.engine.cache"]) == []
+
+
+@needs_numpy
 def test_api_loads_the_wire_schemas_on_first_use():
     loaded = _loaded_after(
         "import sys\n"

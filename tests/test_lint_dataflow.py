@@ -1,9 +1,9 @@
 """Tests for the PURE/CONC dataflow passes.
 
 Synthetic trees exercise every rule id in isolation; the seeded
-mutation tests then prove detection on the *real* package — removing a
-field from a kernel's ``token()`` or a counter's lock must produce the
-corresponding finding.
+mutation tests then prove detection on the *real* package — a mutable
+table on a kernel's path or a counter update outside its lock must
+produce the corresponding finding.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ def test_pure001_impure_call_through_helper(tmp_path):
 
             def _scale(self, x):
                 return x * self.n * time.time()
-
-            def token(self):
-                return ("Kern", self.n)
     """})
     result = run_lint(root, config=CONFIG, passes=PURITY)
     assert rules_of(result) == ["PURE001"]
@@ -70,31 +67,11 @@ def test_pure001_clean_kernel_is_silent(tmp_path):
 
             def batch(self, xs):
                 return [x * self.n for x in xs]
-
-            def token(self):
-                return ("Kern", self.n)
     """})
     assert run_lint(root, config=CONFIG, passes=PURITY).findings == ()
 
 
-# -- PURE002: token() coverage -------------------------------------------
-
-def test_pure002_field_missing_from_token(tmp_path):
-    root = make_tree(tmp_path, {"kern.py": """
-        class Kern:
-            n: float
-            m: float
-
-            def batch(self, xs):
-                return [x * self.n * self.m for x in xs]
-
-            def token(self):
-                return ("Kern", self.n)
-    """})
-    result = run_lint(root, config=CONFIG, passes=PURITY)
-    assert rules_of(result) == ["PURE002"]
-    assert "'m'" in result.findings[0].message
-
+# -- PURE002: mutable module state on a kernel path ----------------------
 
 def test_pure002_mutable_module_state_on_kernel_path(tmp_path):
     root = make_tree(tmp_path, {"kern.py": """
@@ -105,9 +82,6 @@ def test_pure002_mutable_module_state_on_kernel_path(tmp_path):
 
             def batch(self, xs):
                 return [x * self.n * TABLE["k"] for x in xs]
-
-            def token(self):
-                return ("Kern", self.n)
     """})
     result = run_lint(root, config=CONFIG, passes=PURITY)
     assert rules_of(result) == ["PURE002"]
@@ -124,9 +98,6 @@ def test_pure002_immutable_module_binding_is_fine(tmp_path):
 
             def batch(self, xs):
                 return [x * self.n * SCALE + PAIRS[0][1] for x in xs]
-
-            def token(self):
-                return ("Kern", self.n)
     """})
     assert run_lint(root, config=CONFIG, passes=PURITY).findings == ()
 
@@ -217,18 +188,27 @@ def test_real_tree_is_clean_for_dataflow_rules():
     assert findings == []
 
 
-def test_seeded_token_field_removal_is_detected():
-    # Drop cost_per_cm2 from Eq4SdKernel.token(): the memo cache would
-    # silently conflate kernels that differ only in wafer cost.
+def test_seeded_mutable_table_on_kernel_path_is_detected():
+    # Bind the stock-statistics table as a dict: block threads sharing an
+    # Eq7SdKernel would read a table any caller could change mid-grid.
     project = _mutated_project(
         "engine/kernels.py",
         lambda src: src.replace(
-            "                _part(self.yield_fraction), "
-            "_part(self.cost_per_cm2))",
-            "                _part(self.yield_fraction))"))
+            "_PY_STATISTICS = (\n"
+            "    (PoissonYield, \"poisson\"),\n"
+            "    (MurphyYield, \"murphy\"),\n"
+            "    (SeedsYield, \"seeds\"),\n"
+            "    (NegativeBinomialYield, \"negbinomial\"),\n"
+            ")",
+            "_PY_STATISTICS = {\n"
+            "    PoissonYield: \"poisson\",\n"
+            "    MurphyYield: \"murphy\",\n"
+            "    SeedsYield: \"seeds\",\n"
+            "    NegativeBinomialYield: \"negbinomial\",\n"
+            "}.items()"))
     findings = list(KernelPurityPass().run(project, LintConfig()))
     hits = [f for f in findings
-            if f.rule == "PURE002" and "cost_per_cm2" in f.message]
+            if f.rule == "PURE002" and "_PY_STATISTICS" in f.message]
     assert hits, [f.message for f in findings]
 
 

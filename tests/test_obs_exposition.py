@@ -74,9 +74,9 @@ class TestRenderParse:
 
     def test_dotted_names_are_sanitized(self):
         reg = MetricsRegistry()
-        reg.gauge("engine.cache.hit_rate").set(0.5)
+        reg.gauge("engine.parallel.enabled").set(0.5)
         text = render_prometheus(reg)
-        assert "engine_cache_hit_rate 0.5" in text
+        assert "engine_parallel_enabled 0.5" in text
         parse_prometheus(text)
 
     def test_label_values_escape(self):

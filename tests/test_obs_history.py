@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.engine import clear_cache, evaluate_grid
+from repro.engine import evaluate_grid
 from repro.engine.kernels import Eq4SdKernel
 from repro.cost import PAPER_FIGURE4_MODEL
 from repro.errors import CollectedErrors, DataError, DomainError
@@ -51,7 +51,7 @@ def _registry(p99_s: float = 0.010, hits: int = 10) -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("engine_dispatch_total", {"backend": "numpy"}).inc(7)
     reg.counter("engine_points_total", {"backend": "numpy"}).inc(hits)
-    reg.gauge("engine_cache_hit_rate").set(0.8)
+    reg.gauge("engine_parallel_enabled").set(1.0)
     sketch = reg.sketch("engine.evaluate_grid")
     for i in range(60):
         sketch.observe(p99_s * (1.0 + 0.01 * ((i % 9) - 4)))
@@ -183,7 +183,7 @@ class TestFlatten:
         reg.histogram("engine_grid_points").observe(100.0)
         samples = flatten_samples(reg)
         assert samples['engine_dispatch_total{backend="numpy"}'] == 7.0
-        assert samples["engine_cache_hit_rate"] == 0.8
+        assert samples["engine_parallel_enabled"] == 1.0
         assert samples["engine_grid_points:mean"] == 100.0
         assert samples["engine_grid_points:count"] == 1.0
         assert samples["engine.evaluate_grid:p50"] > 0.0
@@ -251,24 +251,22 @@ class TestDrift:
 class TestRecorder:
     @pytest.fixture(autouse=True)
     def _fresh(self):
-        clear_cache()
         obs.disable()
         obs.reset()
         yield
-        clear_cache()
         obs.disable()
         obs.reset()
 
     def test_note_evaluation_without_recorder_is_a_noop(self):
-        obs.note_evaluation("numpy", 100, False)  # must not raise
+        obs.note_evaluation("numpy", 100)  # must not raise
 
     def test_engine_sink_feeds_the_active_recorder(self, tmp_path):
         kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
         grid = np.linspace(150.0, 900.0, 64)
         with obs_history.recording(tmp_path / "rec.sqlite",
                                    "test.sweep") as rec:
-            evaluate_grid(kernel, grid, where="test.history", cache=False)
-            evaluate_grid(kernel, grid, where="test.history", cache=False)
+            evaluate_grid(kernel, grid, where="test.history")
+            evaluate_grid(kernel, grid, where="test.history")
         record = rec.record
         assert record is not None
         assert record.command == "test.sweep"

@@ -22,6 +22,42 @@ POINT = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5000,
              yield_fraction=0.4, cost_per_cm2=8.0)
 
 
+class TestDesignPoint:
+    """The contract callers rely on: fields, order, value semantics."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = DesignPoint(200.0, 1.5e-05, 2.5e-06, 3e7)
+        by_keyword = DesignPoint(design_cost_usd=3e7, transistor_cost_usd=2.5e-06,
+                                 die_area_cm2=1.5e-05, sd=200.0)
+        assert by_position == by_keyword
+        assert (by_position.sd, by_position.die_area_cm2,
+                by_position.transistor_cost_usd,
+                by_position.design_cost_usd) == (200.0, 1.5e-05, 2.5e-06, 3e7)
+        assert by_position.objectives() == (1.5e-05, 2.5e-06, 3e7)
+
+    def test_immutable(self):
+        point = DesignPoint(200.0, 1.0, 2.0, 3.0)
+        with pytest.raises(AttributeError):
+            point.sd = 300.0
+        with pytest.raises(AttributeError):
+            point.extra = 1.0
+
+    def test_equal_points_hash_equal(self):
+        a = DesignPoint(200.0, 1.0, 2.0, 3.0)
+        b = DesignPoint(200.0, 1.0, 2.0, 3.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, DesignPoint(201.0, 1.0, 2.0, 3.0)}) == 2
+
+    def test_repr_is_unchanged(self):
+        assert repr(DesignPoint(200.0, 1.5e-05, 2.5e-06, 3e7)) == (
+            "DesignPoint(sd=200.0, die_area_cm2=1.5e-05, "
+            "transistor_cost_usd=2.5e-06, design_cost_usd=30000000.0)")
+
+    def test_front_points_are_plain_floats(self):
+        front = evaluate_front(PAPER_FIGURE4_MODEL, **POINT)
+        assert front and all(type(v) is float for p in front for v in p)
+
+
 class TestElasticities:
     @pytest.fixture(scope="class")
     def elas(self):

@@ -37,6 +37,41 @@ class TestSdGrid:
             sd_grid(100.0, n=1)
 
 
+class TestDefaultGrids:
+    """Default grids are built once; every call gets its own array."""
+
+    @staticmethod
+    def _check(grid, expected):
+        first, second = grid(), grid()
+        np.testing.assert_array_equal(first, expected)
+        np.testing.assert_array_equal(second, expected)
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        first[:] = -1.0  # a caller's writes never reach the next call
+        np.testing.assert_array_equal(grid(), expected)
+
+    def test_sd_grid(self):
+        self._check(lambda: sd_grid(100.0),
+                    100.0 + np.geomspace(5.0, 900.0, 400))
+
+    def test_sd_sweep_default(self):
+        self._check(lambda: sd_sweep(PAPER_FIGURE4_MODEL, **FIG4A).x,
+                    100.0 + np.geomspace(5.0, 900.0, 400))
+
+    def test_volume_sweep_default(self):
+        point = dict(FIG4A, sd=300.0)
+        point.pop("n_wafers")
+        self._check(lambda: volume_sweep(PAPER_FIGURE4_MODEL, **point).x,
+                    np.geomspace(100, 1e6, 200))
+
+    def test_grid_arguments_keep_their_types(self):
+        np.testing.assert_array_equal(
+            sd_grid(100, sd_max=np.float64(1000.0), n=np.int64(400), margin=5),
+            sd_grid(100.0))
+        with pytest.raises(TypeError):
+            sd_grid(100.0, n=400.5)
+
+
 class TestSdSweep:
     def test_figure4a_u_curve(self):
         sweep = sd_sweep(PAPER_FIGURE4_MODEL, **FIG4A)

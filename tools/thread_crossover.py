@@ -2,7 +2,7 @@
 """Measure where the engine's block threads beat one thread.
 
 For each grid size it times one eq.-(4) ``s_d`` sweep (``Eq4SdKernel``,
-Figure 4's operating point, RAISE policy, memo cache off) three ways
+Figure 4's operating point, RAISE policy) three ways
 and prints the 10th-percentile wall time of each, in milliseconds:
 
 * ``threads`` — ``evaluate_grid`` with its 64k-point blocks spread over
@@ -62,8 +62,7 @@ def measure(size: int, repeats: int) -> tuple:
                    n=size)
 
     def run():
-        return evaluate_grid(kernel, grid, where="tools.thread_crossover",
-                             cache=False)
+        return evaluate_grid(kernel, grid, where="tools.thread_crossover")
 
     configure_parallel(enabled=True)
     cut_over = core._THREADS_FROM
