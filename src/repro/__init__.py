@@ -36,9 +36,7 @@ modules that name needs (see :mod:`repro._lazy`).
 ``repro.engine``
     Vectorized batch-evaluation backend (NumPy kernels, blocks
     spread across threads) behind the sweep/roadmap hot loops,
-    plus the stdlib single-point pricing behind the facade;
-    ``repro.engine.set_backend`` selects ``auto``/``numpy``/``python``
-    for the grids.
+    plus the stdlib single-point pricing behind the facade.
 ``repro.data``
     Table A1 (49 industrial designs) and the reconstructed ITRS-1999
     roadmap.

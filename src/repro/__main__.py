@@ -21,9 +21,6 @@ the bare report):
     Evaluate under :attr:`repro.robust.ErrorPolicy.MASK`: infeasible
     points become NaN entries instead of aborting the report, and a
     masked-point summary is appended when anything was masked.
-``--backend {auto,numpy,python}``
-    Select the :mod:`repro.engine` evaluation backend for the run
-    (``auto`` picks NumPy when available).
 ``--telemetry DIR``
     Run the report with observability enabled and dump the full
     telemetry snapshot bundle (``metrics.prom`` in Prometheus text
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import sys
 
-from . import engine, obs
+from . import obs
 from .obs import history as obs_history
 from .api import Scenario, evaluate_many
 from .cost import PAPER_FIGURE4_MODEL
@@ -181,26 +178,18 @@ def _split_value_flag(argv: list[str], flag: str) -> tuple[list[str], str | None
 
 
 _USAGE = ("usage: python -m repro [report] [--trace] [--metrics] "
-          "[--profile] [--permissive] [--backend auto|numpy|python] "
-          "[--telemetry DIR] [--history PATH]")
+          "[--profile] [--permissive] [--telemetry DIR] [--history PATH]")
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, backend = _split_value_flag(argv, "--backend")
         argv, telemetry_dir = _split_value_flag(argv, "--telemetry")
         argv, history_path = _split_value_flag(argv, "--history")
     except DomainError as exc:
         print(f"{exc}; {_USAGE}", file=sys.stderr)
         return 2
-    if backend is not None:
-        try:
-            engine.set_backend(backend)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     flags = [a for a in argv if a.startswith("--")]
     positional = [a for a in argv if not a.startswith("--")]
     unknown = [f for f in flags if f not in _FLAGS]

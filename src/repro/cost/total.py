@@ -129,8 +129,7 @@ class TotalCostModel:
         What :func:`repro.engine.points.price_points` prices a single
         operating point with: the component models' parameters, read
         field by field, not their methods. A subclass may override a
-        method, so only exact stock types qualify (the rule the engine's
-        pure-python kernels follow for yield statistics).
+        method, so only exact stock types qualify.
         """
         design = self.design_model
         mask = self.mask_model

@@ -8,11 +8,12 @@ and behaviourally identical to the per-point loops it replaces:
 
 * ``RAISE`` — vectorized batch calls over ``_BLOCK``-point slices;
 * ``MASK``/``COLLECT`` — a vectorized feasibility split: the provably
-  safe subset is batched block by block, everything else re-runs
-  through the scalar model call so each failing point produces the
-  exact legacy ``Diagnostic`` (same ``where``/``equation``/
-  ``parameter``/``index``, same message, same ``robust.policy.*``
-  metric side effects).
+  safe subset is batched block by block, a block that raises is halved
+  until the points that raise on their own are isolated, and those
+  points (with every infeasible or non-finite one) re-run through the
+  scalar model call so each failing point produces the exact legacy
+  ``Diagnostic`` (same ``where``/``equation``/``parameter``/``index``,
+  same message, same ``robust.policy.*`` metric side effects).
 
 Both policies evaluate in-process grids in fixed 64k-point slices
 written into one preallocated output (:func:`_blocked_batch`,
@@ -21,8 +22,7 @@ arithmetic allocates for it stay cache-resident, where one whole-grid
 call streams every temporary through main memory. An in-place kernel
 (``Eq4SdKernel``) allocates none: it writes each slice through one
 scratch buffer. Grids of ``_THREADS_FROM`` points or more are sliced
-across threads (NumPy ufuncs release the GIL); the thread count is
-:func:`configure_parallel`'s ``max_workers``, else every CPU the
+across threads (NumPy ufuncs release the GIL), one per CPU the
 process may run on (:func:`block_threads`). The kernels are
 elementwise, so the values are bit-identical to one unblocked
 ``kernel.batch`` on any number of threads.
@@ -45,12 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, ReproError
+from ..errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
 from ..obs import trace as obs_trace
 from ..robust.policy import DiagnosticLog, ErrorPolicy
-from . import backend as _backend
 
 __all__ = ["GridEvaluation", "block_threads", "configure_parallel",
            "evaluate_grid", "map_scalar", "parallel_settings"]
@@ -63,8 +62,15 @@ _BLOCK = 65_536
 #: at 4 blocks (262 144 points) in 6 of 7 runs and at every larger size
 #: in every run; at 3 blocks the winner changed from run to run.
 _THREADS_FROM = 4 * _BLOCK
+#: A MASK/COLLECT slice of at most this many points with failures on
+#: both sides of its middle re-runs point by point instead of halving
+#: (see :func:`_isolate`).
+_SCALAR_SLICE = 64
 
-_max_workers: int | None = None
+#: The ``backend`` label of the engine's span, counters and run-history
+#: records; stored runs and ``perfbench`` select on it.
+_BACKEND = "numpy"
+
 _enabled = True
 
 _pool: ThreadPoolExecutor | None = None
@@ -72,42 +78,31 @@ _pool_size = 0
 _pool_lock = threading.Lock()
 
 
-def configure_parallel(*, max_workers: int | None = None,
-                       enabled: bool | None = None) -> None:
-    """Tune the block threads (test hooks and power users).
+def configure_parallel(*, enabled: bool) -> None:
+    """Switch the block threads on or off (test hooks and power users).
 
-    ``max_workers`` caps the threads one large grid may use (None =
-    every available CPU, see :func:`block_threads`);
     ``enabled=False`` keeps every grid on the calling thread.
     """
-    global _max_workers, _enabled
-    if max_workers is not None:
-        if max_workers < 1:
-            raise DomainError(f"max_workers must be >= 1; got {max_workers}")
-        _max_workers = max_workers
-    if enabled is not None:
-        _enabled = enabled
+    global _enabled
+    _enabled = enabled
 
 
 def parallel_settings() -> dict:
     """The current block-thread configuration (for reports and docs)."""
-    return {"max_workers": _max_workers, "enabled": _enabled}
+    return {"enabled": _enabled}
 
 
 def block_threads() -> int:
     """Threads the block loop may use for one large grid.
 
-    ``max_workers`` when configured, else the CPUs this process may run
-    on (its affinity mask where the OS reports one, so ``taskset -c 0``
-    gives 1), else ``os.cpu_count()``; one thread when
-    ``configure_parallel(enabled=False)``. :func:`_block_threads`
-    applies the size cut-over below which a grid stays on the calling
-    thread.
+    The CPUs this process may run on (its affinity mask where the OS
+    reports one, so ``taskset -c 0`` gives 1), else ``os.cpu_count()``;
+    one thread when ``configure_parallel(enabled=False)``.
+    :func:`_block_threads` applies the size cut-over below which a grid
+    stays on the calling thread.
     """
     if not _enabled:
         return 1
-    if _max_workers is not None:
-        return _max_workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -120,14 +115,11 @@ class GridEvaluation:
     ``values`` has the grid's shape for single-output kernels and
     ``(n_outputs, n)`` for multi-output ones. ``diagnostics`` is the
     tuple ``DiagnosticLog.finish`` returned (for RAISE it is empty).
-    ``chunks`` is always 1; ``perfbench`` still reads it. ``workers``
-    is how many threads evaluated the blocks.
+    ``workers`` is how many threads evaluated the blocks.
     """
 
     values: np.ndarray
     diagnostics: tuple
-    backend: str
-    chunks: int = 1
     workers: int = 1
 
 
@@ -240,15 +232,52 @@ def _blocked_batch(kernel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     return values, _run_blocks(xs.size, work)
 
 
+def _write_or_nan(write, block: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> bool:
+    """``write(block, out, scratch)``; on a ``ReproError`` fill ``out``
+    with NaN instead and return False."""
+    try:
+        write(block, out, scratch)
+    except ReproError:
+        out[...] = np.nan
+        return False
+    return True
+
+
+def _isolate(write, block: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """Re-write a slice whose write raised, half by half.
+
+    Each half that raises again is halved in turn, down to single
+    points, so one bad point costs two writes per halving and leaves
+    only itself NaN for the scalar re-run. A slice of at most
+    ``_SCALAR_SLICE`` points whose two halves both raise stays NaN
+    whole: when every point fails (an invalid fixed argument), halving
+    to single points would cost two batch calls per point on top of the
+    re-run's one scalar call.
+    """
+    if block.size == 1:
+        return
+    half = block.size // 2
+    parts = ((block[:half], out[..., :half], scratch[:half]),
+             (block[half:], out[..., half:], scratch[half:]))
+    failed = [part for part in parts if not _write_or_nan(write, *part)]
+    if len(failed) == 2 and block.size <= _SCALAR_SLICE:
+        return
+    for part in failed:
+        _isolate(write, *part)
+
+
 def _masked_blocks(kernel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The in-process MASK/COLLECT batch: ``(values, suspects, threads)``.
 
     Each slice is split by ``kernel.feasible``: a fully feasible slice
     is written straight through, a mixed slice gathers its feasible
     points and scatters the results back, and an infeasible one is
-    skipped; every point left out stays NaN. ``suspects`` are the
+    skipped; every point left out, and every point the batch raises
+    for (:func:`_isolate`), stays NaN. ``suspects`` are the
     ascending indices whose values are not finite (every infeasible
-    point among them). A ``ReproError`` from any slice propagates.
+    point among them).
     """
     values = _values_buffer(kernel, xs.size, fill=None)
     write = _block_writer(kernel)
@@ -259,11 +288,17 @@ def _masked_blocks(kernel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
         out = values[..., start:stop]
         keep = np.asarray(kernel.feasible(block), dtype=bool)
         if keep.all():
-            write(block, out, scratch)
+            if not _write_or_nan(write, block, out, scratch):
+                _isolate(write, block, out, scratch)
         else:
             out[...] = np.nan
             if keep.any():
-                out[..., keep] = kernel.batch(block[keep])
+                kept = block[keep]
+                part = _values_buffer(kernel, kept.size, fill=None)
+                scratch = scratch[:kept.size]
+                if not _write_or_nan(write, kept, part, scratch):
+                    _isolate(write, kept, part, scratch)
+                out[..., keep] = part
         finite = np.isfinite(out)
         if out.ndim > 1:
             finite = finite.all(axis=0)
@@ -284,69 +319,44 @@ def _store(values: np.ndarray, index: int, result) -> None:
 
 
 def _scalar_loop(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
-                 equation: str, parameter: str, *, python: bool):
-    """The legacy per-point loop, byte-compatible diagnostics included."""
+                 equation: str, parameter: str, *, values=None, indices=None):
+    """The legacy per-point loop, byte-compatible diagnostics included.
+
+    Runs ``kernel.point`` at ``indices`` in the given order (default:
+    every point) and writes into ``values`` (default: a NaN buffer);
+    a failing point keeps its value and adds its ``Diagnostic``.
+    Returns ``(values, diagnostics)``.
+    """
     log = DiagnosticLog(policy, where, equation=equation)
-    point = kernel.point_py if python else kernel.point
-    values = _values_buffer(kernel, xs.size)
-    for i, x in enumerate(xs):
+    if values is None:
+        values = _values_buffer(kernel, xs.size)
+    for i in range(xs.size) if indices is None else indices.tolist():
+        x = float(xs[i])
         try:
-            result = point(float(x))
+            result = kernel.point(x)
         except Exception as exc:  # noqa: BLE001 — capture() re-raises non-ReproError
-            if not log.capture(exc, parameter=parameter, value=float(x), index=i):
+            if not log.capture(exc, parameter=parameter, value=x, index=i):
                 raise
             continue
         _store(values, i, result)
     return values, log.finish()
 
 
-def _masked_batch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
-                  equation: str, parameter: str):
-    """Vectorized MASK/COLLECT: batch the safe subset, re-run the rest.
-
-    The feasibility predicate is a speed heuristic, never a correctness
-    gate: points it rejects — and points the batch produced non-finite
-    values for (e.g. overflow that the scalar path reports as a
-    ``DomainError``) — are re-evaluated through the scalar model call in
-    ascending grid order, so the diagnostic stream is identical to the
-    legacy loop's.
-
-    Feasibility, evaluation and the finiteness check run slice by slice
-    (:func:`_masked_blocks`). Returns ``(values, diagnostics, threads)``.
-    """
-    log = DiagnosticLog(policy, where, equation=equation)
-    try:
-        values, suspects, threads = _masked_blocks(kernel, xs)
-    except ReproError:
-        # A fixed parameter (not the swept one) is infeasible, or the
-        # predicate was too optimistic: the whole batch is suspect, so
-        # fall back to the exact legacy loop for full diagnostics parity.
-        scalar_values, scalar_diags = _scalar_loop(
-            kernel, xs, policy, where, equation, parameter, python=False)
-        return scalar_values, scalar_diags, 1
-    for raw_index in suspects:
-        i = int(raw_index)
-        try:
-            result = kernel.point(float(xs[i]))
-        except Exception as exc:  # noqa: BLE001 — capture() re-raises non-ReproError
-            if not log.capture(exc, parameter=parameter, value=float(xs[i]), index=i):
-                raise
-            continue
-        _store(values, i, result)
-    return values, log.finish(), threads
-
-
-def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
-              where: str, equation: str, parameter: str) -> GridEvaluation:
-    """The policy/backend dispatch body of :func:`evaluate_grid`."""
-    if mode == "python":
-        values, diagnostics = _scalar_loop(kernel, xs, policy, where,
-                                           equation, parameter, python=True)
-        return GridEvaluation(values, diagnostics, "python")
+def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, where: str,
+              equation: str, parameter: str) -> GridEvaluation:
+    """The policy dispatch body of :func:`evaluate_grid`."""
     if policy is not ErrorPolicy.RAISE:
-        values, diagnostics, threads = _masked_batch(
-            kernel, xs, policy, where, equation, parameter)
-        return GridEvaluation(values, diagnostics, "numpy", workers=threads)
+        # The feasibility predicate is a speed heuristic, never a
+        # correctness gate: the points it rejects, the points the batch
+        # raised for and the points it gave non-finite values for (e.g.
+        # overflow that the scalar path reports as a ``DomainError``)
+        # re-run through the scalar model call in ascending grid order,
+        # so the diagnostic stream is identical to the legacy loop's.
+        values, suspects, threads = _masked_blocks(kernel, xs)
+        values, diagnostics = _scalar_loop(
+            kernel, xs, policy, where, equation, parameter, values=values,
+            indices=suspects)
+        return GridEvaluation(values, diagnostics, workers=threads)
     threads = 1
     try:
         values, threads = _blocked_batch(kernel, xs)
@@ -358,12 +368,12 @@ def _dispatch(kernel, xs: np.ndarray, policy: ErrorPolicy, mode: str,
         values = kernel.batch(xs)
     values = np.asarray(values, dtype=float)
     obs_metrics.observe("engine_grid_points", float(xs.size))
-    return GridEvaluation(values, (), "numpy", workers=threads)
+    return GridEvaluation(values, (), workers=threads)
 
 
 def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
                   equation: str = "", parameter: str = "x") -> GridEvaluation:
-    """Evaluate ``kernel`` over ``grid`` under the configured backend.
+    """Evaluate ``kernel`` over ``grid`` under an error policy.
 
     ``where``/``equation``/``parameter`` feed straight into the
     ``DiagnosticLog``, so rewired call sites keep their historical
@@ -373,19 +383,15 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
     ``engine.evaluate_grid`` span (block-thread spans parent under it)
     and labeled dispatch counters
     (``engine_dispatch_total{backend=,policy=}``,
-    ``engine_points_total{backend=}``, ``engine_chunks_total{backend=}``)
-    record where the points went.
+    ``engine_points_total{backend=}``) record where the points went.
     """
     policy = ErrorPolicy.coerce(policy)
     xs = np.ascontiguousarray(grid, dtype=float)
-    mode = _backend.resolved_backend()
     enclosing = obs_trace.current_span()
-    with obs_trace.span("engine.evaluate_grid", where=where, backend=mode,
-                        policy=policy.name.lower(),
+    with obs_trace.span("engine.evaluate_grid", where=where,
+                        backend=_BACKEND, policy=policy.name.lower(),
                         points=int(xs.size)) as sp:
-        result = _dispatch(kernel, xs, policy, mode, where, equation,
-                           parameter)
-        sp.set_attr("chunks", result.chunks)
+        result = _dispatch(kernel, xs, policy, where, equation, parameter)
         sp.set_attr("workers", result.workers)
         if enclosing is not None:
             # DiagnosticLog annotates the *current* span at capture time,
@@ -396,12 +402,10 @@ def evaluate_grid(kernel, grid, *, policy=ErrorPolicy.RAISE, where: str,
                     enclosing.set_attr(attr, value)
         obs_metrics.inc(
             "engine_dispatch_total",
-            labels={"backend": result.backend, "policy": policy.name.lower()})
+            labels={"backend": _BACKEND, "policy": policy.name.lower()})
         obs_metrics.inc("engine_points_total", float(xs.size),
-                        labels={"backend": result.backend})
-        obs_metrics.inc("engine_chunks_total", float(result.chunks),
-                        labels={"backend": result.backend})
-        obs_telemetry.note_evaluation(result.backend, int(xs.size))
+                        labels={"backend": _BACKEND})
+        obs_telemetry.note_evaluation(_BACKEND, int(xs.size))
         return result
 
 

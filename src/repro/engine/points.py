@@ -119,22 +119,19 @@ def price_points(points, params, policy=ErrorPolicy.RAISE):
     for i, point in enumerate(points):
         try:
             cost = _cost(point, shared if shared is not None else params[i])
-        except (pykernels.KernelError, ReproError) as exc:
-            error = exc if isinstance(exc, ReproError) else DomainError(str(exc))
+        except ReproError as exc:
             if policy is ErrorPolicy.RAISE:
-                if error is exc:
-                    raise
-                raise error from exc
+                raise
             if log is None:
                 log = DiagnosticLog(policy, WHERE, equation="4")
-            log.capture(error, parameter="scenario", value=float(i), index=i)
+            log.capture(exc, parameter="scenario", value=float(i), index=i)
             cost = math.nan
         try:
             area = pykernels.area_from_sd(point.sd, point.n_transistors,
                                           point.feature_um)
-        except pykernels.KernelError as exc:
+        except DomainError:
             if policy is ErrorPolicy.RAISE:
-                raise DomainError(str(exc)) from exc
+                raise
             area = math.nan
         values.append((cost, area))
     return values, (log.finish() if log is not None else ())

@@ -31,7 +31,7 @@ from .base import LintPass, RuleSpec
 __all__ = ["KernelPurityPass", "ConcurrencyPass"]
 
 #: The kernel evaluation surface the block threads run concurrently.
-_KERNEL_BODY_METHODS = ("batch", "point", "point_py", "feasible")
+_KERNEL_BODY_METHODS = ("batch", "point", "feasible")
 
 #: Decorators marking a function as memoized or traced.
 _CACHED_DECORATORS = frozenset({"traced", "cached_property", "lru_cache",

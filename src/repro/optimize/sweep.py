@@ -149,9 +149,8 @@ def sd_sweep(
 ) -> SweepResult:
     """Figure 4's sweep: eq. (4) cost versus ``s_d`` at a fixed point.
 
-    The grid dispatches through :func:`repro.engine.evaluate_grid`:
-    one vectorized batch on the NumPy backend, the exact
-    per-point scalar loop on the pure-python fallback. Under the
+    The grid dispatches through :func:`repro.engine.evaluate_grid`
+    in vectorized blocks. Under the
     default ``policy=ErrorPolicy.RAISE`` any infeasible point aborts
     the sweep — the historical behavior. MASK/COLLECT yield NaN-masked
     entries plus per-point diagnostics (see :mod:`repro.robust`).

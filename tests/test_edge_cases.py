@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.api import Scenario, evaluate_many
 from repro.cost import PAPER_FIGURE4_MODEL, transistor_cost
 from repro.data import DesignRegistry
@@ -59,24 +58,22 @@ class TestCostEdges:
 
 
 class TestFeatureOverflow:
-    """``λ²`` overflowing a float is a ``DomainError`` on both backends."""
+    """``λ²`` overflowing a float is a ``DomainError``, never a warning."""
 
     HUGE = Scenario(n_transistors=1e7, feature_um=1e200)
     MESSAGE = "lambda^2 overflows for feature_um=1e+200"
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_raise_policy_raises_the_same_domain_error(self, backend):
-        with warnings.catch_warnings(), engine.using(backend):
+    def test_raise_policy_raises_the_same_domain_error(self):
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as excinfo:
                 self.HUGE.evaluate()
         assert str(excinfo.value) == self.MESSAGE
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_mask_policy_records_a_diagnostic(self, backend):
+    def test_mask_policy_records_a_diagnostic(self):
         fine = self.HUGE.replace(feature_um=0.18)
         diagnostics = []
-        with warnings.catch_warnings(), engine.using(backend):
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = evaluate_many([self.HUGE, fine], policy=ErrorPolicy.MASK,
                                     diagnostics=diagnostics)

@@ -4,8 +4,9 @@
 ``_BLOCK``-point slices. Splitting must not be observable: values are
 bit-identical to one ``kernel.batch`` over the whole grid at every
 block boundary, MASK/COLLECT diagnostics equal the per-point
-``_scalar_loop``'s, and a RAISE grid raises the unblocked exception
-even when the bad point sits in a later block. Large grids spread the
+``_scalar_loop``'s (a point the batch raises for re-runs alone), and a
+RAISE grid raises the unblocked exception even when the bad point sits
+in a later block. Large grids spread the
 blocks over threads, the engine's only parallel path.
 """
 
@@ -102,7 +103,7 @@ class TestBlockBoundaryParity:
     def test_bit_identical_to_unblocked_batch(self, name, size, policy):
         kernel, grid = KERNELS[name](size)
         evaluation = _evaluate(kernel, grid, policy)
-        assert evaluation.chunks == 1 and evaluation.diagnostics == ()
+        assert evaluation.diagnostics == ()
         np.testing.assert_array_equal(evaluation.values, kernel.batch(grid))
 
     def test_mask_mixed_blocks_match_unblocked_scatter(self, name, size):
@@ -129,9 +130,58 @@ def test_boundary_diagnostics_match_scalar_loop(name, policy, monkeypatch):
         kernel, grid = KERNELS[name](size, bad)
         blocked = _diagnostics(lambda: _evaluate(kernel, grid, policy).diagnostics)
         scalar = _diagnostics(lambda: engine_core._scalar_loop(
-            kernel, grid, policy, "test.blocked", "4", "x", python=False)[1])
+            kernel, grid, policy, "test.blocked", "4", "x")[1])
         assert blocked == scalar
         assert [d.index for d in blocked] == bad
+
+
+def _counting_points(monkeypatch, kernel):
+    """Record every ``x`` the kernel's scalar ``point`` is called with."""
+    calls = []
+    point = type(kernel).point
+
+    def counted(self, x):
+        calls.append(x)
+        return point(self, x)
+
+    monkeypatch.setattr(type(kernel), "point", counted)
+    return calls
+
+
+def test_one_raising_point_reruns_alone(monkeypatch):
+    """``s_d = 1e300`` passes ``feasible`` but makes the batch raise:
+    only that point re-runs through ``kernel.point``, not the grid."""
+    bad = 54_321
+    kernel, grid = eq4(100_000, [bad], 1e300)
+    calls = _counting_points(monkeypatch, kernel)
+    evaluation = _evaluate(kernel, grid, ErrorPolicy.MASK)
+    assert calls == [1e300]
+    assert np.isnan(evaluation.values[bad])
+    np.testing.assert_array_equal(np.delete(evaluation.values, bad),
+                                  kernel.batch(np.delete(grid, bad)))
+    _, scalar = engine_core._scalar_loop(kernel, grid, ErrorPolicy.MASK,
+                                         "test.blocked", "4", "x")
+    assert evaluation.diagnostics == scalar
+    assert [d.index for d in scalar] == [bad]
+
+
+@pytest.mark.parametrize("policy", POLICIES[1:], ids=lambda p: p.name)
+@pytest.mark.parametrize("name", ["eq4", "objectives"])
+def test_raising_points_rerun_alone_on_threads(name, policy, threads,
+                                               monkeypatch):
+    """Points the batch raises for, in clean and in mixed slices (one
+    with an infeasible point too), each re-run alone on any thread."""
+    threads(4)
+    n = 40 * SMALL_BLOCK + 5
+    raising = [3, SMALL_BLOCK + 40, 17 * SMALL_BLOCK, n - 1]
+    kernel, grid = KERNELS[name](n, raising, 1e300)
+    grid[SMALL_BLOCK + 2] = BAD_SD
+    calls = _counting_points(monkeypatch, kernel)
+    blocked = _diagnostics(lambda: _evaluate(kernel, grid, policy).diagnostics)
+    assert calls == [grid[i] for i in sorted(raising + [SMALL_BLOCK + 2])]
+    scalar = _diagnostics(lambda: engine_core._scalar_loop(
+        kernel, grid, policy, "test.blocked", "4", "x")[1])
+    assert blocked == scalar
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -166,7 +216,6 @@ def test_thread_crossover_tool_prints_the_table():
 
 def test_block_threads_follow_the_cpu_affinity(monkeypatch):
     """A process pinned to one CPU starts no helper thread."""
-    monkeypatch.setattr(engine_core, "_max_workers", None)
     monkeypatch.setattr(engine_core, "_enabled", True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
@@ -202,8 +251,7 @@ def threads(monkeypatch):
     monkeypatch.setattr(engine_core, "_THREADS_FROM", 0)
 
     def use(k):
-        monkeypatch.setattr(engine_core, "_enabled", k > 1)
-        monkeypatch.setattr(engine_core, "_max_workers", k)
+        monkeypatch.setattr(engine_core, "block_threads", lambda: k)
     return use
 
 
@@ -263,8 +311,7 @@ def test_threads_at_the_real_block_size(policy, monkeypatch):
         if policy is ErrorPolicy.MASK else eq4(n)
     monkeypatch.setattr(engine_core, "_enabled", False)
     single = _outcome(kernel, grid, policy)
-    monkeypatch.setattr(engine_core, "_enabled", True)
-    monkeypatch.setattr(engine_core, "_max_workers", 2)
+    monkeypatch.setattr(engine_core, "block_threads", lambda: 2)
     threaded = _outcome(kernel, grid, policy)
     assert threaded[:-1] == single[:-1]
     assert (single[-1], threaded[-1]) == (1, 2)

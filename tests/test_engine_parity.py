@@ -2,8 +2,7 @@
 
 The reproduction contract of :mod:`repro.engine` is numerical and
 behavioural identity with the per-point loops it replaced: same values
-(to <=1e-12 relative), same diagnostics under MASK/COLLECT, same
-results from the pure-python backend.
+(to <=1e-12 relative) and the same diagnostics under MASK/COLLECT.
 """
 
 import numpy as np
@@ -11,7 +10,8 @@ import pytest
 
 from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
 from repro.data import DesignRegistry, load_itrs_1999
-from repro.engine import evaluate_grid, using
+from repro.engine import core as engine_core
+from repro.engine import evaluate_grid
 from repro.engine.kernels import (
     DesignObjectivesKernel,
     Eq4SdKernel,
@@ -57,7 +57,6 @@ class TestBatchScalarParity:
         grid = GRIDS[grid_name]
         evaluation = evaluate_grid(kernel, grid, where="test.parity",
                                    equation="4", parameter="sd")
-        assert evaluation.backend == "numpy"
         assert max_relative_error(
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
 
@@ -91,41 +90,6 @@ class TestBatchScalarParity:
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
 
 
-class TestPythonBackend:
-    def test_python_backend_matches_numpy(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = GRIDS["figure4"]
-        reference = evaluate_grid(kernel, grid, where="test.parity").values
-        with using("python"):
-            evaluation = evaluate_grid(kernel, grid, where="test.parity")
-        assert evaluation.backend == "python"
-        assert max_relative_error(evaluation.values, reference) <= 1e-12
-
-    def test_python_backend_eq7_matches_numpy(self):
-        kernel = Eq7SdKernel(DEFAULT_GENERALIZED_MODEL, n_transistors=1e7,
-                             feature_um=0.18, n_wafers=5_000)
-        grid = GRIDS["itrs"]
-        reference = evaluate_grid(kernel, grid, where="test.parity").values
-        with using("python"):
-            evaluation = evaluate_grid(kernel, grid, where="test.parity")
-        assert max_relative_error(evaluation.values, reference) <= 1e-12
-
-    def test_python_backend_mask_diagnostics_match_numpy(self):
-        kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
-        grid = np.array([50.0, 300.0, 400.0, 60.0])
-        numpy_eval = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
-                                   where="test.parity", equation="4",
-                                   parameter="sd")
-        with using("python"):
-            python_eval = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
-                                        where="test.parity", equation="4",
-                                        parameter="sd")
-        np.testing.assert_array_equal(np.isnan(numpy_eval.values),
-                                      np.isnan(python_eval.values))
-        assert ([str(d) for d in numpy_eval.diagnostics]
-                == [str(d) for d in python_eval.diagnostics])
-
-
 class TestMaskCollect:
     def test_mask_nans_infeasible_points_in_order(self):
         kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)
@@ -157,6 +121,9 @@ class TestMaskCollect:
                                    where="test.parity", parameter="sd")
         assert np.isnan(evaluation.values).all()
         assert len(evaluation.diagnostics) == grid.size
+        _, scalar = engine_core._scalar_loop(
+            kernel, grid, ErrorPolicy.MASK, "test.parity", "", "sd")
+        assert evaluation.diagnostics == scalar
 
     def test_collect_raises_aggregate_after_trying_everything(self):
         kernel = Eq4SdKernel(PAPER_FIGURE4_MODEL, **FIG4A)

@@ -11,12 +11,13 @@ point under ``MASK``. CI runs this file with ``-W error::RuntimeWarning``.
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import Scenario
-from repro.cost import PAPER_FIGURE4_MODEL
+from repro.cost import PAPER_FIGURE4_MODEL, TestCostModel
 from repro.cost.total import _lambda_sq
 from repro.density import area_from_sd
 from repro.engine import pykernels
@@ -68,6 +69,17 @@ def test_evaluate_and_sweep_raise_the_same_message(field, value, message):
     # Past the engine's block size the in-place path answers.
     grid = np.full(70_000, sd)
     assert _message(lambda: scenario.sweep("sd", values=grid)) == message
+
+
+@pytest.mark.parametrize("field, value, message", EDGES[3:], ids=IDS[3:])
+def test_feature_edges_with_a_test_model_raise_the_same_message(field, value,
+                                                                message):
+    # The test term squares lambda too: it must not raise first.
+    model = replace(PAPER_FIGURE4_MODEL, test_model=TestCostModel())
+    scenario = Scenario(**{**BASE, field: value}, model=model)
+    assert _message(scenario.evaluate) == message
+    assert _message(lambda: scenario.sweep("sd", values=[300.0, 300.0])) == \
+        message
 
 
 @pytest.mark.parametrize("field, value, message", EDGES, ids=IDS)
@@ -126,11 +138,11 @@ def test_subnormal_feature_fails_on_every_path():
     assert _message(lambda: _lambda_sq(um_to_cm(np.array([0.18, SUBNORMAL])),
                                        np.array([0.18, SUBNORMAL]))) == \
         UNDERFLOW
-    with pytest.raises(pykernels.KernelError, match=re.escape(UNDERFLOW)):
+    with pytest.raises(DomainError, match=re.escape(UNDERFLOW)):
         pykernels.total_transistor_cost(
             300.0, 1e7, SUBNORMAL, 5_000.0, 0.4, 8.0, wafer_area_cm2=314.0,
             a0=1000.0, p1=1.0, p2=1.2, sd0=100.0)
-    with pytest.raises(pykernels.KernelError, match=re.escape(UNDERFLOW)):
+    with pytest.raises(DomainError, match=re.escape(UNDERFLOW)):
         pykernels.area_from_sd(300.0, 1e7, SUBNORMAL)
     assert _message(lambda: area_from_sd(300.0, 1e7, SUBNORMAL)) == UNDERFLOW
     assert _message(lambda: area_from_sd(

@@ -189,26 +189,17 @@ def test_real_tree_is_clean_for_dataflow_rules():
 
 
 def test_seeded_mutable_table_on_kernel_path_is_detected():
-    # Bind the stock-statistics table as a dict: block threads sharing an
-    # Eq7SdKernel would read a table any caller could change mid-grid.
+    # Bind eq. (4)'s in-place headroom bound as a list: block threads
+    # sharing an Eq4SdKernel would read a value any caller could change
+    # mid-grid.
     project = _mutated_project(
-        "engine/kernels.py",
-        lambda src: src.replace(
-            "_PY_STATISTICS = (\n"
-            "    (PoissonYield, \"poisson\"),\n"
-            "    (MurphyYield, \"murphy\"),\n"
-            "    (SeedsYield, \"seeds\"),\n"
-            "    (NegativeBinomialYield, \"negbinomial\"),\n"
-            ")",
-            "_PY_STATISTICS = {\n"
-            "    PoissonYield: \"poisson\",\n"
-            "    MurphyYield: \"murphy\",\n"
-            "    SeedsYield: \"seeds\",\n"
-            "    NegativeBinomialYield: \"negbinomial\",\n"
-            "}.items()"))
+        "cost/total.py",
+        lambda src: src.replace("_HEADROOM = 2.0 ** 1000",
+                                "_HEADROOM = [2.0 ** 1000]"))
     findings = list(KernelPurityPass().run(project, LintConfig()))
     hits = [f for f in findings
-            if f.rule == "PURE002" and "_PY_STATISTICS" in f.message]
+            if f.rule == "PURE002" and "_HEADROOM" in f.message
+            and "Eq4SdKernel.batch()" in f.message]
     assert hits, [f.message for f in findings]
 
 
