@@ -203,13 +203,13 @@ class Scenario:
     def sensitivity(self, parameters=None, rel_step: float = 0.05,
                     sd_max: float = 5000.0,
                     policy: ErrorPolicy = ErrorPolicy.RAISE) -> dict:
-        """Optimal-cost elasticities of this operating point.
+        """Elasticities of the cost-optimal density at this operating point.
 
         Delegates to :func:`repro.optimize.parameter_elasticities`: for
         each parameter (default: all of them), the relative change of
-        the *optimal* transistor cost per relative change of that
-        parameter. NaN entries mark perturbed solves that failed under
-        ``MASK``.
+        the optimal ``s_d`` per relative change of that parameter,
+        ``d ln(sd_opt) / d ln(θ)`` by central differences. NaN entries
+        mark perturbed solves that failed under ``MASK``.
         """
         from .optimize import parameter_elasticities
         point = {"n_transistors": self.n_transistors,

@@ -22,7 +22,10 @@ equation; its optimum is a golden-section search over
 :meth:`~repro.cost.total.TotalCostModel.sd_curve`.
 :func:`optimal_sd_condition` evaluates the first-order condition in
 $/cm²; :func:`optimum_vs_volume` traces how the optimum migrates with
-wafer volume — the paper's Figure 4(a)→(b) contrast.
+wafer volume — the paper's Figure 4(a)→(b) contrast. It and the scans
+of :mod:`repro.optimize.sensitivity` solve many operating points of
+one model, so they set the model up once (:class:`_SharedSetup`) and
+run each solve untraced in plain floats.
 """
 
 from __future__ import annotations
@@ -35,16 +38,21 @@ import numpy as np
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..engine import map_scalar
-from ..errors import ConvergenceError, DomainError
+from ..errors import ConvergenceError, DomainError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs.instrument import traced
 from ..robust.policy import ErrorPolicy
 from ..robust.retry import ConvergenceReport, RetryBudget, note_retry
 from ..robust.solvers import retrying_golden_min
+from ..units import UM_PER_CM
 from ..validation import check_positive
 
 __all__ = ["OptimumResult", "optimal_sd", "optimal_sd_generalized",
            "optimal_sd_condition", "optimum_vs_volume"]
+
+#: Bound on the power and the cost :class:`_SharedSetup` checks in floats:
+#: far enough inside the float range that NumPy's last bit cannot leave it.
+_FAR = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -84,30 +92,33 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def _stationarity(model: TotalCostModel, n_transistors, feature_um, n_wafers,
-                  cost_per_cm2):
-    """``(r, g)``: eq. (4)'s stationarity equation divided by ``A``.
+def _ratio(model: TotalCostModel, n_transistors, n_wafers, cost_per_cm2,
+           mask_cost: float) -> float:
+    """``r = K/A``, the one operating-point factor of eq. (4)'s stationarity equation.
 
-    ``g(m) = f(m)/A = r·m^(p2+1) + (1−p2)·m − p2·s_d0`` with
-    ``r = K/A``; ``g(m)`` returns the value and the slope ``g'(m)``.
-    Only the ratio ``r`` carries the operating point, so the root does
-    not depend on ``Y`` or ``u``, and nothing overflows before ``r``
-    does. The arguments must have passed ``sd_curve``'s checks.
+    Dividing ``f`` by ``A`` gives ``g(m) = r·m^(p2+1) + (1−p2)·m − p2·s_d0``
+    (:func:`_equation`). Only ``r`` carries the operating point, so the
+    root does not depend on ``Y`` or ``u``, and nothing overflows before
+    ``r`` does. The arguments must have passed ``sd_curve``'s checks;
+    ``mask_cost`` is ``C_MA`` as a float.
     """
     design = model.design_model
-    p2 = design.p2
     k = (float(cost_per_cm2) * (float(n_wafers) * model.wafer.area_cm2)
-         + float(model.mask_cost(feature_um)))
+         + mask_cost)
     a = design.a0 * _pow(float(n_transistors), design.p1)
-    r = k / a if a > 0 else math.inf
+    return k / a if a > 0 else math.inf
+
+
+def _equation(r: float, p2: float, sd0: float):
+    """``g(m)``, returning the value and the slope ``g'(m)`` (see :func:`_ratio`)."""
     linear = 1.0 - p2
-    offset = p2 * design.sd0
+    offset = p2 * sd0
 
     def g(m: float) -> tuple[float, float]:
         rm = r * _pow(m, p2)
         return rm * m + linear * m - offset, (p2 + 1.0) * rm + linear
 
-    return r, g
+    return g
 
 
 def _newton_start(r: float, p2: float, sd0: float) -> float:
@@ -148,6 +159,22 @@ def _newton(g, m: float, tol: float, max_iter: int) -> tuple[float, int | None]:
         if last - m <= tol * m:
             return m, step
     return m, None
+
+
+def _root(g, r: float, p2: float, sd0: float, m_lo: float, clip: float,
+          tol: float, max_iter: int) -> tuple[float | None, int | None]:
+    """``(m, steps)``: the root of ``g`` in ``(m_lo, clip]`` by :func:`_newton`.
+
+    ``(None, 0)`` when the root is at or past the clip (``g`` not yet
+    positive there), ``(m_lo, 0)`` when it is at or below the lower end
+    (``g`` already ≥ 0 there), and ``(last iterate, None)`` when
+    ``max_iter`` Newton steps did not converge.
+    """
+    if not (m_lo < clip and g(clip)[0] > 0):
+        return None, 0
+    if g(m_lo)[0] >= 0:
+        return m_lo, 0
+    return _newton(g, min(clip, _newton_start(r, p2, sd0)), tol, max_iter)
 
 
 @traced(equation="4", attach_result=True,
@@ -209,22 +236,21 @@ def optimal_sd(
             return retrying_golden_min(fn, lo, hi, tol, max_iter, solver=solver,
                                        retry=retry, lo_floor=sd0)
     else:
-        r, g = _stationarity(model, n_transistors, feature_um, n_wafers,
-                             cost_per_cm2)
+        p2 = model.design_model.p2
+        r = _ratio(model, n_transistors, n_wafers, cost_per_cm2,
+                   float(model.mask_cost(feature_um)))
+        g = _equation(r, p2, sd0)
         m_lo = lo - sd0
 
         def solve(hi: float) -> tuple[float, float, int, int]:
             clip = hi * (1 - 1e-3) - sd0
-            if not (m_lo < clip and g(clip)[0] > 0):
-                return hi, math.nan, 0, 1  # the root is at or past the clip
-            if g(m_lo)[0] >= 0:
-                return lo, fn(lo), 0, 1
-            start = min(clip, _newton_start(r, model.design_model.p2, sd0))
             cap = max_iter
             for attempt in range(1, max_attempts + 1):
-                m, steps = _newton(g, start, tol, cap)
+                m, steps = _root(g, r, p2, sd0, m_lo, clip, tol, cap)
+                if m is None:
+                    return hi, math.nan, 0, 1  # the root is at or past the clip
                 if steps is not None:
-                    sd = max(sd0 + m, lo)
+                    sd = lo if steps == 0 else max(sd0 + m, lo)
                     return sd, fn(sd), steps, attempt
                 if attempt < max_attempts:
                     note_retry(solver, attempt, "ConvergenceError")
@@ -254,6 +280,111 @@ def optimal_sd(
     obs_metrics.set_gauge("optimize_optimal_sd_iterations", iters)
     return OptimumResult(sd_opt=sd_opt, cost_opt=cost_opt, iterations=iters,
                          bracket=(lo, hi), attempts=attempts_used)
+
+
+class _SharedSetup:
+    """:func:`optimal_sd` at one model and ``sd_max``, for many operating points.
+
+    The per-model constants (``p2``, ``s_d0``, the bracket's lower end
+    and clip) are set up once; :meth:`solve` then runs one operating
+    point untraced, in plain floats: ``r``, the bracket tests and the
+    Newton steps of :func:`optimal_sd`'s own root path, so ``sd_opt``
+    and ``cost_opt`` are bit-identical to its. A model that is not the
+    stock eq.-(4) model (:attr:`TotalCostModel.scalar_params` is
+    ``None``), a test term, an ``sd_max`` at or below the lower end, an
+    argument that is not a plain number in range, a clip, a stall and a
+    cost that could leave the float range all re-run through
+    :func:`optimal_sd` itself, which raises its exact error.
+    """
+
+    __slots__ = ("model", "sd_max", "params", "sd0", "p2", "lo", "m_lo",
+                 "clip", "top")
+
+    #: :func:`optimal_sd`'s defaults, which every caller of the setup uses.
+    TOL = 1e-10
+    MAX_ITER = 500
+
+    def __init__(self, model: TotalCostModel, sd_max: float = 5000.0):
+        self.model = model
+        self.sd_max = sd_max
+        params = model.scalar_params
+        self.sd0 = sd0 = model.design_model.sd0
+        self.p2 = model.design_model.p2
+        self.lo = lo = sd0 * (1 + 1e-6) + 1e-9
+        self.m_lo = lo - sd0
+        if not (params is not None and params.test is None
+                and type(sd_max) in (float, int) and lo < sd_max < _FAR):
+            params = None
+            sd_max = math.nan
+        self.params = params
+        self.top = sd_max * (1 - 1e-3)
+        self.clip = self.top - sd0
+
+    def solve(self, n_transistors, feature_um, n_wafers, yield_fraction,
+              cost_per_cm2, cost: bool = True) -> tuple[float, float, int]:
+        """``(sd_opt, cost_opt, iterations)`` as :func:`optimal_sd` gives them.
+
+        ``cost=False`` skips the cost evaluation on the shared-setup
+        path, where ``cost_opt`` is then NaN; the cost is still checked
+        to stay in the float range, as :func:`optimal_sd` requires.
+        """
+        point = (n_transistors, feature_um, n_wafers, yield_fraction,
+                 cost_per_cm2)
+        found = self._shared(point, cost)
+        if found is None:
+            res = optimal_sd(self.model, *point, sd_max=self.sd_max)
+            return res.sd_opt, res.cost_opt, res.iterations
+        return found
+
+    def _shared(self, point, cost: bool):
+        """:meth:`solve` on the shared setup, or ``None`` where it re-runs."""
+        params = self.params
+        if params is None:
+            return None
+        for value in point:
+            if type(value) is not float and type(value) is not int:
+                return None
+        try:
+            n_tr, feature, volume, yield_fraction, cm_sq = map(float, point)
+        except OverflowError:  # an int past the float range
+            return None
+        if not (0.0 < n_tr < math.inf and 0.0 < feature < math.inf
+                and 0.0 < volume < math.inf and 0.0 < yield_fraction <= 1.0
+                and 0.0 < cm_sq < math.inf):
+            return None
+        model, sd0, p2, lo = self.model, self.sd0, self.p2, self.lo
+        try:
+            c_ma = float(model.mask_cost(point[1]))
+        except ReproError:
+            return None
+        r = _ratio(model, n_tr, volume, cm_sq, c_ma)
+        m, steps = _root(_equation(r, p2, sd0), r, p2, sd0, self.m_lo,
+                         self.clip, self.TOL, self.MAX_ITER)
+        if m is None or steps is None:
+            return None
+        sd = lo if steps == 0 else max(sd0 + m, lo)
+        if not sd <= self.top:
+            return None
+        # sd_curve's checks at sd, with a margin for the last-bit
+        # difference between this power and NumPy's.
+        feature_cm = feature / UM_PER_CM
+        lambda_sq = feature_cm * feature_cm
+        try:
+            power = (sd - sd0) ** p2
+            design = params.a0 * n_tr ** params.p1 / power
+            value = (lambda_sq * sd / (yield_fraction * params.utilization)
+                     * (cm_sq + (design + c_ma) / (volume * params.wafer_area_cm2)))
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if not (lambda_sq > 0.0 and 1.0 / _FAR < power < _FAR
+                and value < _FAR):
+            return None
+        obs_metrics.set_gauge("optimize_optimal_sd_iterations", steps)
+        if cost:
+            value = float(model.sd_curve(*point)(sd))
+        else:
+            value = math.nan
+        return sd, value, steps
 
 
 @traced(equation="7", attach_result=True,
@@ -339,18 +470,27 @@ def optimum_vs_volume(
     Under ``policy=ErrorPolicy.MASK`` a volume whose solve fails is
     dropped from the returned list (its failure lands on the obs
     counters); COLLECT raises the aggregate after every volume was
-    tried. ``retry`` is forwarded to each :func:`optimal_sd` call.
+    tried. Each volume is solved on one shared setup of the model
+    (:class:`_SharedSetup`) with results bit-identical to
+    :func:`optimal_sd`'s; with a ``retry`` budget every volume runs
+    :func:`optimal_sd` itself, with the budget.
     """
     policy = ErrorPolicy.coerce(policy)
     if n_wafers_values is None:
         n_wafers_values = np.geomspace(1e3, 1e6, 13)
     volumes = [float(nw) for nw in np.asarray(n_wafers_values, dtype=float)]
+    setup = _SharedSetup(model, sd_max)
 
     def solve(nw: float) -> tuple[float, OptimumResult]:
-        res = optimal_sd(model, n_transistors, feature_um, nw,
-                         yield_fraction, cost_per_cm2, sd_max=sd_max,
-                         retry=retry)
-        return (nw, res)
+        if retry is not None:
+            return nw, optimal_sd(model, n_transistors, feature_um, nw,
+                                  yield_fraction, cost_per_cm2,
+                                  sd_max=sd_max, retry=retry)
+        sd_opt, cost_opt, iterations = setup.solve(
+            n_transistors, feature_um, nw, yield_fraction, cost_per_cm2)
+        return nw, OptimumResult(sd_opt=sd_opt, cost_opt=cost_opt,
+                                 iterations=iterations,
+                                 bracket=(setup.lo, sd_max))
 
     out, log = map_scalar(volumes, solve, policy=policy,
                           where="optimize.optimum.optimum_vs_volume",

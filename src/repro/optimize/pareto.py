@@ -14,6 +14,7 @@ the front of a grid straight from the engine's arrays, building a
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -67,12 +68,19 @@ def _objectives(model, n_transistors, feature_um, n_wafers, yield_fraction,
                                equation="4", parameter="sd")
     if diagnostics is not None:
         diagnostics.extend(evaluation.diagnostics)
+    if policy is ErrorPolicy.RAISE:  # nothing was masked
+        return sd_values, evaluation.values
     kept = ~np.isnan(evaluation.values).all(axis=0)
     return sd_values[kept], evaluation.values[:, kept]
 
 
+#: ``DesignPoint`` from an iterable of its four fields: ``_make`` without
+#: its per-call length check (the rows below always hold four).
+_design_point = partial(tuple.__new__, DesignPoint)
+
+
 def _design_points(sd: np.ndarray, objectives: np.ndarray) -> list[DesignPoint]:
-    return list(map(DesignPoint._make, zip(sd.tolist(), *objectives.tolist())))
+    return list(map(_design_point, zip(sd.tolist(), *objectives.tolist())))
 
 
 @traced(equation="4")

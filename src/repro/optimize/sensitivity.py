@@ -11,9 +11,14 @@ the other operating-point parameters) wiggle. This module provides:
 * :func:`tornado` — one-at-a-time low/high excursions of the optimum
   and its cost (the classic tornado-chart data).
 
-Both scans run through :func:`repro.engine.map_scalar` — each item
-solves an optimisation, so the work is inherently scalar, but the
-policy/diagnostic plumbing is the engine's.
+Both scans run through :func:`repro.engine.map_scalar`, which gives
+every parameter its own diagnostic under the caller's policy. Each
+item solves two eq.-(4) optima on one setup of the model per call
+(``repro.optimize.optimum._SharedSetup``): the per-model constants are
+computed once, and each solve is a few Newton steps in plain floats,
+bit-identical to :func:`~repro.optimize.optimal_sd`. A handful of
+solves per call is too few for an array solve to pay (see
+``docs/engine.md``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from ..engine import map_scalar
 from ..errors import DomainError
 from ..obs.instrument import traced
 from ..robust.policy import ErrorPolicy
-from .optimum import optimal_sd
+from .optimum import _SharedSetup
 
 __all__ = ["SensitivityEntry", "parameter_elasticities", "tornado"]
 
@@ -60,27 +65,27 @@ class SensitivityEntry:
         return abs(self.cost_opt_high - self.cost_opt_low)
 
 
-def _solve(model: TotalCostModel, point: dict, sd_max: float) -> tuple[float, float]:
-    res = optimal_sd(model, point["n_transistors"], point["feature_um"],
-                     point["n_wafers"], point["yield_fraction"],
-                     point["cost_per_cm2"], sd_max=sd_max)
-    return res.sd_opt, res.cost_opt
-
-
-def _perturbed(model: TotalCostModel, point: dict, parameter: str,
-               value: float, sd_max: float) -> tuple[float, float]:
+def _perturbed(setup: _SharedSetup, point: dict, parameter: str,
+               value: float, cost: bool) -> tuple[float, float]:
+    """``(sd_opt, cost_opt)`` with ``parameter`` moved to ``value``
+    (``cost_opt`` NaN unless ``cost``)."""
     if parameter in _POINT_PARAMS:
-        new_point = dict(point)
-        new_point[parameter] = value
-        return _solve(model, new_point, sd_max)
-    if parameter in _MODEL_PARAMS:
+        point = dict(point)
+        point[parameter] = value
+    elif parameter in _MODEL_PARAMS:
+        model = setup.model
         new_design = replace(model.design_model, **{parameter: value})
-        new_model = replace(model, design_model=new_design)
-        return _solve(new_model, point, sd_max)
-    raise DomainError(
-        f"unknown parameter {parameter!r}; operating-point params: {_POINT_PARAMS}, "
-        f"design-model params: {_MODEL_PARAMS}"
-    )
+        setup = _SharedSetup(replace(model, design_model=new_design),
+                             setup.sd_max)
+    else:
+        raise DomainError(
+            f"unknown parameter {parameter!r}; operating-point params: {_POINT_PARAMS}, "
+            f"design-model params: {_MODEL_PARAMS}"
+        )
+    sd_opt, cost_opt, _ = setup.solve(
+        point["n_transistors"], point["feature_um"], point["n_wafers"],
+        point["yield_fraction"], point["cost_per_cm2"], cost=cost)
+    return sd_opt, cost_opt
 
 
 def _base_value(model: TotalCostModel, point: dict, parameter: str) -> float:
@@ -113,8 +118,10 @@ def parameter_elasticities(
         Operating point dict with keys ``n_transistors``, ``feature_um``,
         ``n_wafers``, ``yield_fraction``, ``cost_per_cm2``.
     parameters:
-        Names to analyse; defaults to every numeric parameter except
-        ``yield_fraction`` when a +5 % step would exceed 1.
+        Names to analyse; defaults to every operating-point and eq.-(6)
+        parameter. A ``yield_fraction`` whose high step would exceed 1
+        steps to exactly 1 instead, with the low step moved to keep the
+        two steps geometrically symmetric about the base value.
     rel_step:
         Relative perturbation for the central difference.
     policy:
@@ -125,6 +132,7 @@ def parameter_elasticities(
     policy = ErrorPolicy.coerce(policy)
     if parameters is None:
         parameters = list(_POINT_PARAMS) + list(_MODEL_PARAMS)
+    setup = _SharedSetup(model, sd_max)
 
     def elasticity(name: str) -> float:
         base = _base_value(model, point, name)
@@ -132,8 +140,8 @@ def parameter_elasticities(
         if name == "yield_fraction" and hi_v > 1.0:
             hi_v = 1.0
             lo_v = base * base / hi_v  # keep geometric symmetry
-        sd_lo, _ = _perturbed(model, point, name, lo_v, sd_max)
-        sd_hi, _ = _perturbed(model, point, name, hi_v, sd_max)
+        sd_lo, _ = _perturbed(setup, point, name, lo_v, cost=False)
+        sd_hi, _ = _perturbed(setup, point, name, hi_v, cost=False)
         return (math.log(sd_hi) - math.log(sd_lo)) / (math.log(hi_v) - math.log(lo_v))
 
     results, log = map_scalar(
@@ -163,11 +171,12 @@ def tornado(
     for name, (lo_v, hi_v) in excursions.items():
         if lo_v >= hi_v:
             raise DomainError(f"excursion for {name!r} must have low < high; got {lo_v}, {hi_v}")
+    setup = _SharedSetup(model, sd_max)
 
     def entry(item) -> SensitivityEntry:
         name, (lo_v, hi_v) = item
-        sd_lo, cost_lo = _perturbed(model, point, name, lo_v, sd_max)
-        sd_hi, cost_hi = _perturbed(model, point, name, hi_v, sd_max)
+        sd_lo, cost_lo = _perturbed(setup, point, name, lo_v, cost=True)
+        sd_hi, cost_hi = _perturbed(setup, point, name, hi_v, cost=True)
         return SensitivityEntry(
             parameter=name, low_value=lo_v, high_value=hi_v,
             sd_opt_low=sd_lo, sd_opt_high=sd_hi,

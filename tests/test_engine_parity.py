@@ -8,8 +8,14 @@ behavioural identity with the per-point loops it replaced: same values
 import numpy as np
 import pytest
 
-from repro.cost import DEFAULT_GENERALIZED_MODEL, PAPER_FIGURE4_MODEL
+from repro.cost import (
+    DEFAULT_GENERALIZED_MODEL,
+    PAPER_FIGURE4_MODEL,
+    TestCostModel,
+    TotalCostModel,
+)
 from repro.data import DesignRegistry, load_itrs_1999
+from repro.density.metrics import area_from_sd, decompression_index
 from repro.engine import core as engine_core
 from repro.engine import evaluate_grid
 from repro.engine.kernels import (
@@ -18,7 +24,7 @@ from repro.engine.kernels import (
     Eq4VolumeKernel,
     Eq7SdKernel,
 )
-from repro.errors import CollectedErrors
+from repro.errors import CollectedErrors, DomainError
 from repro.optimize import sd_grid
 from repro.robust import ErrorPolicy
 
@@ -88,6 +94,94 @@ class TestBatchScalarParity:
         assert evaluation.values.shape == (3, grid.size)
         assert max_relative_error(
             evaluation.values, scalar_reference(kernel, grid)) <= 1e-12
+
+
+class TestFusedObjectives:
+    """``DesignObjectivesKernel.batch``'s fused pass against its three model calls."""
+
+    MODELS = {
+        "figure4": PAPER_FIGURE4_MODEL,
+        "masks": TotalCostModel(utilization=0.7),
+        "test-term": TotalCostModel(test_model=TestCostModel()),
+    }
+
+    @staticmethod
+    def model_calls(kernel, grid):
+        """The three model calls the fused pass stands for."""
+        fixed = (kernel.n_transistors, kernel.feature_um, kernel.n_wafers,
+                 kernel.yield_fraction, kernel.cost_per_cm2)
+        return np.stack([
+            area_from_sd(grid, kernel.n_transistors, kernel.feature_um),
+            kernel.model.transistor_cost(grid, *fixed),
+            kernel.model.design_model.cost(kernel.n_transistors, grid)])
+
+    @pytest.mark.parametrize("cast", [float, int, np.float64],
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_equal_the_model_calls(self, name, cast):
+        fixed = {k: cast(v) for k, v in FIG4A.items()
+                 if k in ("n_transistors", "n_wafers")}
+        kernel = DesignObjectivesKernel(self.MODELS[name], **dict(FIG4A, **fixed))
+        grid = GRIDS["figure4"]
+        np.testing.assert_array_equal(kernel.batch(grid),
+                                      self.model_calls(kernel, grid))
+
+    @pytest.mark.parametrize("grid, changes", [
+        ([300.0, 50.0], {}),  # below s_d0
+        ([300.0, 1e300], {}),  # eq. (6) power out of range
+        ([300.0, 400.0], {"yield_fraction": 1.5}),
+        ([300.0, 400.0], {"feature_um": 1e200}),
+    ])
+    def test_raises_what_the_model_calls_raise(self, grid, changes):
+        kernel = DesignObjectivesKernel(PAPER_FIGURE4_MODEL, **dict(FIG4A, **changes))
+        grid = np.asarray(grid)
+        with pytest.raises(DomainError) as calls:
+            self.model_calls(kernel, grid)
+        with pytest.raises(DomainError) as fused:
+            kernel.batch(grid)
+        assert str(fused.value) == str(calls.value)
+
+
+class TestObjectiveRowsMetamorphic:
+    """Relations of eqs. (2), (4) and (5) that pin the fused objective rows."""
+
+    GRID = GRIDS["figure4"]
+
+    @staticmethod
+    def rows(model=PAPER_FIGURE4_MODEL, **changes):
+        return DesignObjectivesKernel(model, **dict(FIG4A, **changes)).batch(
+            TestObjectiveRowsMetamorphic.GRID)
+
+    def test_area_round_trips_through_eq2(self):
+        n_tr, feature = FIG4A["n_transistors"], FIG4A["feature_um"]
+        area = self.rows()[0]
+        np.testing.assert_array_equal(area, area_from_sd(self.GRID, n_tr, feature))
+        # s_d = A/(N_tr λ²) gives the grid back to rounding.
+        np.testing.assert_allclose(decompression_index(area, n_tr, feature),
+                                   self.GRID, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 4.0])
+    def test_cost_scales_with_inverse_yield(self, factor):
+        base = self.rows(yield_fraction=0.4)
+        moved = self.rows(yield_fraction=0.4 / factor)
+        # A power-of-two factor scales eq. (4)'s λ² s_d/(u·Y) exactly.
+        np.testing.assert_array_equal(moved[1], base[1] * factor)
+        np.testing.assert_array_equal(moved[[0, 2]], base[[0, 2]])
+
+    def test_development_cost_per_cm2_halves_when_volume_doubles(self):
+        model = TotalCostModel()  # with the mask term
+        n_tr, feature, volume = (FIG4A["n_transistors"], FIG4A["feature_um"],
+                                 FIG4A["n_wafers"])
+        design = self.rows(model)[2]
+        cd_sq = model.design_cost_per_cm2(n_tr, self.GRID, feature, volume)
+        np.testing.assert_array_equal(
+            cd_sq, (design + model.mask_cost(feature))
+            / (volume * model.wafer.area_cm2))
+        np.testing.assert_array_equal(
+            model.design_cost_per_cm2(n_tr, self.GRID, feature, 2 * volume),
+            cd_sq / 2)
+        np.testing.assert_array_equal(self.rows(model, n_wafers=2 * volume)[2],
+                                      design)
 
 
 class TestMaskCollect:

@@ -18,6 +18,7 @@ from repro.optimize import (
     parameter_elasticities,
     sd_sweep,
 )
+from repro.optimize.optimum import _SharedSetup
 from repro.robust import RetryBudget, retrying_golden_min
 
 FIG4A = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5000,
@@ -148,6 +149,62 @@ class TestStationarityRoot:
         high = optimal_sd(model, **dict(point, n_wafers=point["n_wafers"] * factor),
                           sd_max=1e6)
         assert high.sd_opt < low.sd_opt
+
+
+def _point_args(point: dict) -> tuple:
+    return (point["n_transistors"], point["feature_um"], point["n_wafers"],
+            point["yield_fraction"], point["cost_per_cm2"])
+
+
+class TestSharedSetup:
+    """The shared-setup solve is ``optimal_sd``'s root path, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=operating_points, masks=st.booleans(),
+           utilization=st.floats(0.05, 1.0))
+    def test_bit_identical_to_optimal_sd(self, point, masks, utilization):
+        model = TotalCostModel(include_masks=masks, utilization=utilization)
+        res = optimal_sd(model, **point, sd_max=1e6)
+        setup = _SharedSetup(model, 1e6)
+        found = setup._shared(_point_args(point), cost=True)
+        assert found == (res.sd_opt, res.cost_opt, res.iterations)
+        sd_opt, cost_opt, iterations = setup._shared(_point_args(point),
+                                                     cost=False)
+        assert (sd_opt, iterations) == (res.sd_opt, res.iterations)
+        assert np.isnan(cost_opt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=operating_points, masks=st.booleans(),
+           sd_max=st.floats(150.0, 5000.0))
+    def test_solve_raises_what_optimal_sd_raises(self, point, masks, sd_max):
+        model = TotalCostModel(include_masks=masks)
+        args = _point_args(point)
+        assert _outcome(_SharedSetup(model, sd_max).solve, *args) == \
+            _outcome(optimal_sd, model, *args, sd_max=sd_max)
+
+    @pytest.mark.parametrize("point", [
+        dict(FIG4A, yield_fraction=1e-320),  # the cost overflows at the optimum
+        dict(FIG4A, feature_um=1e200),  # lambda^2 overflows
+        dict(FIG4A, n_wafers=-1.0),
+        dict(FIG4A, n_wafers=np.float64(5000.0)),  # not a plain number
+    ])
+    def test_edges_re_run_through_optimal_sd(self, point):
+        setup = _SharedSetup(PAPER_FIGURE4_MODEL)
+        args = _point_args(point)
+        assert setup._shared(args, cost=False) is None
+        assert _outcome(setup.solve, *args) == \
+            _outcome(optimal_sd, PAPER_FIGURE4_MODEL, *args)
+
+
+def _outcome(solve, *args, **kwargs):
+    """``(sd_opt, cost_opt, iterations)``, or the error's type and message."""
+    try:
+        found = solve(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    if isinstance(found, tuple):
+        return found
+    return found.sd_opt, found.cost_opt, found.iterations
 
 
 class TestOptimalSdGeneralized:

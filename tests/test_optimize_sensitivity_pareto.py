@@ -6,17 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cost import PAPER_FIGURE4_MODEL
-from repro.errors import DomainError
+from repro.errors import CollectedErrors, DomainError
+from repro.optimize import optimum as optimum_mod
 from repro.optimize import pareto as pareto_mod
 from repro.optimize import (
     DesignPoint,
     evaluate_front,
     evaluate_points,
     knee_point,
+    optimum_vs_volume,
     parameter_elasticities,
     pareto_front,
     tornado,
 )
+from repro.robust import ErrorPolicy
 
 POINT = dict(n_transistors=1e7, feature_um=0.18, n_wafers=5000,
              yield_fraction=0.4, cost_per_cm2=8.0)
@@ -106,6 +109,77 @@ class TestTornado:
     def test_invalid_excursion_raises(self):
         with pytest.raises(DomainError, match="low < high"):
             tornado(PAPER_FIGURE4_MODEL, POINT, {"n_wafers": (20_000, 2000)})
+
+
+#: Between ``sd_opt`` at ``n_wafers=5000`` (310.4) and at 4750 (316.0):
+#: the base point solves, and a 5 % lower volume clips.
+CLIPPING_SD_MAX = 313.5
+
+
+class TestSharedSetupAgainstOptimalSdLoop:
+    """Every scan gives the results and diagnostics of a plain
+    ``optimal_sd`` loop: the same scan with the shared setup switched off,
+    so that each solve runs ``optimal_sd`` itself."""
+
+    CASES = {
+        "elasticities-clip": (parameter_elasticities, (POINT,),
+                              dict(sd_max=CLIPPING_SD_MAX)),
+        "elasticities-invalid": (parameter_elasticities, (POINT,),
+                                 dict(rel_step=1.5)),
+        "tornado": (tornado, (POINT, {
+            "n_wafers": (4750.0, 5250.0),  # the low end clips
+            "yield_fraction": (-0.1, 0.5),  # invalid low end
+            "cost_per_cm2": (7.9, 8.1),
+            "p2": (1.19, 1.21),
+        }), dict(sd_max=CLIPPING_SD_MAX)),
+        "optimum-vs-volume": (optimum_vs_volume, (
+            1e7, 0.18, 0.4, 8.0, [4750.0, -1.0, 5000.0, 5250, 1e5]),
+            dict(sd_max=CLIPPING_SD_MAX)),
+    }
+
+    @staticmethod
+    def _run(monkeypatch, shared, scan, args, kwargs, policy):
+        calls = []
+        plain = optimum_mod.optimal_sd
+
+        def counted(*a, **k):
+            calls.append(a)
+            return plain(*a, **k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimum_mod, "optimal_sd", counted)
+            if not shared:
+                patch.setattr(optimum_mod._SharedSetup, "_shared",
+                              lambda self, point, cost: None)
+            try:
+                out = repr(scan(PAPER_FIGURE4_MODEL, *args, **kwargs,
+                                policy=policy))
+            except CollectedErrors as err:
+                out = err.diagnostics
+            except DomainError as err:
+                out = (type(err), str(err))
+        return out, len(calls)
+
+    @pytest.mark.parametrize("policy", list(ErrorPolicy), ids=lambda p: p.name)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_results_and_diagnostics(self, monkeypatch, case, policy):
+        scan, args, kwargs = self.CASES[case]
+        shared, shared_calls = self._run(monkeypatch, True, scan, args,
+                                         kwargs, policy)
+        plain, plain_calls = self._run(monkeypatch, False, scan, args,
+                                       kwargs, policy)
+        assert shared == plain
+        # The shared setup took the points that solve (a +150 % step makes
+        # every low end invalid, and under RAISE the scan may stop at its
+        # first solve, which fails).
+        assert shared_calls <= plain_calls
+        if case != "elasticities-invalid" and policy is not ErrorPolicy.RAISE:
+            assert shared_calls < plain_calls
+        if policy is ErrorPolicy.COLLECT:
+            assert isinstance(shared, tuple) and shared
+            messages = " ".join(d.message for d in shared)
+            if case != "elasticities-invalid":
+                assert "clipped" in messages
 
 
 class TestPareto:
