@@ -36,11 +36,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import EQ6_A0, EQ6_P1, EQ6_P2, EQ6_SD0
+from ..engine import pykernels as pyk
 from ..errors import DomainError
 from ..obs.instrument import traced
 from ..validation import check_positive
 
-__all__ = ["DesignCostModel", "PAPER_DESIGN_COST_MODEL"]
+__all__ = ["DesignCostModel", "PAPER_DESIGN_COST_MODEL", "margin_power"]
+
+
+def margin_power(m: float, p2) -> float:
+    """``(s_d − s_d0)^p2`` of a float margin with NumPy's power, which
+    the array forms use, so a point and a grid agree bit for bit; ``inf``
+    where ``math``'s power overflows (NumPy's would warn)."""
+    try:
+        m ** p2
+    except OverflowError:
+        return math.inf
+    return float(np.asarray(m) ** p2)
 
 
 @dataclass(frozen=True)
@@ -92,9 +104,7 @@ class DesignCostModel:
         sd = check_positive(sd, "sd")
         m = np.asarray(sd, dtype=float) - self.sd0
         if np.any(m <= 0):
-            raise DomainError(
-                f"s_d must exceed the full-custom bound s_d0={self.sd0}; got {sd!r}"
-            )
+            raise DomainError(pyk.margin_message(self.sd0, sd))
         return m if np.ndim(sd) else float(m)
 
     @traced(equation="6")
@@ -110,8 +120,11 @@ class DesignCostModel:
         """
         n_transistors = check_positive(n_transistors, "n_transistors")
         m = self.margin(sd)
-        result = self.a0 * np.asarray(n_transistors, dtype=float) ** self.p1 / np.asarray(m) ** self.p2
-        return result if (np.ndim(n_transistors) or np.ndim(sd)) else float(result)
+        if isinstance(m, float) and isinstance(n_transistors, float):
+            return pyk.design_cost(n_transistors, float(sd),
+                                   margin_power(m, self.p2), a0=self.a0,
+                                   p1=self.p1)
+        return self.a0 * np.asarray(n_transistors, dtype=float) ** self.p1 / np.asarray(m) ** self.p2
 
     def marginal_cost_wrt_sd(self, n_transistors, sd):
         """``dC_DE/ds_d`` — always negative: sparser is cheaper to design.

@@ -122,12 +122,8 @@ class GeneralizedCostModel:
         if self.test_model is not None:
             test_sq = self.test_model.cost_per_cm2(sd, feature_um, n_transistors)
         cm = float(self.cm_sq(feature_um, n_wafers, maturity))
-        return CostBreakdown(
-            manufacturing=float(silicon * cm),
-            design=float(silicon * design_sq),
-            masks=float(silicon * mask_sq),
-            test=float(silicon * test_sq),
-        )
+        parts = [float(silicon * sq) for sq in (cm, design_sq, mask_sq, test_sq)]
+        return CostBreakdown(*parts, total=parts[0] + parts[1] + parts[2] + parts[3])
 
 
 DEFAULT_GENERALIZED_MODEL = GeneralizedCostModel()

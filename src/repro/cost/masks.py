@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.instrument import traced
+from ..engine import pykernels as pyk
 from ..errors import DomainError
+from ..obs.instrument import traced
 from ..validation import check_positive, check_positive_int
 
 __all__ = ["MaskSetCostModel", "DEFAULT_MASK_COST_MODEL", "layer_count_estimate"]
@@ -36,13 +37,7 @@ def layer_count_estimate(feature_um: float) -> int:
     Empirical staircase: ~18 levels at 0.6 µm rising ~4 per generation
     to ~30 at 0.13 µm (more metal, more implants).
     """
-    feature_um = check_positive(feature_um, "feature_um")
-    # Generations below 0.6 um, in x0.7 steps.
-    generations = max(0.0, np.log(0.6 / feature_um) / np.log(1.0 / 0.7))
-    if not np.isfinite(generations):
-        raise DomainError(
-            f"feature_um={feature_um!r} is outside the mask-count model's range")
-    return int(round(18 + 3.0 * generations))
+    return pyk.mask_layers(check_positive(feature_um, "feature_um"))
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,10 @@ class MaskSetCostModel:
                 layers = layer_count_estimate(feature_um)
         else:
             layers = check_positive_int(n_layers, "n_layers")
-        scale = (self.anchor_feature_um / np.asarray(feature_um, dtype=float)) ** self.exponent
-        result = self.anchor_cost_usd * scale * (np.asarray(layers, dtype=float) / self.reference_layers)
-        return result if np.ndim(feature_um) else float(result)
+        return pyk.mask_set_cost(
+            feature_um, layers, anchor_cost_usd=self.anchor_cost_usd,
+            anchor_feature_um=self.anchor_feature_um, exponent=self.exponent,
+            reference_layers=self.reference_layers)
 
     def respins_cost(self, feature_um, n_respins: int, n_layers: int | None = None) -> float:
         """Cost of a first set plus ``n_respins`` full re-spins.

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..density.metrics import transistor_density_from_sd
+from ..engine import pykernels as pyk
 from ..obs.instrument import traced
+from ..units import um_to_cm
 from ..validation import check_nonnegative, check_positive
 
 __all__ = ["TestCostModel", "DEFAULT_TEST_COST_MODEL"]
@@ -83,17 +84,18 @@ class TestCostModel:
         size — while the handling part dilutes with area.
         """
         n_transistors = check_positive(n_transistors, "n_transistors")
-        density = transistor_density_from_sd(sd, feature_um)  # tx/cm²
-        time_part = (
-            self.seconds_per_mtransistor / 1.0e6
-            * (self.tester_rate_usd_per_hour / 3600.0)
-            * np.asarray(density, dtype=float)
-        )
-        area_per_die = np.asarray(n_transistors, dtype=float) / np.asarray(density, dtype=float)
-        handling_part = self.handling_usd_per_die / area_per_die
-        result = time_part + handling_part
-        args = (sd, feature_um, n_transistors)
-        return result if any(np.ndim(a) for a in args) else float(result)
+        sd = check_positive(sd, "sd")
+        feature_um = check_positive(feature_um, "feature_um")
+        if isinstance(feature_um, float):
+            lambda_sq = pyk.lambda_sq(feature_um)
+        else:
+            feature_cm = um_to_cm(feature_um)
+            lambda_sq = feature_cm * feature_cm
+        return pyk.test_cost_per_cm2(
+            sd, lambda_sq, n_transistors,
+            seconds_per_mtransistor=self.seconds_per_mtransistor,
+            tester_rate_usd_per_hour=self.tester_rate_usd_per_hour,
+            handling_usd_per_die=self.handling_usd_per_die)
 
 
 DEFAULT_TEST_COST_MODEL = TestCostModel()

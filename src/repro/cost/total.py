@@ -16,6 +16,12 @@ cost and hardware utilization ``u``, the latter by the paper's own
 per-component split the Figure 4 discussion reasons about.
 :meth:`TotalCostModel.sd_curve` binds eq. (4) to one operating point,
 so a solver over ``s_d`` validates the fixed arguments only once.
+
+The arithmetic and its float-range messages are written once, in
+:mod:`repro.engine.pykernels`: the scalar paths here call its
+:func:`~repro.engine.pykernels.eq4_point` set-up, and the two NumPy
+array forms of ``sd_curve`` (its general array expression and its
+fused in-place block) run the same set-up on arrays.
 """
 
 from __future__ import annotations
@@ -26,14 +32,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ..engine import pykernels as _pyk
+from ..engine import pykernels as pyk
 from ..engine.points import Eq4Params
 from ..errors import DomainError
 from ..obs.instrument import traced
 from ..units import um_to_cm
 from ..validation import check_fraction, check_positive
 from ..wafer.specs import WAFER_200MM, WaferSpec
-from .design import DesignCostModel
+from .design import DesignCostModel, margin_power
 from .masks import MaskSetCostModel
 from .test import TestCostModel
 
@@ -46,40 +52,51 @@ _HEADROOM = 2.0 ** 1000
 
 
 def _lambda_sq(feature_cm, feature_um):
-    """``λ²`` in cm², or a ``DomainError`` (never a warning) if it leaves
-    the float range: overflows, or underflows to 0.
-
-    The messages match ``engine.pykernels``', so every path fails alike
-    on an absurd ``feature_um``.
+    """``λ²`` in cm² of a float or array feature size, or the
+    ``DomainError`` of :func:`repro.engine.pykernels.lambda_sq` (never a
+    warning) if it leaves the float range: overflows, or underflows to 0.
     """
     if isinstance(feature_cm, float):
-        lambda_sq = feature_cm * feature_cm
-        if 0.0 < lambda_sq < math.inf:
-            return lambda_sq
-    else:
-        with np.errstate(over="ignore", under="ignore"):
-            lambda_sq = np.square(feature_cm)
-        bad = ~((0.0 < lambda_sq) & (lambda_sq < math.inf))
-        if not bad.any():
-            return lambda_sq
-        feature_um = np.broadcast_to(feature_um, bad.shape)[bad].flat[0]
-        lambda_sq = lambda_sq[bad].flat[0]
-    raise DomainError(_pyk.lambda_sq_message(lambda_sq, feature_um))
+        return pyk.lambda_sq(float(feature_um))
+    with np.errstate(over="ignore", under="ignore"):
+        lambda_sq = np.square(feature_cm)
+    bad = ~((0.0 < lambda_sq) & (lambda_sq < math.inf))
+    if not bad.any():
+        return lambda_sq
+    raise DomainError(pyk.lambda_sq_message(
+        lambda_sq[bad].flat[0],
+        np.broadcast_to(feature_um, bad.shape)[bad].flat[0]))
+
+
+def _amplitude(n_transistors, a0, p1):
+    """:func:`repro.engine.pykernels.amplitude` of a float or array ``N_tr``."""
+    if type(n_transistors) is float:
+        return pyk.amplitude(n_transistors, a0, p1)
+    with np.errstate(over="ignore"):
+        return a0 * n_transistors ** p1
+
+
+#: ``eq4_point``'s checks for fixed arguments that may be arrays: each
+#: returns a float for a scalar (with ``pykernels``' scalar check) and
+#: an array for an array.
+_CHECKS = (check_positive, check_fraction,
+           lambda feature_um: _lambda_sq(um_to_cm(feature_um), feature_um),
+           _amplitude)
 
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Per-transistor cost split at one operating point (all $/transistor)."""
+    """Per-transistor cost split at one operating point (all $/transistor).
+
+    ``total`` is the model's cost at the point, which the components sum
+    to up to rounding.
+    """
 
     manufacturing: float
     design: float
     masks: float
     test: float
-
-    @property
-    def total(self) -> float:
-        """Sum of all components."""
-        return self.manufacturing + self.design + self.masks + self.test
+    total: float
 
     @property
     def development_share(self) -> float:
@@ -162,11 +179,9 @@ class TotalCostModel:
     def design_cost_per_cm2(self, n_transistors, sd, feature_um, n_wafers):
         """Eq. (5): ``Cd_sq = (C_MA + C_DE)/(N_w A_w)`` in $/cm²."""
         n_wafers = check_positive(n_wafers, "n_wafers")
-        c_de = self.design_model.cost(n_transistors, sd)
-        c_ma = self.mask_cost(feature_um)
-        result = (np.asarray(c_de) + c_ma) / (np.asarray(n_wafers, dtype=float) * self.wafer.area_cm2)
-        args = (n_transistors, sd, n_wafers)
-        return result if any(np.ndim(a) for a in args) else float(result)
+        return pyk.amortised(self.design_model.cost(n_transistors, sd),
+                             self.mask_cost(feature_um),
+                             n_wafers * self.wafer.area_cm2)
 
     # -- eq. (4) -----------------------------------------------------------
     @traced(equation="4")
@@ -198,20 +213,24 @@ class TotalCostModel:
                  cost_per_cm2):
         """Eq. (4) at a fixed operating point, as a function of ``s_d`` alone.
 
-        Validates the fixed arguments once, precomputes the factors that
-        do not depend on ``s_d`` (``A0·N_tr^p1``, ``C_MA``, ``N_w·A_w``,
+        Validates the fixed arguments once, sets up the factors that do
+        not depend on ``s_d`` (``A0·N_tr^p1``, ``C_MA``, ``N_w·A_w``,
         ``λ²``, ``u·Y``) and returns ``curve(sd)``, which evaluates
         eqs. (4)–(6) for a scalar or array ``sd``. :meth:`transistor_cost`
         is ``sd_curve(...)(sd)``; a solver that evaluates eq. (4) many
         times at one operating point builds the curve once instead.
 
-        The checks return every scalar fixed argument as a float, so the
-        factors are plain float arithmetic and the curve is the same for
-        a float, an int, a NumPy scalar or a 0-d array. A cost that
-        leaves the float range raises :class:`DomainError` with the
-        message ``repro.engine.pykernels`` gives for the same point (an
-        eq.-(6) power out of range, else a non-finite eq.-(4) cost),
-        never a warning.
+        With scalar fixed arguments (a float, an int, a NumPy scalar or
+        a 0-d array, all alike) the set-up is
+        :func:`repro.engine.pykernels.eq4_point`, kept as
+        ``curve.point``, and a scalar ``sd`` is priced by it from NumPy's
+        ``(s_d − s_d0)^p2``. An array ``sd``, or an array fixed
+        argument (``curve.point`` is then ``None``), runs the same
+        :meth:`~repro.engine.pykernels.Eq4Point.sums` on arrays. A cost
+        that leaves the float range raises :class:`DomainError` with the
+        message the scalar path gives for the same point (an eq.-(6)
+        power out of range, else a non-finite eq.-(4) cost), never a
+        warning.
 
         ``curve(sd, out=buf, scratch=tmp)`` writes an array ``sd``'s
         costs into ``buf`` and returns it, using ``tmp`` (same shape,
@@ -222,33 +241,16 @@ class TotalCostModel:
         when the grid's ``s_d`` range could leave the float range, so
         the errors are too.
         """
-        # The historical check order: the first failing argument names the error.
-        feature_um = check_positive(feature_um, "feature_um")
-        yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-        cm_sq = check_positive(cost_per_cm2, "cost_per_cm2")
-        n_wafers = check_positive(n_wafers, "n_wafers")
-        n_transistors = check_positive(n_transistors, "n_transistors")
-        fixed_ndim = not (type(feature_um) is type(yield_fraction) is type(cm_sq)
-                          is type(n_wafers) is type(n_transistors) is float)
+        point = self._point(n_transistors, feature_um, n_wafers,
+                            yield_fraction, cost_per_cm2, checks=_CHECKS)
+        scalar = (type(point.n_transistors) is type(point.feature_um)
+                  is type(point.n_wafers) is type(point.yield_fraction)
+                  is type(point.cm_sq) is float)
         design = self.design_model
-        sd0 = design.sd0
-        p2 = design.p2
-        effective_yield = yield_fraction * self.utilization
-        wafer_cm2 = n_wafers * self.wafer.area_cm2
-        try:
-            amplitude = design.a0 * n_transistors ** design.p1
-            power_overflow = False
-        except OverflowError:  # N_tr^p1 leaves the float range
-            amplitude = math.inf
-            power_overflow = True
-        lambda_sq = _lambda_sq(um_to_cm(feature_um), feature_um)
-        try:
-            c_ma = self.mask_cost(feature_um)
-        except DomainError as exc:
-            # Raised per call, after the margin check, as eq. (5) orders it.
-            c_ma = exc
-        test_model = self.test_model
-        fused = (test_model is None and not fixed_ndim
+        sd0, p2, c_ma = point.sd0, point.p2, point.c_ma
+        power_overflow = point.amplitude is None
+        grid_point = point._replace(amplitude=math.inf) if power_overflow else point
+        fused = (scalar and self.test_model is None and not power_overflow
                  and not isinstance(c_ma, DomainError))
 
         def range_error(sd, power, index, shape):
@@ -256,14 +258,11 @@ class TotalCostModel:
             def at(value):
                 return float(np.broadcast_to(value, shape).flat[index])
             if power_overflow or not 0.0 < at(power) < math.inf:
-                return DomainError(
-                    f"eq. (6) design cost is out of float range for "
-                    f"n_transistors={at(n_transistors)!r}, sd={at(sd)!r}")
-            return DomainError(
-                f"eq. (4) transistor cost is not finite for sd={at(sd)!r}, "
-                f"feature_um={at(feature_um)!r}, "
-                f"n_wafers={at(n_wafers)!r}, "
-                f"yield_fraction={at(yield_fraction)!r}")
+                return DomainError(pyk.eq6_message(at(point.n_transistors),
+                                                   at(sd)))
+            return DomainError(pyk.eq4_message(
+                at(sd), at(point.feature_um), at(point.n_wafers),
+                at(point.yield_fraction)))
 
         def in_range(m_lo, m_hi):
             """Whether every value the in-place ufuncs make for margins in
@@ -271,14 +270,16 @@ class TotalCostModel:
             is one float operation on the extreme margins."""
             try:
                 c_hi = m_hi ** p2
-                c_de_hi = amplitude / m_lo ** p2
-                silicon_hi = lambda_sq * (sd0 + m_hi) / effective_yield
+                c_de_hi = point.amplitude / m_lo ** p2
+                silicon_hi = (point.lambda_sq * (sd0 + m_hi)
+                              / point.effective_yield)
             except (OverflowError, ZeroDivisionError):
                 return False
-            cd_hi = (c_de_hi + c_ma) / wafer_cm2
+            cd_hi = (c_de_hi + c_ma) / point.wafer_cm2
             return (c_hi < _HEADROOM and c_de_hi + c_ma < _HEADROOM
-                    and silicon_hi < _HEADROOM and cm_sq + cd_hi < _HEADROOM
-                    and silicon_hi * (cm_sq + cd_hi) < _HEADROOM)
+                    and silicon_hi < _HEADROOM
+                    and point.cm_sq + cd_hi < _HEADROOM
+                    and silicon_hi * (point.cm_sq + cd_hi) < _HEADROOM)
 
         def into(sd, out, scratch):
             if fused and type(sd) is np.ndarray and sd.dtype == np.float64:
@@ -287,89 +288,81 @@ class TotalCostModel:
                 # > s_d0 test in one pass: all hold exactly when
                 # 0 < m < inf (a NaN fails both comparisons); the same
                 # extremes bound every intermediate value.
-                m_lo = np.min(m, initial=np.inf)
-                m_hi = np.max(m, initial=-np.inf)
+                m_lo = m.min(initial=np.inf)
+                m_hi = m.max(initial=-np.inf)
                 if 0.0 < m_lo and m_hi < np.inf and (
                         not m.size or in_range(float(m_lo), float(m_hi))):
-                    # curve(sd)'s ufuncs in its order, one buffer each side.
+                    # Eq4Point.sums' ufuncs in its order, one buffer each side.
                     c = np.power(m, p2, out=m)
-                    np.divide(amplitude, c, out=c)
+                    np.divide(point.amplitude, c, out=c)
                     np.add(c, c_ma, out=c)
-                    np.divide(c, wafer_cm2, out=c)
-                    np.add(cm_sq, c, out=c)
+                    np.divide(c, point.wafer_cm2, out=c)
+                    np.add(point.cm_sq, c, out=c)
                     np.add(c, 0.0, out=c)  # ``+ ct_sq``: -0.0 becomes 0.0
-                    np.multiply(lambda_sq, sd, out=out)
-                    np.divide(out, effective_yield, out=out)
+                    np.multiply(point.lambda_sq, sd, out=out)
+                    np.divide(out, point.effective_yield, out=out)
                     return np.multiply(out, c, out=out)
             # Anything else, and every failed check, takes the general
             # path, which raises the same DomainError as before.
             out[...] = curve(sd)
             return out
 
-        def cost(sd, power):
-            """Eqs. (4)–(6) from ``s_d`` and ``(s_d − s_d0)^p2``."""
-            cd_sq = (amplitude / power + c_ma) / wafer_cm2
-            ct_sq = 0.0
-            if test_model is not None:
-                ct_sq = test_model.cost_per_cm2(sd, feature_um, n_transistors)
-            return lambda_sq * sd / effective_yield * (cm_sq + cd_sq + ct_sq)
-
         def curve(sd, out=None, scratch=None):
             if out is not None:
                 return into(sd, out, scratch)
+            if scalar and (type(sd) is float or not np.ndim(sd)):
+                sd = pyk.positive(sd, "sd")
+                return point.terms(sd, margin_power(point.margin(sd), p2))[3]
             m = design.margin(sd)  # a float exactly when ``sd`` is a scalar
             if isinstance(c_ma, DomainError):
                 raise c_ma
-            if isinstance(m, float) and not fixed_ndim:
-                sd = float(sd)
-                try:
-                    power = m ** p2  # the overflow test the scalar kernels make
-                except OverflowError:
-                    power = math.inf
-                if power_overflow or not 0.0 < power < math.inf:
-                    raise range_error(sd, power, 0, ())
-                try:
-                    # NumPy's power, as the array path's: they agree bit for bit.
-                    result = cost(sd, float(np.asarray(m) ** p2))
-                except ZeroDivisionError:  # ``u·Y`` underflowed to 0
-                    result = math.inf
-                if not result < math.inf:
-                    raise range_error(sd, power, 0, ())
-                return float(result)
             sd = float(sd) if isinstance(m, float) else np.asarray(sd, dtype=float)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 power = np.asarray(m) ** p2
-                result = cost(sd, power)
+                result = grid_point.sums(sd, power)[3]
             # An overflowing power zeroes the design term instead of failing.
             ok = np.isfinite(result) & (power < math.inf)
             if not ok.all():
                 raise range_error(sd, power, int(np.argmin(ok)), result.shape)
             return result
 
+        curve.point = point if scalar else None
         return curve
+
+    @cached_property
+    def _constants(self) -> Eq4Params:
+        """The model side of eq. (4) that ``eq4_point`` reads."""
+        design = self.design_model
+        return Eq4Params(self.wafer.area_cm2, design.a0, design.p1, design.p2,
+                         design.sd0, utilization=self.utilization)
+
+    def _point(self, n_transistors, feature_um, n_wafers, yield_fraction,
+               cost_per_cm2, checks=None) -> pyk.Eq4Point:
+        """:func:`repro.engine.pykernels.eq4_point` under this model."""
+        test_model = self.test_model
+        try:
+            c_ma = self.mask_cost(feature_um)
+        except DomainError as exc:
+            c_ma = exc
+        return pyk.eq4_point(
+            n_transistors, feature_um, n_wafers, yield_fraction, cost_per_cm2,
+            self._constants, c_ma, None if test_model is None else (
+                lambda sd, point: test_model.cost_per_cm2(
+                    sd, point.feature_um, point.n_transistors)), checks)
 
     @traced(equation="4", attach_result=True)
     def breakdown(self, sd, n_transistors, feature_um, n_wafers,
                   yield_fraction, cost_per_cm2) -> CostBreakdown:
-        """Component-wise split of eq. (4) at a scalar operating point."""
-        sd = check_positive(sd, "sd")
-        feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
-        yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-        cost_per_cm2 = check_positive(cost_per_cm2, "cost_per_cm2")
-        n_wafers = check_positive(n_wafers, "n_wafers")
-        silicon = feature_cm**2 * sd / (yield_fraction * self.utilization)
-        wafer_cm2 = n_wafers * self.wafer.area_cm2
-        design_sq = self.design_model.cost(n_transistors, sd) / wafer_cm2
-        mask_sq = self.mask_cost(feature_um) / wafer_cm2
-        test_sq = 0.0
-        if self.test_model is not None:
-            test_sq = self.test_model.cost_per_cm2(sd, feature_um, n_transistors)
-        return CostBreakdown(
-            manufacturing=float(silicon * cost_per_cm2),
-            design=float(silicon * design_sq),
-            masks=float(silicon * mask_sq),
-            test=float(silicon * test_sq),
-        )
+        """Component-wise split of eq. (4) at a scalar operating point.
+
+        The components are the terms eq. (4) sums, and ``total`` is the
+        sum it returns: :meth:`transistor_cost`'s value, and its errors.
+        """
+        sd = pyk.positive(sd, "sd")
+        point = self._point(n_transistors, feature_um, n_wafers,
+                            yield_fraction, cost_per_cm2)
+        power = margin_power(point.margin(sd), self.design_model.p2)
+        return CostBreakdown(*point.breakdown(sd, power))
 
     def project_cost(self, sd, n_transistors, feature_um, n_wafers, cost_per_cm2) -> float:
         """Total program spend ($): silicon + design + masks for the run."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.pykernels import lambda_sq_message
+from ..engine import pykernels as pyk
 from ..errors import DomainError
 from ..units import cm_to_um, um_to_cm
 from ..validation import check_positive
@@ -86,23 +86,31 @@ def transistor_density_from_sd(sd, feature_um):
 
 
 def area_from_sd(sd, n_transistors, feature_um):
-    """Die area in cm² implied by ``(s_d, N_tr, λ)``: ``A = N s_d λ²``."""
+    """Die area in cm² implied by ``(s_d, N_tr, λ)``: ``A = N s_d λ²``.
+
+    Scalars are :func:`repro.engine.pykernels.area_from_sd`; arrays run
+    the same product and fail with its messages, at the first bad entry.
+    """
+    if not (np.ndim(sd) or np.ndim(n_transistors) or np.ndim(feature_um)):
+        return pyk.area_from_sd(sd, n_transistors, feature_um)
     sd = check_positive(sd, "sd")
     n_transistors = check_positive(n_transistors, "n_transistors")
-    feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
-    try:
-        lambda_sq = feature_cm**2
-    except OverflowError as exc:
-        raise DomainError(
-            f"implied die area overflows for feature_um={feature_um!r}, "
-            f"sd={sd!r}, n_transistors={n_transistors!r}") from exc
-    if isinstance(lambda_sq, float):
-        if not lambda_sq:
-            raise DomainError(lambda_sq_message(lambda_sq, feature_um))
-    elif not lambda_sq.all():
-        raise DomainError(lambda_sq_message(
-            0.0, np.broadcast_to(feature_um, lambda_sq.shape)[lambda_sq == 0].flat[0]))
-    return n_transistors * sd * lambda_sq
+    feature_um = check_positive(feature_um, "feature_um")
+    feature_cm = um_to_cm(feature_um)
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.square(feature_cm)
+    area = n_transistors * sd * square
+    bad = ~((0.0 < square) & (square < np.inf))
+    if bad.any():
+        index = int(np.argmax(np.broadcast_to(bad, np.shape(area))))
+
+        def at(value):
+            return float(np.broadcast_to(value, np.shape(area)).flat[index])
+        if at(square):
+            raise DomainError(pyk.area_message(
+                at(feature_um), at(sd), at(n_transistors)))
+        raise DomainError(pyk.lambda_sq_message(0.0, at(feature_um)))
+    return area
 
 
 def transistors_from_sd(sd, area_cm2, feature_um):

@@ -34,7 +34,6 @@ from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..density.metrics import area_from_sd
 from ..errors import ReproError
-from ..units import um_to_cm
 
 __all__ = [
     "Eq4SdKernel",
@@ -175,7 +174,8 @@ class DesignObjectivesKernel:
     over the grid. The cost row comes from the operating point's eq.-(4)
     curve, built once per kernel and written in place as
     :class:`Eq4SdKernel` writes it. The area and ``C_DE`` rows reuse
-    ``N_tr``, ``λ²`` and ``A0·N_tr^p1``, also set up once. Each row runs
+    ``N_tr``, ``λ²`` and ``A0·N_tr^p1`` from the curve's set-up
+    (``curve.point``). Each row runs
     the same operations as the model call :meth:`point` makes for it
     (``area_from_sd``, ``TotalCostModel.transistor_cost``,
     ``DesignCostModel.cost``), so the rows are bit-identical to those
@@ -195,30 +195,25 @@ class DesignObjectivesKernel:
 
     @cached_property
     def _fused(self):
-        """``(curve, N_tr, λ², A0·N_tr^p1)`` at this operating point, or
-        ``None`` where :meth:`batch` takes the three model calls."""
+        """The operating point's eq.-(4) curve, or ``None`` where
+        :meth:`batch` takes the three model calls."""
         args = (self.n_transistors, self.feature_um, self.n_wafers,
                 self.yield_fraction, self.cost_per_cm2)
         if not all(type(a) is float or type(a) is int for a in args):
             return None
         try:
             curve = self.model.sd_curve(*args)
-            n_transistors = float(self.n_transistors)
-            # area_from_sd's λ²; the curve's own is λ·λ.
-            lambda_sq = um_to_cm(float(self.feature_um)) ** 2
         except (ReproError, OverflowError):
             return None
-        design = self.model.design_model
-        with np.errstate(over="ignore"):  # the curve raises for it first
-            amplitude = design.a0 * np.asarray(n_transistors) ** design.p1
-        return curve, n_transistors, lambda_sq, amplitude
+        # The curve raises for an overflowing ``N_tr^p1`` first.
+        return curve if curve.point.amplitude is not None else None
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Objective triple over the grid, shape ``(3, n)``."""
-        fused = self._fused
-        if (fused is not None and type(xs) is np.ndarray
+        curve = self._fused
+        if (curve is not None and type(xs) is np.ndarray
                 and xs.dtype == np.float64 and xs.ndim == 1):
-            curve, n_transistors, lambda_sq, amplitude = fused
+            point = curve.point
             rows = np.empty((3, xs.size))
             area, cost, design = rows
             try:
@@ -227,12 +222,11 @@ class DesignObjectivesKernel:
             except ReproError:
                 pass  # the model calls below raise their own error
             else:
-                design_model = self.model.design_model
-                np.subtract(xs, design_model.sd0, out=design)
-                np.power(design, design_model.p2, out=design)
-                np.divide(amplitude, design, out=design)
-                np.multiply(n_transistors, xs, out=area)
-                np.multiply(area, lambda_sq, out=area)
+                np.subtract(xs, point.sd0, out=design)
+                np.power(design, point.p2, out=design)
+                np.divide(point.amplitude, design, out=design)
+                np.multiply(point.n_transistors, xs, out=area)
+                np.multiply(area, point.lambda_sq, out=area)
                 return rows
         area = area_from_sd(xs, self.n_transistors, self.feature_um)
         cost = self.model.transistor_cost(

@@ -4,7 +4,7 @@ Every :class:`repro.api.Scenario`, and every point of a served
 ``/evaluate``, is its own operating point: no ``s_d`` curve is shared
 between two of them, so an array call has nothing to vectorise and
 would only add dispatch. :func:`price_points` prices a list of points
-one at a time through :func:`repro.engine.pykernels.total_transistor_cost`
+one at a time through :func:`repro.engine.pykernels.price`
 and :func:`~repro.engine.pykernels.area_from_sd` under an
 :class:`~repro.robust.ErrorPolicy`. Both ``repro.api.evaluate_many`` and
 the server's ``/evaluate`` use it, so the library and the wire give the
@@ -18,7 +18,6 @@ The module imports no NumPy: the server prices with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..constants import (
     EQ6_A0,
@@ -30,35 +29,13 @@ from ..constants import (
 from ..errors import DomainError, ReproError
 from ..robust.policy import DiagnosticLog, ErrorPolicy
 from . import pykernels
+from .pykernels import Eq4Params
 
 __all__ = ["Eq4Params", "FIGURE4_PARAMS", "price_points"]
 
 #: The ``where`` of every diagnostic :func:`price_points` records: the
 #: facade's batch entry point, which both callers answer for.
 WHERE = "api.evaluate_many"
-
-
-@dataclass(frozen=True, slots=True)
-class Eq4Params:
-    """The model side of eq. (4) as plain numbers.
-
-    ``masks`` is ``None`` (no ``C_MA`` term) or the mask-set model's
-    ``(anchor_cost_usd, anchor_feature_um, exponent, reference_layers)``;
-    ``C_MA`` depends on each point's node, so it is priced per point.
-    ``test`` is ``None`` or the §2.5 ``(seconds_per_mtransistor,
-    tester_rate_usd_per_hour, handling_usd_per_die)`` triple.
-    :attr:`repro.cost.TotalCostModel.scalar_params` builds one from a
-    model.
-    """
-
-    wafer_area_cm2: float
-    a0: float
-    p1: float
-    p2: float
-    sd0: float
-    masks: tuple | None = None
-    utilization: float = 1.0
-    test: tuple | None = None
 
 
 #: ``PAPER_FIGURE4_MODEL.scalar_params`` from :mod:`repro.constants`
@@ -74,20 +51,20 @@ def _cost(point, params) -> float:
         return float(params(point.sd, point.n_transistors, point.feature_um,
                             point.n_wafers, point.yield_fraction,
                             point.cost_per_cm2))
-    feature_um = point.feature_um
     mask_cost = 0.0
     if params.masks is not None:
         anchor_cost, anchor_feature, exponent, layers = params.masks
-        mask_cost = pykernels.mask_set_cost(
-            feature_um, anchor_cost_usd=anchor_cost,
-            anchor_feature_um=anchor_feature, exponent=exponent,
-            reference_layers=layers)
-    return pykernels.total_transistor_cost(
-        point.sd, point.n_transistors, feature_um, point.n_wafers,
-        point.yield_fraction, point.cost_per_cm2,
-        wafer_area_cm2=params.wafer_area_cm2, a0=params.a0, p1=params.p1,
-        p2=params.p2, sd0=params.sd0, mask_cost_usd=mask_cost,
-        utilization=params.utilization, test=params.test)
+        try:
+            feature_um = pykernels.positive(point.feature_um, "feature_um")
+            mask_cost = pykernels.mask_set_cost(
+                feature_um, pykernels.mask_layers(feature_um),
+                anchor_cost_usd=anchor_cost, anchor_feature_um=anchor_feature,
+                exponent=exponent, reference_layers=layers)
+        except DomainError as exc:
+            mask_cost = exc  # raised after the margin check, as eq. (5) orders it
+    return pykernels.price(
+        point.sd, point.n_transistors, point.feature_um, point.n_wafers,
+        point.yield_fraction, point.cost_per_cm2, params, mask_cost)
 
 
 def price_points(points, params, policy=ErrorPolicy.RAISE):

@@ -1,34 +1,55 @@
-"""Eq. (4) at one operating point, in stdlib ``float`` arithmetic.
+"""Eqs. (2) and (4)–(6), the ``C_MA`` and ``Ct_sq`` terms, written once.
 
-:func:`repro.engine.points.price_points` prices every single operating
-point (``Scenario.evaluate``, ``evaluate_many`` and the server's
-``/evaluate``) through :func:`total_transistor_cost` and
-:func:`area_from_sd`. A lone point has nothing to vectorise, and this
-module imports only :mod:`math` and :mod:`repro.errors`, so pricing a
-point needs no NumPy. The arithmetic follows the *same operation
-order* as the vectorized models in :mod:`repro.cost`, so the two agree
-to machine precision, and failures raise
-:class:`repro.errors.DomainError` with the messages of
-:mod:`repro.validation`.
+The one written form of the paper's cost arithmetic and of its
+float-range classification: every failure is a
+:class:`repro.errors.DomainError` with :mod:`repro.validation`'s
+messages, never a bare ``OverflowError`` or a silent ``inf``. Only
+:mod:`math` is imported, so :func:`repro.engine.points.price_points`
+prices a point without NumPy.
 
-No calibration constant is bound here: every ``a0``/``sd0``/anchor
-parameter is an explicit argument, read off the model dataclasses
-(``TotalCostModel.scalar_params``) or :mod:`repro.constants`.
+Eq. (4) has two parts. :func:`eq4_point` checks the fixed arguments in
+eq. (4)'s order and sets up ``A0·N_tr^p1``, ``λ²``, ``C_MA``,
+``N_w·A_w``, ``u·Y`` and ``Cm_sq``; :meth:`Eq4Point.terms` and
+:meth:`~Eq4Point.breakdown` then price an ``s_d`` from the eq.-(6)
+power ``(s_d − s_d0)^p2``, which the caller supplies: ``m ** p2`` in
+``price_points``, NumPy's power in ``TotalCostModel.sd_curve``, whose
+grids use it, so a point and a grid agree bit for bit. The arithmetic
+uses only operators, so ``sd_curve``'s general array path and the
+component models' array paths run these same functions on arrays.
+
+Every model parameter is an explicit argument, read off the model
+dataclasses (``TotalCostModel.scalar_params``) or :mod:`repro.constants`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DomainError
 
 __all__ = [
+    "finite",
+    "positive",
+    "fraction",
+    "lambda_sq",
     "lambda_sq_message",
+    "area_message",
+    "margin_message",
+    "eq6_message",
+    "eq4_message",
     "area_from_sd",
+    "amplitude",
     "design_cost",
+    "amortised",
+    "mask_layers",
     "mask_set_cost",
     "test_cost_per_cm2",
-    "design_cost_per_cm2",
+    "Eq4Point",
+    "Eq4Params",
+    "eq4_point",
+    "price",
     "total_transistor_cost",
 ]
 
@@ -37,10 +58,10 @@ __all__ = [
 _UM_PER_CM = 1.0e4
 
 
-# -- validation (mirrors repro.validation message formats) --------------------
+# -- argument checks (repro.validation's scalar half) -------------------------
 
-def _coerce(value, name: str) -> float:
-    """Coerce to a finite float, mirroring ``repro.validation._coerce``."""
+def finite(value, name: str) -> float:
+    """Coerce a scalar to a finite float."""
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
@@ -50,28 +71,29 @@ def _coerce(value, name: str) -> float:
     return out
 
 
-def _positive(value, name: str) -> float:
-    """Require ``value > 0``; returns the coerced float."""
-    out = _coerce(value, name)
+def positive(value, name: str) -> float:
+    """Require a scalar ``value > 0``; returns it as a float."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
+    out = finite(value, name)
     if out <= 0:
         raise DomainError(f"{name} must be > 0; got {value!r}")
     return out
 
 
-def _fraction(value, name: str) -> float:
-    """Require ``0 < value <= 1``; returns the coerced float."""
-    out = _coerce(value, name)
+def fraction(value, name: str) -> float:
+    """Require a scalar ``0 < value <= 1``; returns it as a float."""
+    if type(value) is float and 0.0 < value <= 1.0:
+        return value
+    out = finite(value, name)
     if out <= 0 or out > 1:
         raise DomainError(f"{name} must lie in (0, 1]; got {value!r}")
     return out
 
 
-def _feature_cm(feature_um) -> float:
-    """A positive ``feature_um`` in centimetres."""
-    return _positive(feature_um, "feature_um") / _UM_PER_CM
+# -- float-range messages ------------------------------------------------------
 
-
-def lambda_sq_message(lambda_sq: float, feature_um) -> str:
+def lambda_sq_message(lambda_sq, feature_um) -> str:
     """Why ``λ²`` (``lambda_sq``, in cm²) left the float range.
 
     One message for every path that squares ``λ``: an overflow to
@@ -82,129 +104,293 @@ def lambda_sq_message(lambda_sq: float, feature_um) -> str:
     return f"lambda^2 {how} for feature_um={float(feature_um)!r}"
 
 
-# -- density identities (eq. 2) ----------------------------------------------
+def area_message(feature_um, sd, n_transistors) -> str:
+    """Eq. (2)'s die area left the float range because ``λ²`` overflowed."""
+    return (f"implied die area overflows for feature_um={feature_um!r}, "
+            f"sd={sd!r}, n_transistors={n_transistors!r}")
+
+
+def margin_message(sd0, sd) -> str:
+    """``s_d`` at or below eq. (6)'s full-custom bound."""
+    return f"s_d must exceed the full-custom bound s_d0={sd0}; got {sd!r}"
+
+
+def eq6_message(n_transistors, sd) -> str:
+    """``N_tr^p1`` or ``(s_d − s_d0)^p2`` left the float range."""
+    return (f"eq. (6) design cost is out of float range for "
+            f"n_transistors={n_transistors!r}, sd={sd!r}")
+
+
+def eq4_message(sd, feature_um, n_wafers, yield_fraction) -> str:
+    """The eq.-(4) cost is not a finite float."""
+    return (f"eq. (4) transistor cost is not finite for sd={sd!r}, "
+            f"feature_um={feature_um!r}, n_wafers={n_wafers!r}, "
+            f"yield_fraction={yield_fraction!r}")
+
+
+# -- eq. (2) -------------------------------------------------------------------
+
+def lambda_sq(feature_um: float) -> float:
+    """``λ²`` in cm² for a checked ``feature_um``, or a ``DomainError``
+    if it overflows or underflows to 0."""
+    feature_cm = feature_um / _UM_PER_CM
+    value = feature_cm * feature_cm
+    if 0.0 < value < math.inf:
+        return value
+    raise DomainError(lambda_sq_message(value, feature_um))
+
 
 def area_from_sd(sd, n_transistors, feature_um) -> float:
     """Eq. (2) rearranged: die area ``A = N_tr · s_d · λ²`` in cm²."""
-    sd = _positive(sd, "sd")
-    n_transistors = _positive(n_transistors, "n_transistors")
-    feature_cm = _feature_cm(feature_um)
+    sd = positive(sd, "sd")
+    n_transistors = positive(n_transistors, "n_transistors")
+    feature_um = positive(feature_um, "feature_um")
+    feature_cm = feature_um / _UM_PER_CM
+    square = feature_cm * feature_cm
+    if not square:
+        raise DomainError(lambda_sq_message(square, feature_um))
+    if square == math.inf:
+        raise DomainError(area_message(feature_um, sd, n_transistors))
+    return n_transistors * sd * square
+
+
+# -- eq. (6) -------------------------------------------------------------------
+
+def amplitude(n_transistors: float, a0, p1) -> float | None:
+    """Eq. (6)'s ``A0·N_tr^p1``, or ``None`` where ``N_tr^p1`` overflows."""
     try:
-        lambda_sq = feature_cm**2
-    except OverflowError as exc:
-        raise DomainError(
-            f"die area overflows for sd={sd!r}, n_transistors={n_transistors!r}"
-        ) from exc
-    if not lambda_sq:
-        raise DomainError(lambda_sq_message(lambda_sq, feature_um))
-    return n_transistors * sd * lambda_sq
+        return a0 * n_transistors ** p1
+    except OverflowError:
+        return None
 
 
-# -- design cost (eq. 6) -------------------------------------------------------
-
-def design_cost(n_transistors, sd, *, a0, p1, p2, sd0) -> float:
-    """Eq. (6): ``C_DE = A0 · N_tr^p1 / (s_d − s_d0)^p2`` in $.
-
-    A power that leaves the float range (``N_tr^p1`` or ``(s_d −
-    s_d0)^p2`` overflowing, or the margin's power underflowing to 0)
-    fails like any other infeasible point.
-    """
-    n_transistors = _positive(n_transistors, "n_transistors")
-    sd_value = _positive(sd, "sd")
-    m = sd_value - sd0
-    if m <= 0:
-        raise DomainError(
-            f"s_d must exceed the full-custom bound s_d0={sd0}; got {sd_value!r}")
-    try:
-        return a0 * n_transistors**p1 / m**p2
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(
-            f"eq. (6) design cost is out of float range for "
-            f"n_transistors={n_transistors!r}, sd={float(sd)!r}") from exc
+def design_cost(n_transistors: float, sd: float, power: float, *, a0,
+                p1) -> float:
+    """Eq. (6): ``C_DE = A0 · N_tr^p1 / (s_d − s_d0)^p2`` in $, from
+    checked ``n_transistors`` and ``sd`` and the margin's ``power``;
+    either power leaving the float range fails."""
+    scale = amplitude(n_transistors, a0, p1)
+    if scale is None or not 0.0 < power < math.inf:
+        raise DomainError(eq6_message(n_transistors, sd))
+    return scale / power
 
 
-# -- mask-set cost (the C_MA of eq. 5) ----------------------------------------
+# -- eq. (5) and the mask-set cost C_MA it amortises ---------------------------
 
-def mask_set_cost(feature_um, *, anchor_cost_usd, anchor_feature_um, exponent,
-                  reference_layers) -> float:
-    """Mask-set price ``C_MA(λ)`` with the anchored shrink cadence ($).
+def amortised(c_de, c_ma, wafer_cm2):
+    """Eq. (5): ``Cd_sq = (C_MA + C_DE)/(N_w · A_w)`` in $/cm² (floats
+    or NumPy arrays; ``wafer_cm2`` is ``N_w · A_w``)."""
+    return (c_de + c_ma) / wafer_cm2
 
-    The mask-level staircase: ~18 levels at 0.6 µm, +3 per ×0.7 shrink.
-    """
-    feature_um = _positive(feature_um, "feature_um")
+
+
+def mask_layers(feature_um: float) -> int:
+    """Mask levels at a checked node: ~18 at 0.6 µm, +3 per ×0.7 shrink."""
     generations = max(0.0, math.log(0.6 / feature_um) / math.log(1.0 / 0.7))
     if not math.isfinite(generations):
         raise DomainError(
             f"feature_um={feature_um!r} is outside the mask-count model's range")
-    layers = int(round(18 + 3.0 * generations))
-    scale = (anchor_feature_um / feature_um) ** exponent
-    return anchor_cost_usd * scale * (float(layers) / reference_layers)
+    return int(round(18 + 3.0 * generations))
+
+
+def mask_set_cost(feature_um, layers, *, anchor_cost_usd, anchor_feature_um,
+                  exponent, reference_layers):
+    """Mask-set price ``C_MA(λ)`` with the anchored shrink cadence ($).
+
+    ``feature_um`` and ``layers`` are floats or NumPy arrays; a float
+    scale that overflows fails like the layer staircase does.
+    """
+    try:
+        scale = (anchor_feature_um / feature_um) ** exponent
+    except OverflowError:
+        raise DomainError(
+            f"feature_um={feature_um!r} is outside the mask-count model's "
+            f"range") from None
+    return anchor_cost_usd * scale * (layers / reference_layers)
 
 
 # -- test cost (§2.5 extension) ------------------------------------------------
 
-def test_cost_per_cm2(sd, feature_um, n_transistors, *, seconds_per_mtransistor,
-                      tester_rate_usd_per_hour, handling_usd_per_die) -> float:
-    """``Ct_sq``: production-test cost per cm² of silicon ($/cm²)."""
-    n_transistors = _positive(n_transistors, "n_transistors")
-    sd = _positive(sd, "sd")
-    density = 1.0 / (_feature_cm(feature_um)**2 * sd)
+def test_cost_per_cm2(sd, lambda_sq, n_transistors, *, seconds_per_mtransistor,
+                      tester_rate_usd_per_hour, handling_usd_per_die):
+    """``Ct_sq``: production-test cost per cm² of silicon ($/cm²).
+
+    Floats or NumPy arrays; the tester-time part is a pure density term,
+    and the per-die handling part dilutes with the die area.
+    """
+    density = 1.0 / (lambda_sq * sd)
     time_part = (seconds_per_mtransistor / 1.0e6
                  * (tester_rate_usd_per_hour / 3600.0) * density)
     area_per_die = n_transistors / density
-    handling_part = handling_usd_per_die / area_per_die
-    return time_part + handling_part
+    return time_part + handling_usd_per_die / area_per_die
 
 
-# -- amortised development cost (eq. 5) and total cost (eq. 4) ----------------
+# -- eqs. (4)–(6) at one operating point ---------------------------------------
 
-def design_cost_per_cm2(n_transistors, sd, n_wafers, *, wafer_area_cm2,
-                        a0, p1, p2, sd0, mask_cost_usd=0.0) -> float:
-    """Eq. (5): ``Cd_sq = (C_MA + C_DE)/(N_w · A_w)`` in $/cm²."""
-    n_wafers = _positive(n_wafers, "n_wafers")
-    c_de = design_cost(n_transistors, sd, a0=a0, p1=p1, p2=p2, sd0=sd0)
-    return (c_de + mask_cost_usd) / (n_wafers * wafer_area_cm2)
+class Eq4Point(NamedTuple):
+    """Eq. (4) set up at one operating point (see :func:`eq4_point`).
+
+    The fields are floats on the scalar path; ``sd_curve``'s general
+    array path fills them with arrays and runs :meth:`sums` on them.
+    ``amplitude`` is ``None`` where ``N_tr^p1`` overflows; ``c_ma`` is
+    ``C_MA`` or the :class:`DomainError` pricing it raised, which
+    :meth:`margin` raises after the margin check, as eq. (5) orders it;
+    ``test`` is ``None`` or a function of ``s_d`` and the point giving
+    ``Ct_sq``.
+    """
+
+    n_transistors: float
+    feature_um: float
+    n_wafers: float
+    yield_fraction: float
+    cm_sq: float
+    amplitude: float | None
+    lambda_sq: float
+    c_ma: float
+    wafer_cm2: float
+    effective_yield: float
+    sd0: float
+    p2: float
+    test: object
+
+    def margin(self, sd: float) -> float:
+        """``s_d − s_d0`` of a checked scalar ``sd``, which must be > 0."""
+        m = sd - self.sd0
+        if not m > 0:
+            raise DomainError(margin_message(self.sd0, sd))
+        if isinstance(self.c_ma, DomainError):
+            raise self.c_ma
+        return m
+
+    def sums(self, sd, power):
+        """``(silicon, C_DE, Ct_sq, C_tr)``, unchecked: eqs. (6), (5) and (4).
+
+        ``silicon`` is ``λ²·s_d/(u·Y)`` and the cost is
+        ``silicon · (Cm_sq + Cd_sq + Ct_sq)`` with
+        ``Cd_sq = (C_MA + C_DE)/(N_w·A_w)``.
+        """
+        c_de = self.amplitude / power
+        cd_sq = amortised(c_de, self.c_ma, self.wafer_cm2)
+        ct_sq = 0.0 if self.test is None else self.test(sd, self)
+        silicon = self.lambda_sq * sd / self.effective_yield
+        return silicon, c_de, ct_sq, silicon * (self.cm_sq + cd_sq + ct_sq)
+
+    def terms(self, sd: float, power: float) -> tuple:
+        """:meth:`sums` at a scalar ``sd`` past :meth:`margin`, from the
+        margin's ``power = (s_d − s_d0)^p2``, with eq. (6)'s and eq.
+        (4)'s float-range checks; ``terms(...)[3]`` is the eq.-(4) cost."""
+        if self.amplitude is None or not 0.0 < power < math.inf:
+            raise DomainError(eq6_message(self.n_transistors, sd))
+        try:
+            parts = self.sums(sd, power)
+        except ZeroDivisionError:  # ``u·Y`` or the test density underflowed
+            parts = None
+        if parts is None or not parts[3] < math.inf:
+            raise DomainError(eq4_message(sd, self.feature_um, self.n_wafers,
+                                          self.yield_fraction))
+        return parts
+
+    def breakdown(self, sd: float, power: float) -> tuple:
+        """``(manufacturing, design, masks, test, total)`` in $/transistor:
+        the terms eq. (4) sums, and the cost it returns."""
+        silicon, c_de, ct_sq, total = self.terms(sd, power)
+        return (silicon * self.cm_sq, silicon * (c_de / self.wafer_cm2),
+                silicon * (self.c_ma / self.wafer_cm2), silicon * ct_sq,
+                total)
+
+
+@dataclass(frozen=True, slots=True)
+class Eq4Params:
+    """The model side of eq. (4) as plain numbers.
+
+    ``masks`` is ``None`` (no ``C_MA`` term) or the mask-set model's
+    ``(anchor_cost_usd, anchor_feature_um, exponent, reference_layers)``;
+    ``C_MA`` depends on each point's node, so it is priced per point.
+    ``test`` is ``None`` or the §2.5 ``(seconds_per_mtransistor,
+    tester_rate_usd_per_hour, handling_usd_per_die)`` triple.
+    :attr:`repro.cost.TotalCostModel.scalar_params` builds one from a
+    model.
+    """
+
+    wafer_area_cm2: float
+    a0: float
+    p1: float
+    p2: float
+    sd0: float
+    masks: tuple | None = None
+    utilization: float = 1.0
+    test: tuple | None = None
+
+
+#: ``Eq4Point``'s fields without its Python-level ``__new__``.
+_new = tuple.__new__
+
+
+def eq4_point(n_transistors, feature_um, n_wafers, yield_fraction,
+              cost_per_cm2, model, mask_cost=0.0, test=None,
+              checks=None) -> Eq4Point:
+    """Check eq. (4)'s fixed arguments and set up its ``s_d``-free factors.
+
+    The first failing check names the error, in eq. (4)'s order:
+    ``feature_um``, ``yield_fraction``, ``cost_per_cm2``, ``n_wafers``,
+    ``n_transistors``, then ``λ²`` leaving the float range. ``model``
+    is the :class:`Eq4Params` (its ``masks`` and ``test`` unread);
+    ``mask_cost`` and ``test`` are as
+    :class:`Eq4Point` keeps them. ``checks`` replaces :func:`positive`,
+    :func:`fraction`, :func:`lambda_sq` and :func:`amplitude` with forms
+    that also take NumPy arrays (``sd_curve``'s fixed arguments may be).
+    """
+    check, in_unit, square, scale = checks or _SCALAR_CHECKS
+    feature_um = check(feature_um, "feature_um")
+    yield_fraction = in_unit(yield_fraction, "yield_fraction")
+    cm_sq = check(cost_per_cm2, "cost_per_cm2")
+    n_wafers = check(n_wafers, "n_wafers")
+    n_transistors = check(n_transistors, "n_transistors")
+    return _new(Eq4Point, (
+        n_transistors, feature_um, n_wafers, yield_fraction, cm_sq,
+        scale(n_transistors, model.a0, model.p1), square(feature_um),
+        mask_cost, n_wafers * model.wafer_area_cm2,
+        yield_fraction * model.utilization, model.sd0, model.p2, test))
+
+
+_SCALAR_CHECKS = (positive, fraction, lambda_sq, amplitude)
+
+
+def price(sd, n_transistors, feature_um, n_wafers, yield_fraction,
+          cost_per_cm2, params: Eq4Params, mask_cost=0.0) -> float:
+    """Eq. (4): ``C_tr = λ² s_d/(u·Y) · (Cm_sq + Cd_sq + Ct_sq)`` in $,
+    under ``params`` (its ``test`` triple included; ``masks`` is the
+    caller's, who passes ``C_MA`` or the ``DomainError`` pricing it
+    raised). The eq.-(6) power is ``m ** p2``."""
+    sd = positive(sd, "sd")
+    ct_sq = None
+    if params.test is not None:
+        seconds, rate, handling = params.test
+
+        def ct_sq(s, point):
+            return test_cost_per_cm2(
+                s, point.lambda_sq, point.n_transistors,
+                seconds_per_mtransistor=seconds,
+                tester_rate_usd_per_hour=rate, handling_usd_per_die=handling)
+
+    point = eq4_point(n_transistors, feature_um, n_wafers, yield_fraction,
+                      cost_per_cm2, params, mask_cost, ct_sq)
+    m = point.margin(sd)
+    try:
+        power = m ** params.p2
+    except OverflowError:
+        power = math.inf
+    return point.terms(sd, power)[3]
 
 
 def total_transistor_cost(sd, n_transistors, feature_um, n_wafers,
                           yield_fraction, cost_per_cm2, *, wafer_area_cm2,
                           a0, p1, p2, sd0, mask_cost_usd=0.0, utilization=1.0,
                           test=None) -> float:
-    """Eq. (4): ``C_tr = λ² s_d/(u·Y) · (Cm_sq + Cd_sq + Ct_sq)`` in $.
-
-    ``test`` is ``None`` (no test term) or a ``(seconds_per_mtransistor,
-    tester_rate_usd_per_hour, handling_usd_per_die)`` triple. A cost
-    that is not a finite float (a subnormal ``Y`` divides past the float
-    range) raises instead of returning ``inf``.
-    """
-    sd_value = _positive(sd, "sd")
-    feature_cm = _feature_cm(feature_um)
-    yield_fraction = _fraction(yield_fraction, "yield_fraction")
-    cost_per_cm2 = _positive(cost_per_cm2, "cost_per_cm2")
-    cd_sq = design_cost_per_cm2(
-        n_transistors, sd, n_wafers, wafer_area_cm2=wafer_area_cm2,
-        a0=a0, p1=p1, p2=p2, sd0=sd0, mask_cost_usd=mask_cost_usd)
-    try:
-        lambda_sq = feature_cm**2
-    except OverflowError:
-        lambda_sq = math.inf
-    if not 0.0 < lambda_sq < math.inf:
-        raise DomainError(lambda_sq_message(lambda_sq, feature_um))
-    ct_sq = 0.0
-    if test is not None:
-        seconds, rate, handling = test
-        ct_sq = test_cost_per_cm2(
-            sd, feature_um, n_transistors, seconds_per_mtransistor=seconds,
-            tester_rate_usd_per_hour=rate, handling_usd_per_die=handling)
-    effective_yield = yield_fraction * utilization
-    try:
-        cost = (lambda_sq * sd_value / effective_yield
-                * (cost_per_cm2 + cd_sq + ct_sq))
-    except ZeroDivisionError:  # ``u·Y`` underflowed to 0
-        cost = math.inf
-    if not math.isfinite(cost):
-        raise DomainError(
-            f"eq. (4) transistor cost is not finite for sd={sd_value!r}, "
-            f"feature_um={float(feature_um)!r}, n_wafers={float(n_wafers)!r}, "
-            f"yield_fraction={yield_fraction!r}")
-    return cost
+    """:func:`price` with the model side as keywords; ``test`` is
+    ``None`` or a ``(seconds_per_mtransistor, tester_rate_usd_per_hour,
+    handling_usd_per_die)`` triple."""
+    return price(sd, n_transistors, feature_um, n_wafers, yield_fraction,
+                 cost_per_cm2, Eq4Params(wafer_area_cm2, a0, p1, p2, sd0,
+                                         utilization=utilization, test=test),
+                 mask_cost_usd)

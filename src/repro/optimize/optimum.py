@@ -38,13 +38,13 @@ import numpy as np
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..engine import map_scalar
+from ..engine import pykernels as pyk
 from ..errors import ConvergenceError, DomainError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs.instrument import traced
 from ..robust.policy import ErrorPolicy
 from ..robust.retry import ConvergenceReport, RetryBudget, note_retry
 from ..robust.solvers import retrying_golden_min
-from ..units import UM_PER_CM
 from ..validation import check_positive
 
 __all__ = ["OptimumResult", "optimal_sd", "optimal_sd_generalized",
@@ -92,21 +92,23 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def _ratio(model: TotalCostModel, n_transistors, n_wafers, cost_per_cm2,
-           mask_cost: float) -> float:
+def _ratio(point) -> float:
     """``r = K/A``, the one operating-point factor of eq. (4)'s stationarity equation.
 
     Dividing ``f`` by ``A`` gives ``g(m) = r·m^(p2+1) + (1−p2)·m − p2·s_d0``
     (:func:`_equation`). Only ``r`` carries the operating point, so the
     root does not depend on ``Y`` or ``u``, and nothing overflows before
-    ``r`` does. The arguments must have passed ``sd_curve``'s checks;
-    ``mask_cost`` is ``C_MA`` as a float.
+    ``r`` does. ``point`` is the curve's
+    :class:`~repro.engine.pykernels.Eq4Point`; a ``C_MA`` that failed
+    raises here.
     """
-    design = model.design_model
-    k = (float(cost_per_cm2) * (float(n_wafers) * model.wafer.area_cm2)
-         + mask_cost)
-    a = design.a0 * _pow(float(n_transistors), design.p1)
-    return k / a if a > 0 else math.inf
+    c_ma = point.c_ma
+    if isinstance(c_ma, DomainError):
+        raise c_ma
+    a = point.amplitude
+    if a is None:  # ``N_tr^p1`` overflowed: ``K/inf``
+        return 0.0
+    return (point.cm_sq * point.wafer_cm2 + c_ma) / a if a > 0 else math.inf
 
 
 def _equation(r: float, p2: float, sd0: float):
@@ -237,8 +239,9 @@ def optimal_sd(
                                        retry=retry, lo_floor=sd0)
     else:
         p2 = model.design_model.p2
-        r = _ratio(model, n_transistors, n_wafers, cost_per_cm2,
-                   float(model.mask_cost(feature_um)))
+        if curve.point is None:
+            raise DomainError("optimal_sd takes a scalar operating point")
+        r = _ratio(curve.point)
         g = _equation(r, p2, sd0)
         m_lo = lo - sd0
 
@@ -286,9 +289,10 @@ class _SharedSetup:
     """:func:`optimal_sd` at one model and ``sd_max``, for many operating points.
 
     The per-model constants (``p2``, ``s_d0``, the bracket's lower end
-    and clip) are set up once; :meth:`solve` then runs one operating
-    point untraced, in plain floats: ``r``, the bracket tests and the
-    Newton steps of :func:`optimal_sd`'s own root path, so ``sd_opt``
+    and clip) are set up once; :meth:`solve` then sets up one operating
+    point with :func:`repro.engine.pykernels.eq4_point` and runs it
+    untraced, in plain floats: ``r``, the bracket tests and the Newton
+    steps of :func:`optimal_sd`'s own root path, so ``sd_opt``
     and ``cost_opt`` are bit-identical to its. A model that is not the
     stock eq.-(4) model (:attr:`TotalCostModel.scalar_params` is
     ``None``), a test term, an ``sd_max`` at or below the lower end, an
@@ -344,20 +348,15 @@ class _SharedSetup:
         for value in point:
             if type(value) is not float and type(value) is not int:
                 return None
-        try:
-            n_tr, feature, volume, yield_fraction, cm_sq = map(float, point)
-        except OverflowError:  # an int past the float range
-            return None
-        if not (0.0 < n_tr < math.inf and 0.0 < feature < math.inf
-                and 0.0 < volume < math.inf and 0.0 < yield_fraction <= 1.0
-                and 0.0 < cm_sq < math.inf):
-            return None
         model, sd0, p2, lo = self.model, self.sd0, self.p2, self.lo
         try:
-            c_ma = float(model.mask_cost(point[1]))
-        except ReproError:
+            setup = pyk.eq4_point(*point, params,
+                                  float(model.mask_cost(point[1])))
+        except (ReproError, OverflowError):
             return None
-        r = _ratio(model, n_tr, volume, cm_sq, c_ma)
+        if setup.amplitude is None:
+            return None
+        r = _ratio(setup)
         m, steps = _root(_equation(r, p2, sd0), r, p2, sd0, self.m_lo,
                          self.clip, self.TOL, self.MAX_ITER)
         if m is None or steps is None:
@@ -365,19 +364,14 @@ class _SharedSetup:
         sd = lo if steps == 0 else max(sd0 + m, lo)
         if not sd <= self.top:
             return None
-        # sd_curve's checks at sd, with a margin for the last-bit
-        # difference between this power and NumPy's.
-        feature_cm = feature / UM_PER_CM
-        lambda_sq = feature_cm * feature_cm
+        # The cost's float-range checks at sd, with a margin for the
+        # last-bit difference between this power and NumPy's.
         try:
             power = (sd - sd0) ** p2
-            design = params.a0 * n_tr ** params.p1 / power
-            value = (lambda_sq * sd / (yield_fraction * params.utilization)
-                     * (cm_sq + (design + c_ma) / (volume * params.wafer_area_cm2)))
-        except (OverflowError, ZeroDivisionError):
+            value = setup.terms(sd, power)[3]
+        except (OverflowError, DomainError):
             return None
-        if not (lambda_sq > 0.0 and 1.0 / _FAR < power < _FAR
-                and value < _FAR):
+        if not (1.0 / _FAR < power < _FAR and value < _FAR):
             return None
         obs_metrics.set_gauge("optimize_optimal_sd_iterations", steps)
         if cost:

@@ -121,7 +121,10 @@ def parameter_elasticities(
         Names to analyse; defaults to every operating-point and eq.-(6)
         parameter. A ``yield_fraction`` whose high step would exceed 1
         steps to exactly 1 instead, with the low step moved to keep the
-        two steps geometrically symmetric about the base value.
+        two steps geometrically symmetric about the base value. At a
+        base ``yield_fraction`` of exactly 1 the high step is the base
+        itself, so its elasticity is the one-sided backward difference
+        between ``base·(1 − rel_step)`` and ``base``.
     rel_step:
         Relative perturbation for the central difference.
     policy:
@@ -139,7 +142,8 @@ def parameter_elasticities(
         lo_v, hi_v = base * (1 - rel_step), base * (1 + rel_step)
         if name == "yield_fraction" and hi_v > 1.0:
             hi_v = 1.0
-            lo_v = base * base / hi_v  # keep geometric symmetry
+            # Keep geometric symmetry; at the base itself step backwards.
+            lo_v = base * base / hi_v if base < hi_v else base * (1 - rel_step)
         sd_lo, _ = _perturbed(setup, point, name, lo_v, cost=False)
         sd_hi, _ = _perturbed(setup, point, name, hi_v, cost=False)
         return (math.log(sd_hi) - math.log(sd_lo)) / (math.log(hi_v) - math.log(lo_v))

@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .engine import pykernels as pyk
 from .errors import DomainError
 
 __all__ = [
@@ -46,13 +47,7 @@ def _coerce(value, name: str):
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"{name} must be finite; got non-finite entries")
         return arr
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number; got {value!r}") from exc
-    if not math.isfinite(out):
-        raise DomainError(f"{name} must be finite; got {out!r}")
-    return out
+    return pyk.finite(value, name)
 
 
 def check_finite(value, name: str):
@@ -64,8 +59,10 @@ def check_positive(value, name: str):
     """Require ``value > 0`` element-wise."""
     if type(value) is float and 0.0 < value < math.inf:
         return value
+    if not np.ndim(value):
+        return pyk.positive(value, name)
     out = _coerce(value, name)
-    if np.any(np.asarray(out) <= 0):
+    if np.any(out <= 0):
         raise DomainError(f"{name} must be > 0; got {value!r}")
     return out
 
@@ -82,11 +79,12 @@ def check_fraction(value, name: str):
     """Require ``0 < value <= 1`` element-wise (yields, utilizations)."""
     if type(value) is float and 0.0 < value <= 1.0:
         return value
-    out = _coerce(value, name)
-    arr = np.asarray(out)
+    if not np.ndim(value):
+        return pyk.fraction(value, name)
+    arr = _coerce(value, name)
     if np.any(arr <= 0) or np.any(arr > 1):
         raise DomainError(f"{name} must lie in (0, 1]; got {value!r}")
-    return out
+    return arr
 
 
 def check_open_fraction(value, name: str):

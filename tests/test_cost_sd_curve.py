@@ -127,6 +127,23 @@ def test_optimal_sd_equals_golden_search_over_transistor_cost(config):
                 < abs(optimal_sd_condition(model, sd_opt, **point)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(config=st.sampled_from(sorted(CONFIGS)),
+       sd=st.floats(min_value=100.0 + 1e-9, max_value=1e5),
+       n_transistors=st.floats(min_value=1e3, max_value=1e10),
+       feature_um=st.floats(min_value=0.01, max_value=2.0),
+       n_wafers=st.floats(min_value=1.0, max_value=1e7),
+       yield_fraction=st.floats(min_value=1e-3, max_value=1.0),
+       cost_per_cm2=st.floats(min_value=0.1, max_value=1e3))
+def test_breakdown_total_is_transistor_cost(config, sd, **point):
+    model = CONFIGS[config]
+    parts = model.breakdown(sd, **point)
+    assert parts.total == model.transistor_cost(sd, **point)
+    assert parts.total == pytest.approx(
+        parts.manufacturing + parts.design + parts.masks + parts.test,
+        rel=1e-12)
+
+
 BAD = {
     "sd": [float("nan"), -1.0, 0.0, 50.0, "abc"],
     "n_transistors": [float("inf"), -1.0, 0],

@@ -71,6 +71,39 @@ def test_evaluate_and_sweep_raise_the_same_message(field, value, message):
     assert _message(lambda: scenario.sweep("sd", values=grid)) == message
 
 
+@pytest.mark.parametrize("field, value, message", EDGES, ids=IDS)
+def test_breakdown_raises_the_transistor_cost_error(field, value, message):
+    point = {**BASE, field: value}
+    sd = point.pop("sd")
+    for model in (PAPER_FIGURE4_MODEL,
+                  replace(PAPER_FIGURE4_MODEL, test_model=TestCostModel())):
+        assert _message(lambda: model.transistor_cost(sd, **point)) == message
+        assert _message(lambda: model.breakdown(sd, **point)) == message
+
+
+def test_mask_model_prices_a_tiny_node_like_the_sweep():
+    # The mask-set scale (0.18/λ)^2 overflows here; λ² fails first.
+    message = "lambda^2 underflows to 0 for feature_um=1e-200"
+    scenario = Scenario(**{**BASE, "feature_um": 1e-200},
+                        model=replace(PAPER_FIGURE4_MODEL, include_masks=True))
+    assert _message(scenario.evaluate) == message
+    assert _message(lambda: scenario.sweep("sd", values=[300.0, 300.0])) == \
+        message
+
+
+AREA_OVERFLOW = ("implied die area overflows for feature_um=1e+200, "
+                 "sd=400.0, n_transistors=10000000.0")
+
+
+def test_area_overflow_has_one_message():
+    assert _message(lambda: area_from_sd(400.0, 1e7, 1e200)) == AREA_OVERFLOW
+    assert _message(lambda: pykernels.area_from_sd(400.0, 1e7, 1e200)) == \
+        AREA_OVERFLOW
+    assert _message(lambda: area_from_sd(
+        np.array([300.0, 400.0]), 1e7, np.array([0.18, 1e200]))) == \
+        AREA_OVERFLOW
+
+
 @pytest.mark.parametrize("field, value, message", EDGES[3:], ids=IDS[3:])
 def test_feature_edges_with_a_test_model_raise_the_same_message(field, value,
                                                                 message):

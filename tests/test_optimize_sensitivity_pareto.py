@@ -14,6 +14,7 @@ from repro.optimize import (
     evaluate_front,
     evaluate_points,
     knee_point,
+    optimal_sd,
     optimum_vs_volume,
     parameter_elasticities,
     pareto_front,
@@ -88,6 +89,17 @@ class TestElasticities:
     def test_unknown_parameter_raises(self):
         with pytest.raises(DomainError, match="unknown parameter"):
             parameter_elasticities(PAPER_FIGURE4_MODEL, POINT, parameters=["bogus"])
+
+    def test_yield_of_one_takes_the_backward_difference(self):
+        point = dict(POINT, yield_fraction=1.0)
+        got = parameter_elasticities(PAPER_FIGURE4_MODEL, point,
+                                     parameters=["yield_fraction"])
+        low = optimal_sd(PAPER_FIGURE4_MODEL,
+                         **dict(point, yield_fraction=0.95)).sd_opt
+        high = optimal_sd(PAPER_FIGURE4_MODEL, **point).sd_opt
+        expected = (np.log(high) - np.log(low)) / (np.log(1.0) - np.log(0.95))
+        assert np.isfinite(got["yield_fraction"])
+        assert got["yield_fraction"] == expected
 
 
 class TestTornado:
