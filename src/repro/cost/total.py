@@ -297,8 +297,9 @@ class TotalCostModel:
                     np.divide(point.amplitude, c, out=c)
                     np.add(c, c_ma, out=c)
                     np.divide(c, point.wafer_cm2, out=c)
+                    # ``+ ct_sq`` is left out: with ``Ct_sq = 0`` it is
+                    # the identity on ``Cm_sq + Cd_sq`` > 0, never -0.0.
                     np.add(point.cm_sq, c, out=c)
-                    np.add(c, 0.0, out=c)  # ``+ ct_sq``: -0.0 becomes 0.0
                     np.multiply(point.lambda_sq, sd, out=out)
                     np.divide(out, point.effective_yield, out=out)
                     return np.multiply(out, c, out=out)

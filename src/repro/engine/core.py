@@ -21,7 +21,11 @@ written into one preallocated output (:func:`_blocked_batch`,
 arithmetic allocates for it stay cache-resident, where one whole-grid
 call streams every temporary through main memory. An in-place kernel
 (``Eq4SdKernel``) allocates none: it writes each slice through one
-scratch buffer. Grids of ``_THREADS_FROM`` points or more are sliced
+scratch buffer. Under MASK/COLLECT such a kernel writes each slice
+whole first; its contract (a write that returns has written a finite
+value for every point) makes the feasibility split and the finite scan
+redundant for that slice, so they run only where the write raised.
+Grids of ``_THREADS_FROM`` points or more are sliced
 across threads (NumPy ufuncs release the GIL), one per CPU the
 process may run on (:func:`block_threads`). The kernels are
 elementwise, so the values are bit-identical to one unblocked
@@ -198,7 +202,8 @@ def _run_blocks(n: int, work) -> int:
 
 
 def _block_writer(kernel):
-    """``write(block, out, scratch)``: ``kernel.batch(block)`` into ``out``.
+    """``(write, in_place)``: ``write(block, out, scratch)`` puts
+    ``kernel.batch(block)`` into ``out``.
 
     An in-place kernel (one that defines ``prepare``) is prepared here,
     on the calling thread, and then writes through ``scratch``.
@@ -212,7 +217,7 @@ def _block_writer(kernel):
 
         def write(block, out, scratch):
             kernel.batch(block, out=out, scratch=scratch)
-    return write
+    return write, prepare is not None
 
 
 def _blocked_batch(kernel, xs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -224,7 +229,7 @@ def _blocked_batch(kernel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     if xs.size <= _BLOCK:
         return np.asarray(kernel.batch(xs), dtype=float), 1
     values = _values_buffer(kernel, xs.size, fill=None)
-    write = _block_writer(kernel)
+    write, _ = _block_writer(kernel)
 
     def work(start, stop, scratch):
         write(xs[start:stop], values[..., start:stop], scratch)
@@ -271,24 +276,30 @@ def _isolate(write, block: np.ndarray, out: np.ndarray,
 def _masked_blocks(kernel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The in-process MASK/COLLECT batch: ``(values, suspects, threads)``.
 
-    Each slice is split by ``kernel.feasible``: a fully feasible slice
-    is written straight through, a mixed slice gathers its feasible
-    points and scatters the results back, and an infeasible one is
-    skipped; every point left out, and every point the batch raises
-    for (:func:`_isolate`), stays NaN. ``suspects`` are the
-    ascending indices whose values are not finite (every infeasible
-    point among them).
+    An in-place kernel writes each slice whole first: by its contract
+    (see :mod:`repro.engine.kernels`) a write that returns has written
+    every point's finite value, so the slice is done. A slice whose
+    write raised, and every slice of any other kernel, is split by
+    ``kernel.feasible``: a fully feasible slice is written straight
+    through, a mixed slice gathers its feasible points and scatters the
+    results back, and an infeasible one is skipped; every point left
+    out, and every point the batch raises for (:func:`_isolate`), stays
+    NaN. ``suspects`` are the ascending indices whose values are not
+    finite (every infeasible point among them).
     """
     values = _values_buffer(kernel, xs.size, fill=None)
-    write = _block_writer(kernel)
+    write, in_place = _block_writer(kernel)
     found = {}
 
     def work(start, stop, scratch):
         block = xs[start:stop]
         out = values[..., start:stop]
+        if in_place and _write_or_nan(write, block, out, scratch):
+            return
         keep = np.asarray(kernel.feasible(block), dtype=bool)
         if keep.all():
-            if not _write_or_nan(write, block, out, scratch):
+            # An in-place slice here has already raised whole.
+            if in_place or not _write_or_nan(write, block, out, scratch):
                 _isolate(write, block, out, scratch)
         else:
             out[...] = np.nan

@@ -21,19 +21,30 @@ defines ``prepare()`` and accepts ``batch(xs, out=, scratch=)``: the
 engine calls ``prepare()`` on the calling thread before its block
 threads share the kernel, and then has each block written straight
 into the output through one scratch buffer per thread.
+
+The in-place contract: ``batch(xs, out=, scratch=)`` either writes a
+finite value for every point of ``xs`` or raises ``ReproError``; it
+raises for every grid holding a point that :meth:`feasible` rejects.
+A write that returns therefore needs no feasibility split and no
+finite scan, and MASK/COLLECT take them only for a slice whose write
+raised. A kernel whose ``batch`` can return a non-finite value without
+raising does not define ``prepare``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ..cost.design import margin_power
 from ..cost.generalized import GeneralizedCostModel
 from ..cost.total import TotalCostModel
 from ..density.metrics import area_from_sd
 from ..errors import ReproError
+from . import pykernels as pyk
 
 __all__ = [
     "Eq4SdKernel",
@@ -79,6 +90,10 @@ class Eq4SdKernel:
 
         ``scratch``, a float buffer of ``xs``'s shape, is the in-place
         evaluation's working memory (see ``TotalCostModel.sd_curve``).
+        The in-place contract holds: the fused block proves
+        ``0 < s_d − s_d0 < inf`` and float-range headroom before it
+        writes, and its fallback, ``curve(xs)``, raises on any
+        non-finite value.
         """
         try:
             curve = self._curve
@@ -135,7 +150,20 @@ class Eq7SdKernel:
 
 @dataclass(frozen=True, eq=False)
 class Eq4VolumeKernel:
-    """Eq. (4) total transistor cost over a wafer-volume grid."""
+    """Eq. (4) total transistor cost over a wafer-volume grid.
+
+    Only ``Cd_sq = (C_DE + C_MA)/(N_w·A_w)`` depends on the volume, so
+    :meth:`batch` sets up the rest of eq. (4) once per kernel at the
+    scalar ``s_d`` (``TotalCostModel._point``, with the eq.-(6) power
+    from ``margin_power``) and runs only the volume-dependent operations
+    of :meth:`repro.engine.pykernels.Eq4Point.sums` on the grid, in its
+    order, so its values are bit-identical to the model call's. The
+    model call itself takes over when the model has no
+    ``scalar_params`` (a component that is not its stock type) or a
+    fixed argument is not a plain number or fails a check, and for any
+    grid with a non-finite or non-positive volume or a non-finite cost;
+    it raises its own errors.
+    """
 
     model: TotalCostModel
     sd: float
@@ -146,8 +174,52 @@ class Eq4VolumeKernel:
 
     n_outputs = 1
 
+    @cached_property
+    def _fixed(self):
+        """``(silicon, C_DE + C_MA, Cm_sq, Ct_sq, A_w)`` at this ``s_d``,
+        or ``None`` where :meth:`batch` takes the model call."""
+        args = (self.sd, self.n_transistors, self.feature_um,
+                self.yield_fraction, self.cost_per_cm2)
+        # Stock component models only: a subclass may override a method
+        # that the model call would run.
+        if (self.model.scalar_params is None
+                or not all(type(a) is float or type(a) is int for a in args)):
+            return None
+        try:
+            sd = pyk.positive(self.sd, "sd")
+            # Any valid volume will do: batch supplies N_w·A_w itself.
+            point = self.model._point(self.n_transistors, self.feature_um,
+                                      1.0, self.yield_fraction,
+                                      self.cost_per_cm2)
+            power = margin_power(point.margin(sd), point.p2)
+            if point.amplitude is None or not 0.0 < power < math.inf:
+                return None
+            silicon, c_de, ct_sq, _ = point.sums(sd, power)
+        except (ReproError, ZeroDivisionError):
+            return None
+        return (silicon, c_de + point.c_ma, point.cm_sq, ct_sq,
+                self.model.wafer.area_cm2)
+
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized eq. (4) over the volume grid."""
+        fixed = self._fixed
+        if (fixed is not None and type(xs) is np.ndarray
+                and xs.dtype == np.float64):
+            silicon, c_sum, cm_sq, ct_sq, wafer_area = fixed
+            lo = float(xs.min(initial=np.inf))
+            # check_positive's finite and > 0 tests hold exactly when
+            # 0 < N_w < inf (a NaN fails both comparisons). Each
+            # operation is monotone in N_w, so the cost at the smallest
+            # volume, in the same float operations, bounds the grid's.
+            try:
+                ok = (0.0 < lo and xs.max(initial=-np.inf) < np.inf
+                      and silicon * (cm_sq + c_sum / (lo * wafer_area)
+                                     + ct_sq) < math.inf)
+            except ZeroDivisionError:  # ``N_w·A_w`` underflowed to 0
+                ok = False
+            if ok:
+                # ``N_w·A_w`` as eq4_point forms it, then sums' order.
+                return silicon * (cm_sq + c_sum / (xs * wafer_area) + ct_sq)
         return np.asarray(self.model.transistor_cost(
             self.sd, self.n_transistors, self.feature_um, xs,
             self.yield_fraction, self.cost_per_cm2), dtype=float)

@@ -25,9 +25,10 @@ add bucket counts, gauges take the last non-NaN value, so separately
 collected registries fold into one loss-free total.
 
 All module-level helpers (:func:`inc`, :func:`set_gauge`,
-:func:`observe`, :func:`observe_duration`) are gated on the global
-observability flag from :mod:`repro.obs.trace`, so instrumented hot
-paths cost one branch when observability is off. Direct use of
+:func:`observe`, :func:`observe_duration`, and the increments
+:func:`counter_handle` returns) are gated on the global observability
+flag from :mod:`repro.obs.trace`, so instrumented hot paths cost one
+branch when observability is off. Direct use of
 :class:`MetricsRegistry` is not gated — tests and tools can always
 build their own.
 
@@ -55,6 +56,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "counter_handle",
     "freeze_labels",
     "get_registry",
     "inc",
@@ -429,6 +431,27 @@ def inc(name: str, amount: float = 1.0, labels=None) -> None:
     if not _trace._ENABLED:
         return
     _REGISTRY.counter(name, labels).inc(amount)
+
+
+def counter_handle(name: str, labels=None):
+    """:func:`inc` for one counter series, its labels checked here once.
+
+    Returns ``inc(amount=1.0)``, which skips ``freeze_labels`` and
+    ``metric_key``. It looks its series up by key on every call, so it
+    keeps counting into the global registry after ``obs.reset()``.
+    """
+    frozen = freeze_labels(labels)
+    key = metric_key(name, frozen)
+
+    def inc(amount: float = 1.0) -> None:
+        if not _trace._ENABLED:
+            return
+        counter = _REGISTRY.counters.get(key)
+        if counter is None:
+            counter = _REGISTRY.counter(name, frozen)
+        counter.inc(amount)
+
+    return inc
 
 
 def set_gauge(name: str, value: float, labels=None) -> None:

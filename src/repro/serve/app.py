@@ -146,9 +146,17 @@ def _bridge_limiter_metrics(registry, limiter: TokenBucket) -> None:
     registry.gauge("serve_ratelimit_tokens").set(stats["tokens"])
 
 
+#: ``serve_requests_total`` increments by ``(route, status)``: a bounded
+#: set, since every counted route is a known POST route.
+_REQUESTS: dict = {}
+
+
 def _count(route: str, status: int) -> None:
-    obs_metrics.inc("serve_requests_total",
-                    labels={"route": route, "status": str(status)})
+    inc = _REQUESTS.get((route, status))
+    if inc is None:
+        inc = _REQUESTS[route, status] = obs_metrics.counter_handle(
+            "serve_requests_total", {"route": route, "status": str(status)})
+    inc()
 
 
 def _stage(name: str, seconds: float) -> None:

@@ -165,6 +165,78 @@ def test_one_raising_point_reruns_alone(monkeypatch):
     assert [d.index for d in scalar] == [bad]
 
 
+def _counting_feasible(monkeypatch, kernel):
+    """Record the size of every slice the kernel's ``feasible`` splits."""
+    calls = []
+    feasible = type(kernel).feasible
+
+    def counted(self, xs):
+        calls.append(xs.size)
+        return feasible(self, xs)
+
+    monkeypatch.setattr(type(kernel), "feasible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", POLICIES[1:], ids=lambda p: p.name)
+def test_clean_in_place_slices_skip_the_feasibility_split(policy, monkeypatch):
+    """An in-place write that returns has proven its slice clean."""
+    kernel, grid = eq4(3 * B + 7)
+    calls = _counting_feasible(monkeypatch, kernel)
+    evaluation = _evaluate(kernel, grid, policy)
+    assert calls == []
+    assert evaluation.diagnostics == ()
+    raised = _evaluate(kernel, grid, ErrorPolicy.RAISE).values
+    assert evaluation.values.tobytes() == raised.tobytes()
+
+
+@pytest.mark.parametrize("fill", [BAD_SD, 100.0, 1e300])
+def test_only_the_slice_whose_write_raised_is_split(fill, monkeypatch):
+    """One bad point in block 2: that slice alone is split, and only the
+    bad point re-runs through ``kernel.point``."""
+    bad = 2 * B + 5
+    kernel, grid = eq4(3 * B + 7, [bad], fill)
+    feasible_calls = _counting_feasible(monkeypatch, kernel)
+    point_calls = _counting_points(monkeypatch, kernel)
+    evaluation = _evaluate(kernel, grid, ErrorPolicy.MASK)
+    assert feasible_calls == [B]
+    assert point_calls == [fill]
+    np.testing.assert_array_equal(np.delete(evaluation.values, bad),
+                                  kernel.batch(np.delete(grid, bad)))
+    _, scalar = engine_core._scalar_loop(kernel, grid, ErrorPolicy.MASK,
+                                         "test.blocked", "4", "x")
+    assert evaluation.diagnostics == scalar
+    assert [d.index for d in scalar] == [bad]
+
+
+@pytest.mark.parametrize("policy", POLICIES[1:], ids=lambda p: p.name)
+@pytest.mark.parametrize("k", [1, 4])
+def test_in_place_diagnostics_match_scalar_loop_on_threads(k, policy, threads,
+                                                           monkeypatch):
+    """Hostile points in their own slices: each such slice, and no
+    other, is split, on one thread and on four."""
+    threads(k)
+    (kernel, grid), bad = _hostile("eq4", 40 * SMALL_BLOCK + 5)
+    calls = _counting_feasible(monkeypatch, kernel)
+    blocked = _diagnostics(lambda: _evaluate(kernel, grid, policy).diagnostics)
+    scalar = _diagnostics(lambda: engine_core._scalar_loop(
+        kernel, grid, policy, "test.blocked", "4", "x")[1])
+    assert tuple(map(repr, blocked)) == tuple(map(repr, scalar))
+    assert [d.index for d in blocked] == bad
+    assert calls == [SMALL_BLOCK] * len(bad)
+
+
+@pytest.mark.parametrize("name", ["eq7", "volume", "objectives"])
+def test_other_kernels_split_every_slice(name, monkeypatch):
+    """A kernel that is not in-place may return non-finite values
+    without raising: every slice keeps the split and the finite scan."""
+    kernel, grid = KERNELS[name](3 * B + 7)
+    calls = _counting_feasible(monkeypatch, kernel)
+    evaluation = _evaluate(kernel, grid, ErrorPolicy.MASK)
+    assert calls == [B, B, B, 7]
+    assert evaluation.diagnostics == ()
+
+
 @pytest.mark.parametrize("policy", POLICIES[1:], ids=lambda p: p.name)
 @pytest.mark.parametrize("name", ["eq4", "objectives"])
 def test_raising_points_rerun_alone_on_threads(name, policy, threads,

@@ -5,6 +5,8 @@ behavioural identity with the per-point loops it replaced: same values
 (to <=1e-12 relative) and the same diagnostics under MASK/COLLECT.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.engine.kernels import (
     Eq4VolumeKernel,
     Eq7SdKernel,
 )
-from repro.errors import CollectedErrors, DomainError
+from repro.errors import CollectedErrors, DomainError, ReproError
 from repro.optimize import sd_grid
 from repro.robust import ErrorPolicy
 
@@ -140,6 +142,61 @@ class TestFusedObjectives:
         with pytest.raises(DomainError) as fused:
             kernel.batch(grid)
         assert str(fused.value) == str(calls.value)
+
+
+class TestVolumeSetUpOnce:
+    """``Eq4VolumeKernel.batch``'s set-up-once pass against the model call."""
+
+    MODELS = TestFusedObjectives.MODELS
+    FIXED = dict(sd=300.0, n_transistors=1e7, feature_um=0.18,
+                 yield_fraction=0.4, cost_per_cm2=8.0)
+    #: Volumes each path must treat alike: tiny, huge, and invalid ones.
+    VOLUMES = {
+        "geometric": np.geomspace(1e2, 1e6, 200),
+        "extremes": np.geomspace(1e-300, 1e300, 601),
+        "subnormal": np.array([5e-324, 1e-310, 1.0]),
+        "overflowing": np.array([1.0, 1e308]),
+        "empty": np.array([]),
+        "nan": np.array([10.0, np.nan]),
+        "inf": np.array([10.0, np.inf]),
+        "zero": np.array([0.0, 10.0]),
+        "negative": np.array([10.0, -1.0]),
+    }
+
+    @staticmethod
+    def outcome(call):
+        """The values' bits, or the error, with warnings as errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = np.asarray(call(), dtype=float)
+            except (ReproError, RuntimeWarning) as exc:
+                return type(exc), str(exc)
+        return values.shape, values.tobytes()
+
+    @pytest.mark.parametrize("volumes", sorted(VOLUMES))
+    @pytest.mark.parametrize("changes", [
+        {}, {"sd": 300}, {"n_transistors": 10**7}, {"sd": 100.0000001},
+        {"sd": 1e300}, {"sd": 50.0}, {"n_transistors": 1e200},
+        {"feature_um": 1e-200}, {"yield_fraction": 1e-300,
+                                 "cost_per_cm2": 1e300},
+        {"cost_per_cm2": -1.0}, {"sd": np.float64(300.0)},
+    ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_equals_the_model_call(self, name, changes, volumes):
+        model = self.MODELS[name]
+        fixed = dict(self.FIXED, **changes)
+        kernel = Eq4VolumeKernel(model, **fixed)
+        grid = self.VOLUMES[volumes]
+        expected = self.outcome(lambda: model.transistor_cost(
+            fixed["sd"], fixed["n_transistors"], fixed["feature_um"], grid,
+            fixed["yield_fraction"], fixed["cost_per_cm2"]))
+        assert self.outcome(lambda: kernel.batch(grid)) == expected
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_sets_up_once_for_plain_numbers(self, name):
+        """The cases above reach the set-up-once pass, not only the call."""
+        assert Eq4VolumeKernel(self.MODELS[name], **self.FIXED)._fixed is not None
 
 
 class TestObjectiveRowsMetamorphic:

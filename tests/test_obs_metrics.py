@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro import obs
+from repro.errors import DomainError
+from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -141,6 +143,32 @@ class TestGatedHelpers:
         assert reg.counter("calls").value == 2
         assert reg.gauge("level").value == 7.0
         assert reg.histogram("size").count == 1
+
+
+class TestCounterHandle:
+    def test_counts_like_inc_and_is_gated(self):
+        inc = obs_metrics.counter_handle("handled", {"route": "a", "status": 200})
+        inc()
+        assert obs.get_registry().is_empty()
+        with obs.enabled():
+            inc()
+            inc(2)
+            obs.inc("handled", labels={"status": "200", "route": "a"})
+        reg = obs.get_registry()
+        assert list(reg.counters) == ['handled{route="a",status="200"}']
+        assert reg.counter("handled", {"route": "a", "status": "200"}).value == 4
+
+    def test_survives_reset(self):
+        inc = obs_metrics.counter_handle("handled", {"route": "a"})
+        with obs.enabled():
+            inc()
+            obs.reset()
+            inc()
+        assert obs.get_registry().counter("handled", {"route": "a"}).value == 1
+
+    def test_labels_are_checked_when_made(self):
+        with pytest.raises(DomainError, match="snake_case"):
+            obs_metrics.counter_handle("handled", {"Route": "a"})
 
 
 class TestInstrumentedPaths:
