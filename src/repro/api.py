@@ -19,23 +19,34 @@ operating point — the product (``N_tr``, node), the drawing density
 The lower-level per-module entry points (``repro.cost``,
 ``repro.optimize``, ...) remain available for custom analyses; new
 callers should start here.
+
+:class:`Scenario` is also the wire type of :mod:`repro.serve`: a
+request carries its fields but ``model`` and ``wafer``, and each route's
+request class is derived from the signature of the method it serves.
+Pricing a point imports no NumPy, so the server can use it without.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from . import _lazy
 from .constants import ASSUMED_YIELD, MANUFACTURING_COST_PER_CM2_USD
 from .cost.total import PAPER_FIGURE4_MODEL, TotalCostModel
-from .data.records import RoadmapNode
 from .engine.points import price_points
 from .errors import DomainError
 from .obs import metrics as obs_metrics
 from .obs.instrument import traced
 from .robust.policy import ErrorPolicy
 from .wafer.specs import WaferSpec
+
+if TYPE_CHECKING:  # annotations only: pricing a point loads neither
+    from collections.abc import Iterable, Sequence
+
+    from .data.records import RoadmapNode
+    from .robust.retry import RetryBudget
 
 # The wire schemas, one surface with the HTTP layer (see repro.serve),
 # load on first use: pricing a design never imports them.
@@ -44,8 +55,8 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
         "DiagnosticPayload", "ErrorResponse", "EvaluatedPoint",
         "EvaluateRequest", "EvaluateResponse", "OptimalSdRequest",
         "OptimalSdResponse", "ParetoPoint", "ParetoRequest", "ParetoResponse",
-        "ScenarioPayload", "SensitivityRequest", "SensitivityResponse",
-        "SweepRequest", "SweepResponse",
+        "SensitivityRequest", "SensitivityResponse", "SweepRequest",
+        "SweepResponse",
     ),
 })
 
@@ -65,7 +76,6 @@ __all__ = [
     "ParetoPoint",
     "ParetoRequest",
     "ParetoResponse",
-    "ScenarioPayload",
     "SensitivityRequest",
     "SensitivityResponse",
     "SweepRequest",
@@ -150,15 +160,16 @@ class Scenario:
     # -- analysis methods (one per HTTP route; see repro.serve) ----------
     #
     # Each method delegates to the matching repro.optimize free function
-    # with this scenario's operating point filled in. The parameter
-    # names mirror the repro.serve request schemas field for field —
-    # the API006 lint rule enforces the parity.
+    # with this scenario's operating point filled in. repro.serve derives
+    # each route's request fields from the signature, so the annotations
+    # are also the wire types.
 
     def evaluate(self) -> "ScenarioResult":
         """Price this scenario (always ``RAISE``; failures propagate)."""
         return evaluate(self)
 
-    def sweep(self, parameter: str = "sd", values=None,
+    def sweep(self, parameter: str = "sd",
+              values: Sequence[float] | None = None,
               policy: ErrorPolicy = ErrorPolicy.RAISE):
         """Sweep one parameter's cost curve through this operating point.
 
@@ -183,7 +194,8 @@ class Scenario:
             f"cannot sweep parameter {parameter!r}; "
             "known: 'sd', 'n_wafers'")
 
-    def pareto(self, values=None, policy: ErrorPolicy = ErrorPolicy.RAISE,
+    def pareto(self, values: Sequence[float] | None = None,
+               policy: ErrorPolicy = ErrorPolicy.RAISE,
                diagnostics: list | None = None):
         """The non-dominated (area, cost, design budget) front.
 
@@ -200,7 +212,8 @@ class Scenario:
                               sd_values=values, policy=policy,
                               diagnostics=diagnostics)
 
-    def sensitivity(self, parameters=None, rel_step: float = 0.05,
+    def sensitivity(self, parameters: Sequence[str] | None = None,
+                    rel_step: float = 0.05,
                     sd_max: float = 5000.0,
                     policy: ErrorPolicy = ErrorPolicy.RAISE) -> dict:
         """Elasticities of the cost-optimal density at this operating point.
@@ -222,7 +235,7 @@ class Scenario:
                                       policy=policy)
 
     def optimal_sd(self, sd_max: float = 5000.0, tol: float = 1e-10,
-                   max_iter: int = 500, retry=None):
+                   max_iter: int = 500, retry: RetryBudget | None = None):
         """The cost-minimising density ``s_d`` at this operating point.
 
         Delegates to :func:`repro.optimize.optimal_sd` (the root of
@@ -273,7 +286,8 @@ def _pricing(model: TotalCostModel):
 
 
 @traced(equation="4")
-def evaluate_many(scenarios, policy: ErrorPolicy = ErrorPolicy.RAISE,
+def evaluate_many(scenarios: Iterable[Scenario],
+                  policy: ErrorPolicy = ErrorPolicy.RAISE,
                   diagnostics: list | None = None) -> list[ScenarioResult]:
     """Price a batch of scenarios, one operating point at a time.
 

@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..constants import EQ6_A0, EQ6_P1, EQ6_P2, EQ6_SD0
 from ..engine import pykernels as pyk
 from ..errors import DomainError
@@ -52,6 +50,7 @@ def margin_power(m: float, p2) -> float:
         m ** p2
     except OverflowError:
         return math.inf
+    import numpy as np
     return float(np.asarray(m) ** p2)
 
 
@@ -91,21 +90,25 @@ class DesignCostModel:
             If any ``s_d ≤ s_d0``: the model says no finite design
             budget reaches or beats the full-custom bound.
         """
-        if type(sd) is float and sd < math.inf:
+        if type(sd) is float:
             m = sd - self.sd0  # the same IEEE subtraction as the array path
-            if m > 0:
+            if 0 < m < math.inf:
                 return m
-        elif type(sd) is np.ndarray and sd.dtype == np.float64 and sd.ndim:
-            # Finite, > 0 and > s_d0 all hold exactly when 0 < m < inf
-            # (a NaN fails both), so two reductions replace the checks.
-            m = sd - self.sd0
-            if 0.0 < m.min(initial=math.inf) and m.max(initial=0.0) < math.inf:
-                return m
+        elif type(sd) is not int:  # an int takes the checks below, NumPy-free
+            import numpy as np
+            if type(sd) is np.ndarray and sd.dtype == np.float64 and sd.ndim:
+                # Finite, > 0 and > s_d0 all hold exactly when
+                # 0 < m < inf (a NaN fails both), so two reductions
+                # replace the checks.
+                m = sd - self.sd0
+                if (0.0 < m.min(initial=math.inf)
+                        and m.max(initial=0.0) < math.inf):
+                    return m
         sd = check_positive(sd, "sd")
-        m = np.asarray(sd, dtype=float) - self.sd0
-        if np.any(m <= 0):
+        m = sd - self.sd0
+        if m <= 0 if type(m) is float else (m <= 0).any():
             raise DomainError(pyk.margin_message(self.sd0, sd))
-        return m if np.ndim(sd) else float(m)
+        return m
 
     @traced(equation="6")
     def cost(self, n_transistors, sd):
@@ -124,6 +127,7 @@ class DesignCostModel:
             return pyk.design_cost(n_transistors, float(sd),
                                    margin_power(m, self.p2), a0=self.a0,
                                    p1=self.p1)
+        import numpy as np
         return self.a0 * np.asarray(n_transistors, dtype=float) ** self.p1 / np.asarray(m) ** self.p2
 
     def marginal_cost_wrt_sd(self, n_transistors, sd):
@@ -132,6 +136,7 @@ class DesignCostModel:
         Used by the closed-form optimum conditions in
         :mod:`repro.optimize.optimum`.
         """
+        import numpy as np
         n_transistors = check_positive(n_transistors, "n_transistors")
         m = self.margin(sd)
         result = (
@@ -148,6 +153,7 @@ class DesignCostModel:
 
         ``s_d = s_d0 + (A0 · N_tr^p1 / budget)^{1/p2}``.
         """
+        import numpy as np
         n_transistors = check_positive(n_transistors, "n_transistors")
         budget_usd = check_positive(budget_usd, "budget_usd")
         margin = (

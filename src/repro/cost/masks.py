@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..engine import pykernels as pyk
 from ..errors import DomainError
 from ..obs.instrument import traced
@@ -81,11 +79,12 @@ class MaskSetCostModel:
         """
         feature_um = check_positive(feature_um, "feature_um")
         if n_layers is None:
-            if np.ndim(feature_um):
-                layers = np.asarray([layer_count_estimate(f) for f in np.asarray(feature_um).ravel()])
-                layers = layers.reshape(np.shape(feature_um))
-            else:
+            if type(feature_um) is float:
                 layers = layer_count_estimate(feature_um)
+            else:
+                import numpy as np
+                layers = np.asarray([layer_count_estimate(f) for f in feature_um.ravel()])
+                layers = layers.reshape(feature_um.shape)
         else:
             layers = check_positive_int(n_layers, "n_layers")
         return pyk.mask_set_cost(

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..engine import pykernels as pyk
 from ..obs.instrument import traced
 from ..units import um_to_cm
@@ -65,14 +63,12 @@ class TestCostModel:
     def test_seconds_per_die(self, n_transistors):
         """Tester time for one die (s)."""
         n_transistors = check_positive(n_transistors, "n_transistors")
-        result = self.seconds_per_mtransistor * np.asarray(n_transistors, dtype=float) / 1.0e6
-        return result if np.ndim(n_transistors) else float(result)
+        return self.seconds_per_mtransistor * n_transistors / 1.0e6
 
     def cost_per_die(self, n_transistors):
         """Test cost for one die ($), good or bad."""
-        seconds = np.asarray(self.test_seconds_per_die(n_transistors))
-        result = seconds * (self.tester_rate_usd_per_hour / 3600.0) + self.handling_usd_per_die
-        return result if np.ndim(n_transistors) else float(result)
+        seconds = self.test_seconds_per_die(n_transistors)
+        return seconds * (self.tester_rate_usd_per_hour / 3600.0) + self.handling_usd_per_die
 
     @traced(equation="s2.5")
     def cost_per_cm2(self, sd, feature_um, n_transistors):

@@ -30,14 +30,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from ..engine import pykernels as pyk
 from ..engine.points import Eq4Params
 from ..errors import DomainError
 from ..obs.instrument import traced
 from ..units import um_to_cm
-from ..validation import check_fraction, check_positive
+from ..validation import as_array, check_fraction, check_positive
 from ..wafer.specs import WAFER_200MM, WaferSpec
 from .design import DesignCostModel, margin_power
 from .masks import MaskSetCostModel
@@ -58,6 +56,7 @@ def _lambda_sq(feature_cm, feature_um):
     """
     if isinstance(feature_cm, float):
         return pyk.lambda_sq(float(feature_um))
+    import numpy as np
     with np.errstate(over="ignore", under="ignore"):
         lambda_sq = np.square(feature_cm)
     bad = ~((0.0 < lambda_sq) & (lambda_sq < math.inf))
@@ -72,6 +71,7 @@ def _amplitude(n_transistors, a0, p1):
     """:func:`repro.engine.pykernels.amplitude` of a float or array ``N_tr``."""
     if type(n_transistors) is float:
         return pyk.amplitude(n_transistors, a0, p1)
+    import numpy as np
     with np.errstate(over="ignore"):
         return a0 * n_transistors ** p1
 
@@ -255,6 +255,8 @@ class TotalCostModel:
 
         def range_error(sd, power, index, shape):
             """The DomainError for the point at flat ``index``."""
+            import numpy as np
+
             def at(value):
                 return float(np.broadcast_to(value, shape).flat[index])
             if power_overflow or not 0.0 < at(power) < math.inf:
@@ -282,6 +284,7 @@ class TotalCostModel:
                     and silicon_hi * (point.cm_sq + cd_hi) < _HEADROOM)
 
         def into(sd, out, scratch):
+            import numpy as np
             if fused and type(sd) is np.ndarray and sd.dtype == np.float64:
                 m = np.subtract(sd, sd0, out=np.empty_like(sd) if scratch is None else scratch)
                 # check_positive's finite and > 0 tests and margin's
@@ -311,13 +314,17 @@ class TotalCostModel:
         def curve(sd, out=None, scratch=None):
             if out is not None:
                 return into(sd, out, scratch)
-            if scalar and (type(sd) is float or not np.ndim(sd)):
+            if scalar and (type(sd) is float or as_array(sd) is None):
                 sd = pyk.positive(sd, "sd")
                 return point.terms(sd, margin_power(point.margin(sd), p2))[3]
-            m = design.margin(sd)  # a float exactly when ``sd`` is a scalar
+            import numpy as np
+            m = design.margin(sd)
             if isinstance(c_ma, DomainError):
                 raise c_ma
-            sd = float(sd) if isinstance(m, float) else np.asarray(sd, dtype=float)
+            # An array even for a scalar ``sd``: with ``u·Y`` underflowed
+            # to 0, float operands would raise ZeroDivisionError, where
+            # NumPy's give the non-finite cost classified below.
+            sd = np.asarray(sd, dtype=float)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 power = np.asarray(m) ** p2
                 result = grid_point.sums(sd, power)[3]

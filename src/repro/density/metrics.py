@@ -24,12 +24,12 @@ transistors/cm².
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from ..engine import pykernels as pyk
 from ..errors import DomainError
 from ..units import cm_to_um, um_to_cm
-from ..validation import check_positive
+from ..validation import as_array, check_positive
 
 __all__ = [
     "decompression_index",
@@ -91,8 +91,10 @@ def area_from_sd(sd, n_transistors, feature_um):
     Scalars are :func:`repro.engine.pykernels.area_from_sd`; arrays run
     the same product and fail with its messages, at the first bad entry.
     """
-    if not (np.ndim(sd) or np.ndim(n_transistors) or np.ndim(feature_um)):
+    if (as_array(sd) is None and as_array(n_transistors) is None
+            and as_array(feature_um) is None):
         return pyk.area_from_sd(sd, n_transistors, feature_um)
+    import numpy as np
     sd = check_positive(sd, "sd")
     n_transistors = check_positive(n_transistors, "n_transistors")
     feature_um = check_positive(feature_um, "feature_um")
@@ -129,5 +131,8 @@ def feature_from_sd(sd, area_cm2, n_transistors):
     sd = check_positive(sd, "sd")
     area_cm2 = check_positive(area_cm2, "area_cm2")
     n_transistors = check_positive(n_transistors, "n_transistors")
-    feature_cm = np.sqrt(area_cm2 / (sd * n_transistors))
-    return cm_to_um(feature_cm)
+    ratio = area_cm2 / (sd * n_transistors)
+    if type(ratio) is float:
+        return cm_to_um(math.sqrt(ratio))
+    import numpy as np
+    return cm_to_um(np.sqrt(ratio))

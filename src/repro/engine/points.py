@@ -10,40 +10,25 @@ and :func:`~repro.engine.pykernels.area_from_sd` under an
 the server's ``/evaluate`` use it, so the library and the wire give the
 same floats and the same diagnostics.
 
-The module imports no NumPy: the server prices with
-:data:`FIGURE4_PARAMS`, read from :mod:`repro.constants`, and answers
-``/evaluate`` on an interpreter that has none.
+The module imports no NumPy: the server prices wire scenarios with
+``PAPER_FIGURE4_MODEL.scalar_params``, and answers ``/evaluate`` on an
+interpreter that has none.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..constants import (
-    EQ6_A0,
-    EQ6_P1,
-    EQ6_P2,
-    EQ6_SD0,
-    WAFER_200MM_DIAMETER_MM,
-)
 from ..errors import DomainError, ReproError
 from ..robust.policy import DiagnosticLog, ErrorPolicy
 from . import pykernels
 from .pykernels import Eq4Params
 
-__all__ = ["Eq4Params", "FIGURE4_PARAMS", "price_points"]
+__all__ = ["Eq4Params", "price_points"]
 
 #: The ``where`` of every diagnostic :func:`price_points` records: the
 #: facade's batch entry point, which both callers answer for.
 WHERE = "api.evaluate_many"
-
-
-#: ``PAPER_FIGURE4_MODEL.scalar_params`` from :mod:`repro.constants`
-#: alone: eq. (6)'s fit, 200 mm wafers (``WaferSpec.area_cm2``'s
-#: ``π·r²``), no mask or test term, full utilization.
-FIGURE4_PARAMS = Eq4Params(
-    wafer_area_cm2=math.pi * (WAFER_200MM_DIAMETER_MM / 20.0) ** 2,
-    a0=EQ6_A0, p1=EQ6_P1, p2=EQ6_P2, sd0=EQ6_SD0)
 
 
 def _cost(point, params) -> float:
@@ -72,8 +57,7 @@ def price_points(points, params, policy=ErrorPolicy.RAISE):
 
     ``points`` is a sequence of records carrying ``sd``,
     ``n_transistors``, ``feature_um``, ``n_wafers``, ``yield_fraction``
-    and ``cost_per_cm2`` (a :class:`repro.api.Scenario` or a wire
-    ``ScenarioPayload``); ``params`` is one :class:`Eq4Params` for all
+    and ``cost_per_cm2`` (a :class:`repro.api.Scenario`); ``params`` is one :class:`Eq4Params` for all
     of them or a sequence with one per point, where an entry may also be
     a callable with ``TotalCostModel.transistor_cost``'s signature (a
     model that :attr:`~repro.cost.TotalCostModel.scalar_params` cannot

@@ -53,8 +53,8 @@ __all__ = [
     "total_transistor_cost",
 ]
 
-#: µm per cm, a name rather than ``repro.units.UM_PER_CM``: that module
-#: imports NumPy.
+#: µm per cm, a name rather than ``repro.units.UM_PER_CM``: ``units``
+#: imports ``validation``, which imports this module.
 _UM_PER_CM = 1.0e4
 
 

@@ -13,14 +13,7 @@ promises mechanically checkable before the test suite runs:
   package's actual ``__all__`` (symbol missing from the docs, or
   documented but no longer exported);
 * ``API004`` — a module defines no literal ``__all__`` at all
-  (``__main__`` modules are exempt — they are CLIs, not API);
-* ``API006`` — the ``Scenario`` facade and the ``repro.serve`` wire
-  schemas drift apart: a public ``Scenario`` method has no entry in
-  ``SCENARIO_ROUTES``, the mapped request dataclass does not exist, a
-  method parameter is missing from the request's fields (names carry
-  the unit suffixes, so this is the units check too), or a route maps
-  to no facade method. The HTTP schema and the python facade are one
-  surface by contract; this rule makes the contract mechanical.
+  (``__main__`` modules are exempt — they are CLIs, not API).
 """
 
 from __future__ import annotations
@@ -38,13 +31,6 @@ __all__ = ["ApiParityPass"]
 
 _SECTION_RE = re.compile(r"^## `(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`\s*$")
 _ROW_RE = re.compile(r"^\| `([A-Za-z_][A-Za-z0-9_]*)` \|")
-
-#: ``Scenario`` methods that construct/copy scenarios rather than
-#: analyse one — they are facade plumbing, not HTTP routes (API006).
-_SCENARIO_CONSTRUCTORS = frozenset({"from_node", "replace"})
-#: Facade parameters that receive output (mutated in place) — they have
-#: no place in a request schema, whose response carries the data.
-_ROUTE_OUT_PARAMS = frozenset({"diagnostics"})
 
 
 def _docs_sections(text: str) -> dict[str, set[str]]:
@@ -77,9 +63,6 @@ class ApiParityPass(LintPass):
                  "docs/API.md out of sync with the package __all__"),
         RuleSpec("API004", Severity.ERROR,
                  "module defines no literal __all__"),
-        RuleSpec("API006", Severity.ERROR,
-                 "Scenario facade method out of sync with the serve "
-                 "route schemas"),
     )
 
     def run(self, project: LintProject, config) -> Iterator[Finding]:
@@ -87,7 +70,6 @@ class ApiParityPass(LintPass):
         for module in project.modules:
             yield from self._check_module(project, module)
         yield from self._check_docs(project)
-        yield from self._check_route_parity(project)
 
     def _check_module(self, project: LintProject,
                       module: LintModule) -> Iterator[Finding]:
@@ -159,124 +141,6 @@ class ApiParityPass(LintPass):
                     "longer exported",
                     suggestion="regenerate with python tools/gen_api_docs.py",
                     path=rel_docs)
-
-    def _check_route_parity(self, project: LintProject) -> Iterator[Finding]:
-        """``API006``: the facade methods and the wire schemas agree.
-
-        Reads both sides statically — the ``Scenario`` class body in
-        ``api.py`` and the literal ``SCENARIO_ROUTES`` table plus the
-        request dataclasses in ``serve/schemas.py`` — so the check
-        needs no imports and runs on a stdlib-only interpreter.
-        """
-        api = project.module_at("api.py")
-        schemas = project.module_at("serve/schemas.py")
-        if api is None or schemas is None:
-            return
-        scenario = next(
-            (node for node in api.tree.body
-             if isinstance(node, ast.ClassDef) and node.name == "Scenario"),
-            None)
-        if scenario is None:
-            return
-        routes, routes_line = self._scenario_routes(schemas.tree)
-        if routes is None:
-            yield self.finding(
-                project, schemas, "API006", routes_line or 1,
-                "serve/schemas.py defines no literal SCENARIO_ROUTES dict",
-                suggestion="keep the route table a plain {str: str} literal")
-            return
-        fields = self._request_fields(schemas.tree)
-        methods: dict[str, ast.FunctionDef] = {}
-        for node in scenario.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if (node.name.startswith("_")
-                    or node.name in _SCENARIO_CONSTRUCTORS
-                    or self._is_property(node)):
-                continue
-            methods[node.name] = node
-        for name, node in sorted(methods.items()):
-            request_name = routes.get(name)
-            if request_name is None:
-                yield self.finding(
-                    project, api, "API006", node.lineno,
-                    f"public Scenario method {name!r} has no serve route "
-                    "schema",
-                    suggestion="map it in SCENARIO_ROUTES to a request "
-                    "dataclass")
-                continue
-            request_fields = fields.get(request_name)
-            if request_fields is None:
-                yield self.finding(
-                    project, schemas, "API006", routes_line,
-                    f"SCENARIO_ROUTES maps {name!r} to {request_name!r}, "
-                    "which serve/schemas.py does not define")
-                continue
-            params = [arg.arg for arg in (node.args.posonlyargs
-                                          + node.args.args
-                                          + node.args.kwonlyargs)][1:]
-            for param in params:
-                if param in _ROUTE_OUT_PARAMS or param in request_fields:
-                    continue
-                yield self.finding(
-                    project, api, "API006", node.lineno,
-                    f"Scenario.{name}() parameter {param!r} is not a field "
-                    f"of {request_name}",
-                    suggestion="keep facade parameters and wire fields one "
-                    "surface (same names, same unit suffixes)")
-        for route in sorted(set(routes) - set(methods)):
-            yield self.finding(
-                project, schemas, "API006", routes_line,
-                f"SCENARIO_ROUTES lists {route!r} but Scenario has no such "
-                "public method",
-                suggestion="drop the route or add the facade method")
-
-    @staticmethod
-    def _scenario_routes(tree: ast.Module):
-        """The literal ``SCENARIO_ROUTES`` dict and its line, if parseable."""
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if "SCENARIO_ROUTES" not in targets:
-                continue
-            try:
-                value = ast.literal_eval(node.value)
-            except ValueError:
-                return None, node.lineno
-            if (isinstance(value, dict)
-                    and all(isinstance(k, str) and isinstance(v, str)
-                            for k, v in value.items())):
-                return value, node.lineno
-            return None, node.lineno
-        return None, None
-
-    @staticmethod
-    def _request_fields(tree: ast.Module) -> dict[str, set[str]]:
-        """``{class name: {annotated field names}}`` for every class."""
-        fields: dict[str, set[str]] = {}
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            names = {
-                stmt.target.id
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and not stmt.target.id.startswith("_")
-            }
-            fields[node.name] = names
-        return fields
-
-    @staticmethod
-    def _is_property(node: ast.FunctionDef) -> bool:
-        for dec in node.decorator_list:
-            name = (dec.id if isinstance(dec, ast.Name)
-                    else dec.attr if isinstance(dec, ast.Attribute)
-                    else None)
-            if name in ("property", "cached_property"):
-                return True
-        return False
 
     @staticmethod
     def _resolve(project: LintProject, dotted: str) -> LintModule | None:

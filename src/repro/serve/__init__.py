@@ -6,7 +6,8 @@ means a service, not a script. This package serves the
 :class:`repro.api.Scenario` facade over stdlib HTTP/JSON:
 
 * :mod:`repro.serve.schemas` — frozen request/response dataclasses;
-  the single wire contract shared by server and client;
+  the single wire contract shared by server and client, the requests
+  derived from the :class:`repro.api.Scenario` method signatures;
 * :mod:`repro.serve.service` — :class:`CostService`, the
   transport-free coordinator (``/evaluate`` priced in stdlib floats,
   error-policy semantics);
@@ -36,19 +37,17 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
     "client": ("ServeClient", "ServeError"),
     "ratelimit": ("TokenBucket",),
     "schemas": (
-        "SCENARIO_ROUTES", "DiagnosticPayload", "ErrorResponse",
-        "EvaluatedPoint", "EvaluateRequest", "EvaluateResponse",
-        "OptimalSdRequest", "OptimalSdResponse", "ParetoPoint",
-        "ParetoRequest", "ParetoResponse", "ScenarioPayload",
-        "SensitivityRequest", "SensitivityResponse", "SweepRequest",
-        "SweepResponse",
+        "DiagnosticPayload", "ErrorResponse", "EvaluatedPoint",
+        "EvaluateRequest", "EvaluateResponse", "OptimalSdRequest",
+        "OptimalSdResponse", "ParetoPoint", "ParetoRequest",
+        "ParetoResponse", "SensitivityRequest", "SensitivityResponse",
+        "SweepRequest", "SweepResponse",
     ),
     "service": ("CostService",),
     "app": ("ServerHandle", "start_server"),
 })
 
 __all__ = [
-    "SCENARIO_ROUTES",
     "CostService",
     "DiagnosticPayload",
     "ErrorResponse",
@@ -60,7 +59,6 @@ __all__ = [
     "ParetoPoint",
     "ParetoRequest",
     "ParetoResponse",
-    "ScenarioPayload",
     "SensitivityRequest",
     "SensitivityResponse",
     "ServeClient",

@@ -6,8 +6,8 @@ one :mod:`asyncio` event loop on a daemon thread, and returns a
 
 * ``POST /evaluate`` / ``/sweep`` / ``/pareto`` / ``/sensitivity`` /
   ``/optimal_sd`` — one per public :class:`repro.api.Scenario` method,
-  parsing the matching request dataclass from
-  :mod:`repro.serve.schemas`;
+  parsing the request dataclass :mod:`repro.serve.schemas` derives
+  from that method's signature;
 * ``GET /healthz`` — :func:`repro.obs.health_payload` liveness JSON;
 * ``GET /metrics`` — the Prometheus registry, bridged live with both
   engine-side and serve-side (rate-limiter) state.
@@ -61,30 +61,10 @@ from ..obs.exposition import health_payload, render_prometheus
 from ..obs.trace import span as obs_span
 from ..obs.transport import HttpServer, Reply
 from .ratelimit import TokenBucket
-from .schemas import (
-    SCENARIO_ROUTES,
-    ErrorResponse,
-    EvaluateRequest,
-    OptimalSdRequest,
-    ParetoRequest,
-    SensitivityRequest,
-    SweepRequest,
-)
+from .schemas import _ROUTES, ErrorResponse, EvaluateRequest
 from .service import CostService
 
 __all__ = ["ServerHandle", "start_server"]
-
-#: Route name → request dataclass, derived from the same literal the
-#: API006 lint rule reads, so the HTTP surface cannot drift from the
-#: facade without failing the build.
-_REQUEST_TYPES = {
-    "evaluate": EvaluateRequest,
-    "sweep": SweepRequest,
-    "pareto": ParetoRequest,
-    "sensitivity": SensitivityRequest,
-    "optimal_sd": OptimalSdRequest,
-}
-assert set(_REQUEST_TYPES) == set(SCENARIO_ROUTES)
 
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -205,7 +185,7 @@ class _Routes:
 
     def _post(self, request):
         route = request.path.lstrip("/")
-        request_type = _REQUEST_TYPES.get(route)
+        request_type = _ROUTES.get(route)
         if request_type is None:
             return _error_reply(404, ExecutionError(
                 f"no such route: POST {request.path}"))
@@ -270,7 +250,7 @@ def _transport_error(status: int, exc: BaseException, request) -> Reply:
     """
     if request is not None and request.method == "POST":
         route = request.path.lstrip("/")
-        if route in _REQUEST_TYPES:
+        if route in _ROUTES:
             _count(route, status)
     return _error_reply(status, exc)
 

@@ -10,8 +10,8 @@ so callers branch on the error-taxonomy ``code`` (``"DomainError"``,
 instead of scraping messages.
 
 >>> client = ServeClient("http://127.0.0.1:8000")   # doctest: +SKIP
->>> client.evaluate(ScenarioPayload(n_transistors=1e7,
-...                                 feature_um=0.18))  # doctest: +SKIP
+>>> client.evaluate(Scenario(n_transistors=1e7,
+...                          feature_um=0.18))  # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import urllib.request
 
 from ..errors import ExecutionError
 from .schemas import (
+    _SCENARIO,
     ErrorResponse,
     EvaluateRequest,
     EvaluateResponse,
@@ -28,7 +29,6 @@ from .schemas import (
     OptimalSdResponse,
     ParetoRequest,
     ParetoResponse,
-    ScenarioPayload,
     SensitivityRequest,
     SensitivityResponse,
     SweepRequest,
@@ -58,21 +58,20 @@ def _serve_error(exc: urllib.error.HTTPError) -> ServeError:
     return ServeError(exc.code, ErrorResponse.from_json(text))
 
 
-def _as_payload(scenario) -> ScenarioPayload:
-    """Accept a wire payload, a facade ``Scenario``, or a plain dict."""
-    if isinstance(scenario, ScenarioPayload):
-        return scenario
-    if isinstance(scenario, dict):
-        return ScenarioPayload.from_dict(scenario)
-    return ScenarioPayload.from_scenario(scenario)
+def _as_scenario(scenario):
+    """Accept a facade ``Scenario``, or its wire fields as a plain dict."""
+    return _SCENARIO.decode(scenario) if isinstance(scenario, dict) \
+        else scenario
 
 
 class ServeClient:
     """Typed access to a running ``repro.serve`` instance.
 
-    Each method accepts scenarios in any convenient form
-    (:class:`ScenarioPayload`, :class:`repro.api.Scenario`, or a plain
-    dict) and returns the route's response dataclass.
+    Each method accepts scenarios as :class:`repro.api.Scenario` objects
+    or as plain dicts of their wire fields, and returns the route's
+    response dataclass. A scenario with another model than
+    ``PAPER_FIGURE4_MODEL``, or a wafer override, raises
+    :class:`repro.errors.DomainError` before anything is sent.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 30.0):
@@ -113,14 +112,14 @@ class ServeClient:
                       ) -> EvaluateResponse:
         """Price a batch of scenarios (``POST /evaluate``)."""
         request = EvaluateRequest(
-            scenarios=tuple(_as_payload(s) for s in scenarios),
+            scenarios=tuple(_as_scenario(s) for s in scenarios),
             policy=policy)
         return self._post("evaluate", request, EvaluateResponse)
 
     def sweep(self, scenario, *, parameter: str = "sd", values=None,
               policy: str = "raise") -> SweepResponse:
         """Sweep one parameter's cost curve (``POST /sweep``)."""
-        request = SweepRequest(scenario=_as_payload(scenario),
+        request = SweepRequest(scenario=_as_scenario(scenario),
                                parameter=parameter,
                                values=None if values is None
                                else tuple(float(v) for v in values),
@@ -130,7 +129,7 @@ class ServeClient:
     def pareto(self, scenario, *, values=None,
                policy: str = "raise") -> ParetoResponse:
         """The non-dominated cost/area front (``POST /pareto``)."""
-        request = ParetoRequest(scenario=_as_payload(scenario),
+        request = ParetoRequest(scenario=_as_scenario(scenario),
                                 values=None if values is None
                                 else tuple(float(v) for v in values),
                                 policy=policy)
@@ -141,7 +140,7 @@ class ServeClient:
                     policy: str = "raise") -> SensitivityResponse:
         """Parameter elasticities (``POST /sensitivity``)."""
         request = SensitivityRequest(
-            scenario=_as_payload(scenario),
+            scenario=_as_scenario(scenario),
             parameters=None if parameters is None else tuple(parameters),
             rel_step=rel_step, sd_max=sd_max, policy=policy)
         return self._post("sensitivity", request, SensitivityResponse)
@@ -150,7 +149,7 @@ class ServeClient:
                    tol: float = 1e-10, max_iter: int = 500,
                    retry: bool = False) -> OptimalSdResponse:
         """The cost-minimising ``s_d`` (``POST /optimal_sd``)."""
-        request = OptimalSdRequest(scenario=_as_payload(scenario),
+        request = OptimalSdRequest(scenario=_as_scenario(scenario),
                                    sd_max=sd_max, tol=tol,
                                    max_iter=max_iter, retry=retry)
         return self._post("optimal_sd", request, OptimalSdResponse)

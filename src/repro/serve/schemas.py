@@ -1,38 +1,46 @@
 """Wire schemas for the :mod:`repro.serve` HTTP layer.
 
-One set of frozen dataclasses is the *entire* contract: the server
-routes parse requests with ``from_json`` and render responses with
+One set of frozen dataclasses is the whole contract: the server routes
+parse requests with ``from_json`` and render responses with
 ``to_json``, and :mod:`repro.serve.client` uses the very same classes
-in the opposite direction — there is no second, hand-maintained JSON
-shape to drift out of sync.
+in the opposite direction.
 
-The request classes mirror the :class:`repro.api.Scenario` facade
-method for method: :data:`SCENARIO_ROUTES` maps every public
-``Scenario`` method to its request class, and the ``API006`` lint rule
-statically checks that each method's parameters are covered by the
-mapped request's fields (same names, same unit suffixes). Adding a
-facade method without a matching route schema fails the build.
+The requests are the facade's own types. A scenario on the wire is a
+:class:`repro.api.Scenario`: its fields but ``model`` and ``wafer``.
+The server prices the paper's Figure-4 model, so encoding a scenario
+with another model or a wafer override raises :class:`DomainError`
+naming the field, rather than pricing something else. Each route's
+request class is derived from the signature of the facade method it
+serves (``/evaluate`` from :func:`repro.api.evaluate_many`, every other
+route from the same-named ``Scenario`` method): a ``scenario`` field in
+place of ``self``, then the method's parameters but ``diagnostics``,
+in order, with their defaults. So a request cannot fall out of step
+with its method. Only ``retry`` has another form on the wire: a bool,
+where the facade takes a :class:`repro.robust.RetryBudget`.
 
-This module is deliberately stdlib-only (``json`` + ``dataclasses``):
-it must import on an interpreter without NumPy, where the server
-still answers ``/evaluate``.
-``ScenarioPayload.to_scenario`` is the single place the NumPy-backed
-facade is touched, and it imports lazily.
+Every field is parsed by its annotation: ``float``, ``int``, ``bool``,
+``str``, ``ErrorPolicy``, a wire record or ``Scenario``, and
+``X | None``, ``tuple[X, ...]``, ``Sequence[X]``, ``Iterable[X]`` and
+``dict[str, X]`` of those. The response classes are written out below.
+
+This module imports no NumPy, and neither does pricing a scenario, so
+the server still answers ``/evaluate`` on an interpreter without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 from dataclasses import dataclass
 
-from ..constants import ASSUMED_YIELD, MANUFACTURING_COST_PER_CM2_USD
+from ..api import Scenario, evaluate_many
+from ..cost.total import PAPER_FIGURE4_MODEL
 from ..errors import DomainError
+from ..robust.policy import ErrorPolicy
 
 __all__ = [
-    "SCENARIO_ROUTES",
-    "ScenarioPayload",
     "DiagnosticPayload",
     "EvaluateRequest",
     "SweepRequest",
@@ -49,22 +57,6 @@ __all__ = [
     "ErrorResponse",
 ]
 
-#: Facade method name → request class name. The single source of truth
-#: for the route table (``POST /<method>``) and for the ``API006``
-#: parity rule, which reads this literal statically. Keep it a plain
-#: ``{str: str}`` literal.
-SCENARIO_ROUTES = {
-    "evaluate": "EvaluateRequest",
-    "sweep": "SweepRequest",
-    "pareto": "ParetoRequest",
-    "sensitivity": "SensitivityRequest",
-    "optimal_sd": "OptimalSdRequest",
-}
-
-#: Accepted ``policy`` spellings (mirrors ``repro.robust.ErrorPolicy``
-#: values without importing the enum into the wire layer).
-_POLICIES = ("raise", "mask", "collect")
-
 
 def _float_value(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -77,27 +69,11 @@ def _float_value(value, name: str) -> float:
             from None
 
 
-def _converter(fn, name):
-    return lambda value: fn(value, name)
-
-
-def _as_float(value, name) -> float:
-    return _float_value(value, name)
-
-
-def _as_opt_float(value, name):
-    return None if value is None else _float_value(value, name)
-
-
 def _as_int(value, name) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"field {name!r} must be an integer, "
                           f"got {type(value).__name__}")
     return value
-
-
-def _as_opt_int(value, name):
-    return None if value is None else _as_int(value, name)
 
 
 def _as_bool(value, name) -> bool:
@@ -114,51 +90,67 @@ def _as_str(value, name) -> str:
     return value
 
 
-def _as_policy(value, name) -> str:
+def _as_policy(value, name) -> ErrorPolicy:
     value = _as_str(value, name).lower()
-    if value not in _POLICIES:
-        known = ", ".join(_POLICIES)
-        raise DomainError(f"unknown error policy {value!r}; known: {known}")
-    return value
+    try:
+        return ErrorPolicy(value)
+    except ValueError:
+        known = ", ".join(policy.value for policy in ErrorPolicy)
+        raise DomainError(
+            f"unknown error policy {value!r}; known: {known}") from None
 
 
-def _as_opt_floats(value, name):
-    if value is None:
+#: The parser of each scalar annotation.
+_SCALARS = {"float": _float_value, "int": _as_int, "bool": _as_bool,
+            "str": _as_str, "ErrorPolicy": _as_policy}
+#: What a list of each scalar is called in an error message.
+_LISTS = {"float": "numbers", "str": "strings"}
+
+
+def _parser(annotation: str, name: str):
+    """What parses field ``name``'s JSON value, from the field's
+    annotation string; ``None`` where the value is kept as it is
+    (``object``)."""
+    if annotation == "object":
         return None
-    if not isinstance(value, (list, tuple)):
-        raise DomainError(f"field {name!r} must be a list of numbers")
-    return tuple(_float_value(v, name) for v in value)
+    if annotation.endswith(" | None"):
+        parse = _parser(annotation.removesuffix(" | None"), name)
+        return lambda value: None if value is None else parse(value)
+    outer, _, args = annotation.partition("[")
+    if args:
+        item, *more = args.removesuffix("]").split(", ")
+        if outer == "dict":  # dict[str, X]
+            parse = _parser(more[0], name)
 
+            def mapping(value):
+                if not isinstance(value, dict):
+                    raise DomainError(f"field {name!r} must be an object")
+                return {_as_str(k, name): parse(v) for k, v in value.items()}
+            return mapping
+        parse = _parser(item, name)
+        kind = _LISTS.get(item.removesuffix(" | None"), "objects")
 
-def _as_floats(value, name):
-    values = _as_opt_floats(value, name)
-    return () if values is None else values
-
-
-def _as_opt_strs(value, name):
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise DomainError(f"field {name!r} must be a list of strings")
-    return tuple(_as_str(v, name) for v in value)
-
-
-def _as_items(item_from_dict, name):
-    def convert(value):
-        if not isinstance(value, (list, tuple)):
-            raise DomainError(f"field {name!r} must be a list of objects")
-        return tuple(item_from_dict(v) for v in value)
-
-    return convert
+        def items(value):
+            if not isinstance(value, (list, tuple)):
+                raise DomainError(f"field {name!r} must be a list of {kind}")
+            return tuple(parse(v) for v in value)
+        return items
+    scalar = _SCALARS.get(annotation)
+    if scalar is not None:
+        return lambda value: scalar(value, name)
+    if annotation == "Scenario":
+        return _SCENARIO.decode
+    return globals()[annotation].from_dict
 
 
 def _plain(value):
     """One field value in JSON-safe form, as :meth:`_Wire.to_dict` needs.
 
-    Nested records become dicts, tuples become lists, and non-finite
-    floats become ``None``: the same result as ``dataclasses.asdict``
-    followed by a non-finite-to-``None`` pass, without the per-call
-    field reflection and deep copies.
+    Nested records become dicts, tuples become lists, an
+    :class:`ErrorPolicy` its value, and non-finite floats become
+    ``None``: the same result as ``dataclasses.asdict`` followed by a
+    non-finite-to-``None`` pass, without the per-call field reflection
+    and deep copies.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
@@ -168,42 +160,96 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, ErrorPolicy):
+        return value.value
+    if isinstance(value, Scenario):
+        return _scenario_dict(value)
     return value
 
 
-class _Wire:
-    """Shared JSON plumbing for every frozen wire dataclass.
+class _Layout:
+    """One dataclass's wire form, read once from its fields.
 
-    Subclasses may provide ``_CONVERT`` — a ``{field name: callable}``
-    plain class attribute (not a dataclass field) used by
-    :meth:`from_dict` to validate and rebuild nested values. Each
-    class's field layout is read once, on first use, into ``_LAYOUT``:
-    the field names in order, the same names as a set, and one
-    ``(name, required, converter)`` triple per field.
+    ``names`` are the field names in order and ``known`` the same names
+    as a set; ``fields`` holds one ``(name, required, parse)`` triple
+    per field, ``parse`` chosen by the field's annotation.
     """
 
-    _CONVERT: dict = {}
+    __slots__ = ("cls", "names", "known", "fields")
+
+    def __init__(self, cls, fields) -> None:
+        self.cls = cls
+        self.names = tuple(f.name for f in fields)
+        self.known = frozenset(self.names)
+        self.fields = tuple(
+            (f.name,
+             f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING,
+             _parser(f.type, f.name))
+            for f in fields)
+
+    def decode(self, data):
+        """Build the record from a parsed dict; strict about keys."""
+        name = self.cls.__name__
+        if not isinstance(data, dict):
+            raise DomainError(f"{name}: expected a JSON object, "
+                              f"got {type(data).__name__}")
+        if not self.known.issuperset(data):
+            unknown = sorted(set(data) - self.known)
+            raise DomainError(f"{name}: unknown field(s) {', '.join(unknown)}")
+        kwargs = {}
+        for field, required, parse in self.fields:
+            if field not in data:
+                if required:
+                    raise DomainError(
+                        f"{name}: missing required field {field!r}")
+                continue
+            value = data[field]
+            kwargs[field] = parse(value) if parse is not None else value
+        return self.cls(**kwargs)
+
+    def encode(self, record) -> dict:
+        """The record as a JSON-safe dict (NaN/Inf become ``null``)."""
+        return {name: _plain(getattr(record, name)) for name in self.names}
+
+
+#: A wire scenario: every :class:`Scenario` field but ``model`` and
+#: ``wafer``, which the server does not take.
+_SCENARIO = _Layout(Scenario, [f for f in dataclasses.fields(Scenario)
+                               if f.name not in ("model", "wafer")])
+
+
+def _scenario_dict(scenario: Scenario) -> dict:
+    """The wire form of a facade scenario, each field parsed as the
+    server parses it (an ``int`` count is sent as a float). A scenario
+    the server would price differently raises :class:`DomainError`."""
+    if scenario.model != PAPER_FIGURE4_MODEL:
+        raise DomainError(
+            "Scenario field 'model' does not cross the wire: the server "
+            "prices PAPER_FIGURE4_MODEL only")
+    if scenario.wafer is not None:
+        raise DomainError(
+            "Scenario field 'wafer' does not cross the wire: the server "
+            "prices PAPER_FIGURE4_MODEL's own wafer only")
+    return {name: _plain(parse(getattr(scenario, name)))
+            for name, _, parse in _SCENARIO.fields}
+
+
+class _Wire:
+    """Shared JSON plumbing for every frozen wire dataclass; each
+    class's :class:`_Layout` is read from its fields on first use."""
 
     @classmethod
-    def _layout(cls) -> tuple:
+    def _layout(cls) -> _Layout:
         """This class's ``_LAYOUT``, built on first use."""
         layout = cls.__dict__.get("_LAYOUT")
         if layout is None:
-            fields = dataclasses.fields(cls)
-            names = tuple(f.name for f in fields)
-            parse = tuple(
-                (f.name,
-                 f.default is dataclasses.MISSING
-                 and f.default_factory is dataclasses.MISSING,
-                 cls._CONVERT.get(f.name))
-                for f in fields)
-            layout = cls._LAYOUT = (names, frozenset(names), parse)
+            layout = cls._LAYOUT = _Layout(cls, dataclasses.fields(cls))
         return layout
 
     def to_dict(self) -> dict:
         """The record as a JSON-safe dict (NaN/Inf become ``null``)."""
-        return {name: _plain(getattr(self, name))
-                for name in self._layout()[0]}
+        return self._layout().encode(self)
 
     def to_json(self) -> str:
         """The record as a canonical (sorted-key) JSON document."""
@@ -232,75 +278,72 @@ class _Wire:
     @classmethod
     def from_dict(cls, data):
         """Build the record from a parsed dict; strict about keys."""
-        if not isinstance(data, dict):
-            raise DomainError(f"{cls.__name__}: expected a JSON object, "
-                              f"got {type(data).__name__}")
-        _, known, parse = cls._layout()
-        if not known.issuperset(data):
-            unknown = sorted(set(data) - known)
-            raise DomainError(
-                f"{cls.__name__}: unknown field(s) {', '.join(unknown)}")
-        kwargs = {}
-        for name, required, convert in parse:
-            if name not in data:
-                if required:
-                    raise DomainError(
-                        f"{cls.__name__}: missing required field {name!r}")
-                continue
-            value = data[name]
-            kwargs[name] = convert(value) if convert is not None else value
-        return cls(**kwargs)
+        return cls._layout().decode(data)
 
 
-@dataclass(frozen=True)
-class ScenarioPayload(_Wire):
-    """One :class:`repro.api.Scenario` operating point on the wire.
+# -- requests, derived from the facade -----------------------------------------
 
-    Scalar fields only — the serve layer always prices under the
-    paper's Figure-4 model configuration
-    (:data:`repro.cost.PAPER_FIGURE4_MODEL`), so the model object never
-    crosses the HTTP boundary. Field names and defaults match the
-    facade dataclass exactly.
-    """
+#: ``POST /<route>`` → the request class it parses, filled in by
+#: :func:`_request`.
+_ROUTES: dict[str, type] = {}
 
-    n_transistors: float
-    feature_um: float
-    sd: float = 300.0
-    n_wafers: float = 5_000.0
-    yield_fraction: float = ASSUMED_YIELD
-    cost_per_cm2: float = MANUFACTURING_COST_PER_CM2_USD
-    label: str = ""
+#: The parameters whose wire form differs from the facade's, with the
+#: wire annotation and default: ``retry`` is a bool on the wire, and
+#: the service passes :data:`repro.robust.DEFAULT_RETRY_BUDGET` for true.
+_WIRE_FORMS = {"retry": ("bool", False)}
 
-    _CONVERT = {
-        "n_transistors": _converter(_as_float, "n_transistors"),
-        "feature_um": _converter(_as_float, "feature_um"),
-        "sd": _converter(_as_float, "sd"),
-        "n_wafers": _converter(_as_float, "n_wafers"),
-        "yield_fraction": _converter(_as_float, "yield_fraction"),
-        "cost_per_cm2": _converter(_as_float, "cost_per_cm2"),
-        "label": _converter(_as_str, "label"),
-    }
+
+class _Batch(_Wire):
+    """A request over ``scenarios`` that also takes a single
+    ``{"scenario": {...}}``, as a one-element batch."""
 
     @classmethod
-    def from_scenario(cls, scenario) -> "ScenarioPayload":
-        """The wire form of a facade :class:`~repro.api.Scenario`."""
-        return cls(n_transistors=float(scenario.n_transistors),
-                   feature_um=float(scenario.feature_um),
-                   sd=float(scenario.sd),
-                   n_wafers=float(scenario.n_wafers),
-                   yield_fraction=float(scenario.yield_fraction),
-                   cost_per_cm2=float(scenario.cost_per_cm2),
-                   label=scenario.label)
+    def from_dict(cls, data):
+        """Accept the single-``scenario`` sugar next to the batch form."""
+        if isinstance(data, dict) and "scenario" in data:
+            if "scenarios" in data:
+                raise DomainError(
+                    f"{cls.__name__}: pass either 'scenario' or "
+                    "'scenarios', not both")
+            data = {**data}
+            data["scenarios"] = [data.pop("scenario")]
+        return super().from_dict(data)
 
-    def to_scenario(self):
-        """The NumPy-backed facade record (lazy :mod:`repro.api` import)."""
-        from ..api import Scenario
-        return Scenario(n_transistors=self.n_transistors,
-                        feature_um=self.feature_um, sd=self.sd,
-                        n_wafers=self.n_wafers,
-                        yield_fraction=self.yield_fraction,
-                        cost_per_cm2=self.cost_per_cm2, label=self.label)
 
+def _request(route: str, method) -> type:
+    """The frozen request class of ``POST /<route>``, derived from
+    ``method``'s signature: a ``Scenario`` method's ``self`` becomes the
+    ``scenario`` field, the output-only ``diagnostics`` is left out, and
+    every other parameter is a field of the same name, annotation and
+    default (:data:`_WIRE_FORMS` aside). The class is named after the
+    route and documented by the method."""
+    fields = []
+    for param in inspect.signature(method).parameters.values():
+        if param.name == "self":
+            fields.append(("scenario", "Scenario"))
+        elif param.name != "diagnostics":
+            annotation, default = _WIRE_FORMS.get(
+                param.name, (param.annotation, param.default))
+            fields.append((param.name, annotation)
+                          if default is inspect.Parameter.empty
+                          else (param.name, annotation, default))
+    base = _Batch if fields[0][0] == "scenarios" else _Wire
+    cls = dataclasses.make_dataclass(
+        route.title().replace("_", "") + "Request", fields, bases=(base,),
+        frozen=True, namespace={"__module__": __name__,
+                                "__doc__": method.__doc__})
+    _ROUTES[route] = cls
+    return cls
+
+
+EvaluateRequest = _request("evaluate", evaluate_many)
+SweepRequest = _request("sweep", Scenario.sweep)
+ParetoRequest = _request("pareto", Scenario.pareto)
+SensitivityRequest = _request("sensitivity", Scenario.sensitivity)
+OptimalSdRequest = _request("optimal_sd", Scenario.optimal_sd)
+
+
+# -- responses -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DiagnosticPayload(_Wire):
@@ -313,15 +356,6 @@ class DiagnosticPayload(_Wire):
     index: int | None
     error_type: str
     message: str
-
-    _CONVERT = {
-        "where": _converter(_as_str, "where"),
-        "equation": _converter(_as_str, "equation"),
-        "parameter": _converter(_as_str, "parameter"),
-        "index": _converter(_as_opt_int, "index"),
-        "error_type": _converter(_as_str, "error_type"),
-        "message": _converter(_as_str, "message"),
-    }
 
     @classmethod
     def from_diagnostic(cls, diag) -> "DiagnosticPayload":
@@ -338,111 +372,6 @@ class DiagnosticPayload(_Wire):
                    error_type=diag.error_type, message=diag.message)
 
 
-def _diagnostics_field():
-    return _as_items(DiagnosticPayload.from_dict, "diagnostics")
-
-
-@dataclass(frozen=True)
-class EvaluateRequest(_Wire):
-    """``POST /evaluate`` — price one scenario or a batch.
-
-    Accepts either ``{"scenario": {...}}`` (single point) or
-    ``{"scenarios": [{...}, ...]}`` (batch); the single form is
-    normalised to a one-element batch at parse time.
-    """
-
-    scenarios: tuple[ScenarioPayload, ...]
-    policy: str = "raise"
-
-    _CONVERT = {
-        "scenarios": _as_items(ScenarioPayload.from_dict, "scenarios"),
-        "policy": _converter(_as_policy, "policy"),
-    }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Accept the single-``scenario`` sugar next to the batch form."""
-        if isinstance(data, dict) and "scenario" in data:
-            if "scenarios" in data:
-                raise DomainError(
-                    "EvaluateRequest: pass either 'scenario' or "
-                    "'scenarios', not both")
-            data = {**data}
-            data["scenarios"] = [data.pop("scenario")]
-        return super().from_dict(data)
-
-
-@dataclass(frozen=True)
-class SweepRequest(_Wire):
-    """``POST /sweep`` — a 1-D cost sweep (``Scenario.sweep``)."""
-
-    scenario: ScenarioPayload
-    parameter: str = "sd"
-    values: tuple[float, ...] | None = None
-    policy: str = "raise"
-
-    _CONVERT = {
-        "scenario": ScenarioPayload.from_dict,
-        "parameter": _converter(_as_str, "parameter"),
-        "values": _converter(_as_opt_floats, "values"),
-        "policy": _converter(_as_policy, "policy"),
-    }
-
-
-@dataclass(frozen=True)
-class ParetoRequest(_Wire):
-    """``POST /pareto`` — the non-dominated front (``Scenario.pareto``)."""
-
-    scenario: ScenarioPayload
-    values: tuple[float, ...] | None = None
-    policy: str = "raise"
-
-    _CONVERT = {
-        "scenario": ScenarioPayload.from_dict,
-        "values": _converter(_as_opt_floats, "values"),
-        "policy": _converter(_as_policy, "policy"),
-    }
-
-
-@dataclass(frozen=True)
-class SensitivityRequest(_Wire):
-    """``POST /sensitivity`` — elasticities (``Scenario.sensitivity``)."""
-
-    scenario: ScenarioPayload
-    parameters: tuple[str, ...] | None = None
-    rel_step: float = 0.05
-    sd_max: float = 5000.0
-    policy: str = "raise"
-
-    _CONVERT = {
-        "scenario": ScenarioPayload.from_dict,
-        "parameters": _converter(_as_opt_strs, "parameters"),
-        "rel_step": _converter(_as_float, "rel_step"),
-        "sd_max": _converter(_as_float, "sd_max"),
-        "policy": _converter(_as_policy, "policy"),
-    }
-
-
-@dataclass(frozen=True)
-class OptimalSdRequest(_Wire):
-    """``POST /optimal_sd`` — cost-minimising ``s_d``
-    (``Scenario.optimal_sd``)."""
-
-    scenario: ScenarioPayload
-    sd_max: float = 5000.0
-    tol: float = 1e-10
-    max_iter: int = 500
-    retry: bool = False
-
-    _CONVERT = {
-        "scenario": ScenarioPayload.from_dict,
-        "sd_max": _converter(_as_float, "sd_max"),
-        "tol": _converter(_as_float, "tol"),
-        "max_iter": _converter(_as_int, "max_iter"),
-        "retry": _converter(_as_bool, "retry"),
-    }
-
-
 @dataclass(frozen=True)
 class EvaluatedPoint(_Wire):
     """One priced scenario inside an :class:`EvaluateResponse`.
@@ -457,15 +386,6 @@ class EvaluatedPoint(_Wire):
     die_cost_usd: float | None
     ok: bool
 
-    _CONVERT = {
-        "label": _converter(_as_str, "label"),
-        "cost_per_transistor_usd": _converter(_as_opt_float,
-                                              "cost_per_transistor_usd"),
-        "area_cm2": _converter(_as_opt_float, "area_cm2"),
-        "die_cost_usd": _converter(_as_opt_float, "die_cost_usd"),
-        "ok": _converter(_as_bool, "ok"),
-    }
-
 
 @dataclass(frozen=True)
 class EvaluateResponse(_Wire):
@@ -477,14 +397,8 @@ class EvaluateResponse(_Wire):
     """
 
     results: tuple[EvaluatedPoint, ...]
-    backend: str = "numpy"
+    backend: str = "python"
     diagnostics: tuple[DiagnosticPayload, ...] = ()
-
-    _CONVERT = {
-        "results": _as_items(EvaluatedPoint.from_dict, "results"),
-        "backend": _converter(_as_str, "backend"),
-        "diagnostics": _as_items(DiagnosticPayload.from_dict, "diagnostics"),
-    }
 
 
 @dataclass(frozen=True)
@@ -504,17 +418,6 @@ class SweepResponse(_Wire):
     n_masked: int = 0
     diagnostics: tuple[DiagnosticPayload, ...] = ()
 
-    _CONVERT = {
-        "parameter": _converter(_as_str, "parameter"),
-        "x": _converter(_as_floats, "x"),
-        "cost": lambda v: tuple(
-            None if c is None else _float_value(c, "cost") for c in v),
-        "x_opt": _converter(_as_opt_float, "x_opt"),
-        "cost_opt": _converter(_as_opt_float, "cost_opt"),
-        "n_masked": _converter(_as_int, "n_masked"),
-        "diagnostics": _as_items(DiagnosticPayload.from_dict, "diagnostics"),
-    }
-
 
 @dataclass(frozen=True)
 class ParetoPoint(_Wire):
@@ -525,17 +428,6 @@ class ParetoPoint(_Wire):
     die_area_cm2: float
     transistor_cost_usd: float
     design_cost_usd: float
-
-    _CONVERT = {
-        "sd": _converter(_as_float, "sd"),
-        "die_area_cm2": _converter(_as_float, "die_area_cm2"),
-        "transistor_cost_usd": _converter(_as_float, "transistor_cost_usd"),
-        "design_cost_usd": _converter(_as_float, "design_cost_usd"),
-    }
-
-
-def _as_opt_pareto_point(value):
-    return None if value is None else ParetoPoint.from_dict(value)
 
 
 @dataclass(frozen=True)
@@ -550,12 +442,6 @@ class ParetoResponse(_Wire):
     knee: ParetoPoint | None
     diagnostics: tuple[DiagnosticPayload, ...] = ()
 
-    _CONVERT = {
-        "front": _as_items(ParetoPoint.from_dict, "front"),
-        "knee": _as_opt_pareto_point,
-        "diagnostics": _as_items(DiagnosticPayload.from_dict, "diagnostics"),
-    }
-
 
 @dataclass(frozen=True)
 class SensitivityResponse(_Wire):
@@ -565,16 +451,8 @@ class SensitivityResponse(_Wire):
     failed under MASK (see ``diagnostics``).
     """
 
-    elasticities: dict
+    elasticities: dict[str, float | None]
     diagnostics: tuple[DiagnosticPayload, ...] = ()
-
-    _CONVERT = {
-        "elasticities": lambda v: {
-            _as_str(k, "elasticities"): (
-                None if e is None else _float_value(e, "elasticities"))
-            for k, e in dict(v).items()},
-        "diagnostics": _as_items(DiagnosticPayload.from_dict, "diagnostics"),
-    }
 
 
 @dataclass(frozen=True)
@@ -587,14 +465,6 @@ class OptimalSdResponse(_Wire):
     iterations: int
     bracket: tuple[float, float]
     attempts: int = 1
-
-    _CONVERT = {
-        "sd_opt": _converter(_as_float, "sd_opt"),
-        "cost_opt": _converter(_as_float, "cost_opt"),
-        "iterations": _converter(_as_int, "iterations"),
-        "bracket": _converter(_as_floats, "bracket"),
-        "attempts": _converter(_as_int, "attempts"),
-    }
 
 
 @dataclass(frozen=True)
@@ -611,10 +481,3 @@ class ErrorResponse(_Wire):
     message: str
     diagnostics: tuple[DiagnosticPayload, ...] = ()
     retry_after_s: float | None = None
-
-    _CONVERT = {
-        "code": _converter(_as_str, "code"),
-        "message": _converter(_as_str, "message"),
-        "diagnostics": _as_items(DiagnosticPayload.from_dict, "diagnostics"),
-        "retry_after_s": _converter(_as_opt_float, "retry_after_s"),
-    }

@@ -1,4 +1,4 @@
-"""The serve coordinator: wire schemas in, facade results out.
+"""The serve coordinator: wire requests in, facade results out.
 
 :class:`CostService` is the transport-free middle layer between the
 HTTP routes (:mod:`repro.serve.app`) and the library. It owns the
@@ -7,21 +7,23 @@ exceptions (the HTTP layer maps them to 422 with the taxonomy code),
 MASK/COLLECT return 200 responses carrying a ``diagnostics`` array
 mirroring :class:`repro.robust.DiagnosticLog`.
 
-``/evaluate`` prices each point with
-:func:`repro.engine.points.price_points` under the Figure-4 parameters
-read from :mod:`repro.constants` (``FIGURE4_PARAMS``): a few
-microseconds of stdlib arithmetic per point, the same function and
-floats as ``repro.api.evaluate_many``, and no NumPy import. The grid
-routes call the NumPy-backed :class:`repro.api.Scenario` methods, which
-import NumPy on first use; without it they raise
-:class:`repro.errors.ExecutionError`, which the HTTP layer maps to 503.
+A request holds facade :class:`repro.api.Scenario` objects, which
+carry the default model. ``/evaluate`` prices them with
+:func:`repro.engine.points.price_points` under
+``PAPER_FIGURE4_MODEL.scalar_params``: a few microseconds of stdlib
+arithmetic per point, the same function and floats as
+``repro.api.evaluate_many``, and no NumPy import. The grid routes call
+the ``Scenario`` methods, which import NumPy on first use; without it
+they raise :class:`repro.errors.ExecutionError`, which the HTTP layer
+maps to 503.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..engine.points import FIGURE4_PARAMS, price_points
+from ..cost.total import PAPER_FIGURE4_MODEL
+from ..engine.points import price_points
 from ..errors import CollectedErrors, ExecutionError
 from .schemas import (
     DiagnosticPayload,
@@ -46,13 +48,13 @@ def _diag_payloads(diagnostics) -> tuple:
     return tuple(DiagnosticPayload.from_diagnostic(d) for d in diagnostics)
 
 
-def _evaluated(payload, cost: float, area: float) -> EvaluatedPoint:
+def _evaluated(scenario, cost: float, area: float) -> EvaluatedPoint:
     ok = math.isfinite(cost)
     return EvaluatedPoint(
-        label=payload.label,
+        label=scenario.label,
         cost_per_transistor_usd=cost if ok else None,
         area_cm2=area if math.isfinite(area) else None,
-        die_cost_usd=cost * payload.n_transistors if ok else None,
+        die_cost_usd=cost * scenario.n_transistors if ok else None,
         ok=ok)
 
 
@@ -72,17 +74,17 @@ class CostService:
         failure; COLLECT returns the aggregated diagnostics with no
         results when anything failed.
         """
-        payloads = request.scenarios
+        scenarios = request.scenarios
         try:
-            values, diagnostics = price_points(payloads, FIGURE4_PARAMS,
-                                               request.policy)
+            values, diagnostics = price_points(
+                scenarios, PAPER_FIGURE4_MODEL.scalar_params, request.policy)
         except CollectedErrors as exc:
-            return EvaluateResponse(results=(), backend="python",
+            return EvaluateResponse(results=(),
                                     diagnostics=_diag_payloads(exc.diagnostics))
         return EvaluateResponse(
-            results=tuple(_evaluated(payload, cost, area) for payload,
-                          (cost, area) in zip(payloads, values)),
-            backend="python", diagnostics=_diag_payloads(diagnostics))
+            results=tuple(_evaluated(scenario, cost, area) for scenario,
+                          (cost, area) in zip(scenarios, values)),
+            diagnostics=_diag_payloads(diagnostics))
 
     # -- grid routes (NumPy-backed facade methods) -----------------------
 
@@ -98,12 +100,10 @@ class CostService:
     def sweep(self, request: SweepRequest) -> SweepResponse:
         """``Scenario.sweep`` over HTTP (one grid job per request)."""
         self._require_numpy("sweep")
-        from ..robust.policy import ErrorPolicy
-        scenario = request.scenario.to_scenario()
-        policy = ErrorPolicy.coerce(request.policy)
         try:
-            result = scenario.sweep(parameter=request.parameter,
-                                    values=request.values, policy=policy)
+            result = request.scenario.sweep(parameter=request.parameter,
+                                            values=request.values,
+                                            policy=request.policy)
         except CollectedErrors as exc:
             return SweepResponse(parameter=request.parameter, x=(), cost=(),
                                  x_opt=None, cost_opt=None,
@@ -124,13 +124,11 @@ class CostService:
         """``Scenario.pareto`` over HTTP: the front plus its knee."""
         self._require_numpy("pareto")
         from ..optimize import knee_point
-        from ..robust.policy import ErrorPolicy
-        scenario = request.scenario.to_scenario()
-        policy = ErrorPolicy.coerce(request.policy)
         diagnostics: list = []
         try:
-            front = scenario.pareto(values=request.values, policy=policy,
-                                    diagnostics=diagnostics)
+            front = request.scenario.pareto(values=request.values,
+                                            policy=request.policy,
+                                            diagnostics=diagnostics)
         except CollectedErrors as exc:
             return ParetoResponse(front=(), knee=None,
                                   diagnostics=_diag_payloads(exc.diagnostics))
@@ -151,13 +149,10 @@ class CostService:
     def sensitivity(self, request: SensitivityRequest) -> SensitivityResponse:
         """``Scenario.sensitivity`` over HTTP: parameter elasticities."""
         self._require_numpy("sensitivity")
-        from ..robust.policy import ErrorPolicy
-        scenario = request.scenario.to_scenario()
-        policy = ErrorPolicy.coerce(request.policy)
         try:
-            elasticities = scenario.sensitivity(
+            elasticities = request.scenario.sensitivity(
                 parameters=request.parameters, rel_step=request.rel_step,
-                sd_max=request.sd_max, policy=policy)
+                sd_max=request.sd_max, policy=request.policy)
         except CollectedErrors as exc:
             return SensitivityResponse(
                 elasticities={}, diagnostics=_diag_payloads(exc.diagnostics))
@@ -169,10 +164,10 @@ class CostService:
         """``Scenario.optimal_sd`` over HTTP (RAISE semantics only)."""
         self._require_numpy("optimal_sd")
         from ..robust import DEFAULT_RETRY_BUDGET
-        scenario = request.scenario.to_scenario()
         retry = DEFAULT_RETRY_BUDGET if request.retry else None
-        result = scenario.optimal_sd(sd_max=request.sd_max, tol=request.tol,
-                                     max_iter=request.max_iter, retry=retry)
+        result = request.scenario.optimal_sd(
+            sd_max=request.sd_max, tol=request.tol,
+            max_iter=request.max_iter, retry=retry)
         return OptimalSdResponse(
             sd_opt=result.sd_opt, cost_opt=result.cost_opt,
             iterations=result.iterations,

@@ -19,14 +19,13 @@ unit. The helpers below are the only place unit literals appear; the
 rest of the library converts at its API boundary and computes in cm.
 
 All converters accept scalars or numpy arrays and preserve the input
-shape.
+shape; a plain ``float`` or ``int`` converts without importing NumPy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import UnitError
+from .validation import as_array
 
 __all__ = [
     "UM_PER_CM",
@@ -66,52 +65,62 @@ def um_to_cm(value_um):
     """Convert micrometres to centimetres."""
     if type(value_um) is float:
         return value_um / UM_PER_CM
-    return np.asarray(value_um, dtype=float) / UM_PER_CM if np.ndim(value_um) else float(value_um) / UM_PER_CM
+    arr = as_array(value_um)
+    return float(value_um) / UM_PER_CM if arr is None else arr / UM_PER_CM
 
 
 def cm_to_um(value_cm):
     """Convert centimetres to micrometres."""
-    return np.asarray(value_cm, dtype=float) * UM_PER_CM if np.ndim(value_cm) else float(value_cm) * UM_PER_CM
+    arr = as_array(value_cm)
+    return float(value_cm) * UM_PER_CM if arr is None else arr * UM_PER_CM
 
 
 def nm_to_cm(value_nm):
     """Convert nanometres to centimetres."""
-    return np.asarray(value_nm, dtype=float) / NM_PER_CM if np.ndim(value_nm) else float(value_nm) / NM_PER_CM
+    arr = as_array(value_nm)
+    return float(value_nm) / NM_PER_CM if arr is None else arr / NM_PER_CM
 
 
 def cm_to_nm(value_cm):
     """Convert centimetres to nanometres."""
-    return np.asarray(value_cm, dtype=float) * NM_PER_CM if np.ndim(value_cm) else float(value_cm) * NM_PER_CM
+    arr = as_array(value_cm)
+    return float(value_cm) * NM_PER_CM if arr is None else arr * NM_PER_CM
 
 
 def nm_to_um(value_nm):
     """Convert nanometres to micrometres."""
-    return np.asarray(value_nm, dtype=float) / 1.0e3 if np.ndim(value_nm) else float(value_nm) / 1.0e3
+    arr = as_array(value_nm)
+    return float(value_nm) / 1.0e3 if arr is None else arr / 1.0e3
 
 
 def um_to_nm(value_um):
     """Convert micrometres to nanometres."""
-    return np.asarray(value_um, dtype=float) * 1.0e3 if np.ndim(value_um) else float(value_um) * 1.0e3
+    arr = as_array(value_um)
+    return float(value_um) * 1.0e3 if arr is None else arr * 1.0e3
 
 
 def mm_to_cm(value_mm):
     """Convert millimetres to centimetres."""
-    return np.asarray(value_mm, dtype=float) / MM_PER_CM if np.ndim(value_mm) else float(value_mm) / MM_PER_CM
+    arr = as_array(value_mm)
+    return float(value_mm) / MM_PER_CM if arr is None else arr / MM_PER_CM
 
 
 def cm_to_mm(value_cm):
     """Convert centimetres to millimetres."""
-    return np.asarray(value_cm, dtype=float) * MM_PER_CM if np.ndim(value_cm) else float(value_cm) * MM_PER_CM
+    arr = as_array(value_cm)
+    return float(value_cm) * MM_PER_CM if arr is None else arr * MM_PER_CM
 
 
 def mm2_to_cm2(value_mm2):
     """Convert square millimetres to square centimetres."""
-    return np.asarray(value_mm2, dtype=float) / 100.0 if np.ndim(value_mm2) else float(value_mm2) / 100.0
+    arr = as_array(value_mm2)
+    return float(value_mm2) / 100.0 if arr is None else arr / 100.0
 
 
 def cm2_to_mm2(value_cm2):
     """Convert square centimetres to square millimetres."""
-    return np.asarray(value_cm2, dtype=float) * 100.0 if np.ndim(value_cm2) else float(value_cm2) * 100.0
+    arr = as_array(value_cm2)
+    return float(value_cm2) * 100.0 if arr is None else arr * 100.0
 
 
 def length_to_cm(value, unit: str):
@@ -135,9 +144,8 @@ def length_to_cm(value, unit: str):
     except (KeyError, AttributeError) as exc:
         known = ", ".join(sorted(set(_LENGTH_UNITS_CM)))
         raise UnitError(f"unknown length unit {unit!r}; expected one of: {known}") from exc
-    if np.ndim(value):
-        return np.asarray(value, dtype=float) * factor
-    return float(value) * factor
+    arr = as_array(value)
+    return float(value) * factor if arr is None else arr * factor
 
 
 def dollars(value) -> float:

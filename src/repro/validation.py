@@ -12,17 +12,16 @@ must hold element-wise. Each returns the validated value coerced to
 ``float`` (scalars) or ``np.ndarray`` (arrays) so call sites can write
 ``y = check_fraction(y, "Y")``.
 
-A plain ``float`` that passes its check returns before any numpy call:
-scalar solvers validate on every objective evaluation, and the 0-d
-numpy path costs microseconds each time. Every other type, and every
-float that fails, takes the general path, so messages are unchanged.
+A plain ``float`` or ``int`` is checked without NumPy (:func:`as_array`
+answers it before importing NumPy), so the scalar paths, and the
+modules that validate constants at import, run on an interpreter that
+has none. A plain ``float`` that passes its check returns first of all:
+scalar solvers validate on every objective evaluation.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .engine import pykernels as pyk
 from .errors import DomainError
@@ -38,16 +37,33 @@ __all__ = [
 ]
 
 
+def as_array(value):
+    """``value`` as a float ndarray when NumPy sees an array of rank ≥ 1,
+    else ``None``; a plain ``float`` or ``int`` answers before NumPy is
+    imported."""
+    if type(value) is float or type(value) is int:
+        return None
+    import numpy as np
+    return np.asarray(value, dtype=float) if np.ndim(value) else None
+
+
+def _any(condition) -> bool:
+    """Whether a comparison of a checked value (a bool, or a bool
+    array) holds anywhere."""
+    return condition if type(condition) is bool else bool(condition.any())
+
+
 def _coerce(value, name: str):
     """Coerce to float scalar or float ndarray, rejecting non-numerics."""
     if type(value) is float and -math.inf < value < math.inf:
         return value
-    if np.ndim(value):
-        arr = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{name} must be finite; got non-finite entries")
-        return arr
-    return pyk.finite(value, name)
+    arr = as_array(value)
+    if arr is None:
+        return pyk.finite(value, name)
+    import numpy as np
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite; got non-finite entries")
+    return arr
 
 
 def check_finite(value, name: str):
@@ -59,10 +75,10 @@ def check_positive(value, name: str):
     """Require ``value > 0`` element-wise."""
     if type(value) is float and 0.0 < value < math.inf:
         return value
-    if not np.ndim(value):
+    if as_array(value) is None:
         return pyk.positive(value, name)
     out = _coerce(value, name)
-    if np.any(out <= 0):
+    if _any(out <= 0):
         raise DomainError(f"{name} must be > 0; got {value!r}")
     return out
 
@@ -70,7 +86,7 @@ def check_positive(value, name: str):
 def check_nonnegative(value, name: str):
     """Require ``value >= 0`` element-wise."""
     out = _coerce(value, name)
-    if np.any(np.asarray(out) < 0):
+    if _any(out < 0):
         raise DomainError(f"{name} must be >= 0; got {value!r}")
     return out
 
@@ -79,10 +95,10 @@ def check_fraction(value, name: str):
     """Require ``0 < value <= 1`` element-wise (yields, utilizations)."""
     if type(value) is float and 0.0 < value <= 1.0:
         return value
-    if not np.ndim(value):
+    if as_array(value) is None:
         return pyk.fraction(value, name)
     arr = _coerce(value, name)
-    if np.any(arr <= 0) or np.any(arr > 1):
+    if _any(arr <= 0) or _any(arr > 1):
         raise DomainError(f"{name} must lie in (0, 1]; got {value!r}")
     return arr
 
@@ -90,8 +106,7 @@ def check_fraction(value, name: str):
 def check_open_fraction(value, name: str):
     """Require ``0 <= value < 1`` element-wise (defect clustering etc.)."""
     out = _coerce(value, name)
-    arr = np.asarray(out)
-    if np.any(arr < 0) or np.any(arr >= 1):
+    if _any(out < 0) or _any(out >= 1):
         raise DomainError(f"{name} must lie in [0, 1); got {value!r}")
     return out
 
@@ -99,12 +114,11 @@ def check_open_fraction(value, name: str):
 def check_in_range(value, name: str, low: float, high: float, *, inclusive: bool = True):
     """Require ``low <= value <= high`` (or strict if ``inclusive=False``)."""
     out = _coerce(value, name)
-    arr = np.asarray(out)
     if inclusive:
-        bad = np.any(arr < low) or np.any(arr > high)
+        bad = _any(out < low) or _any(out > high)
         bounds = f"[{low}, {high}]"
     else:
-        bad = np.any(arr <= low) or np.any(arr >= high)
+        bad = _any(out <= low) or _any(out >= high)
         bounds = f"({low}, {high})"
     if bad:
         raise DomainError(f"{name} must lie in {bounds}; got {value!r}")

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.api import Scenario, evaluate_many
 from repro.cost import PAPER_FIGURE4_MODEL, TestCostModel
-from repro.engine.points import FIGURE4_PARAMS
 from repro.errors import CollectedErrors, DomainError
 from repro.robust import ErrorPolicy
 from repro.serve import ServeClient, ServeError, start_server
@@ -145,10 +144,6 @@ def test_float_range_edges_are_classified(field, value, message):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=re.escape(message)):
             scenario.evaluate()
-
-
-def test_figure4_params_are_the_models():
-    assert FIGURE4_PARAMS == PAPER_FIGURE4_MODEL.scalar_params
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from repro.api import Scenario
-from repro.cost import PAPER_FIGURE4_MODEL, TestCostModel
+from repro.cost import PAPER_FIGURE4_MODEL, TestCostModel, TotalCostModel
 from repro.cost.total import _lambda_sq
 from repro.density import area_from_sd
 from repro.engine import pykernels
 from repro.engine.kernels import Eq4SdKernel
 from repro.errors import DomainError
+from repro.optimize import volume_sweep
 from repro.robust import ErrorPolicy
 from repro.serve import ServeClient, ServeError, start_server
 from repro.units import um_to_cm
@@ -159,6 +160,32 @@ def test_grid_that_only_nears_the_edge_is_priced_in_place():
     out = kernel.batch(grid)
     for sd, cost in zip(grid.tolist(), out.tolist()):
         assert cost == model.transistor_cost(sd, 1e7, 0.18, 5_000.0, 0.4, 8.0)
+
+
+#: ``u·Y`` = 1e-300 · 1e-300 underflows to 0: every cost is infinite.
+UNDERFLOWED_YIELD = TotalCostModel(utilization=1e-300)
+
+
+def _not_finite(n_wafers):
+    return ("eq. (4) transistor cost is not finite for sd=300.0, "
+            f"feature_um=0.18, n_wafers={n_wafers!r}, yield_fraction=1e-300")
+
+
+def test_underflowed_yield_fails_alike_for_array_volumes():
+    def cost(n_wafers):
+        return UNDERFLOWED_YIELD.transistor_cost(300.0, 1e7, 0.18, n_wafers,
+                                                 1e-300, 8.0)
+    assert _message(lambda: cost(10.0)) == _not_finite(10.0)
+    assert _message(lambda: cost(np.array([10.0, 20.0]))) == _not_finite(10.0)
+
+
+def test_underflowed_yield_volume_sweep_masks_every_point():
+    volumes = [10.0, 1e3, 1e5]
+    result = volume_sweep(UNDERFLOWED_YIELD, 300.0, 1e7, 0.18, 1e-300, 8.0,
+                          n_wafers_values=volumes, policy=ErrorPolicy.MASK)
+    assert np.isnan(result.cost).all()
+    assert [(d.index, d.message) for d in result.diagnostics] == \
+        [(i, _not_finite(v)) for i, v in enumerate(volumes)]
 
 
 SUBNORMAL = 1e-301

@@ -5,8 +5,10 @@ pays only for the modules its work touches. Each case runs in a new
 interpreter (the test process has long since imported everything) and
 checks which modules are in ``sys.modules`` afterwards.
 
-Every import here is lazy and the NumPy-dependent case skips without
-NumPy, so the CI ``no-numpy`` job runs this file too.
+Every import here is lazy and the NumPy-dependent cases skip without
+NumPy, so the CI ``no-numpy`` job runs this file too. The cases that
+run under :data:`BLOCK_NUMPY` show that pricing a point, parsing a
+wire request and serving ``/evaluate`` need no NumPy at all.
 """
 
 import importlib.util
@@ -55,7 +57,6 @@ def _present(loaded: set[str], names) -> list[str]:
                   if m == name or m.startswith(name + "."))
 
 
-@needs_numpy
 def test_pricing_a_design_loads_no_tooling():
     loaded = _loaded_after(
         "from repro.api import Scenario\n"
@@ -86,16 +87,29 @@ def test_pareto_front_hashes_nothing():
     assert _present(loaded, ["hashlib", "repro.engine.cache"]) == []
 
 
-@needs_numpy
 def test_api_loads_the_wire_schemas_on_first_use():
     loaded = _loaded_after(
         "import sys\n"
         "import repro.api\n"
         "assert 'repro.serve.schemas' not in sys.modules\n"
-        "from repro.api import ScenarioPayload\n"
-        "from repro.serve.schemas import ScenarioPayload as wire\n"
-        "assert ScenarioPayload is wire\n")
+        "from repro.api import EvaluateRequest\n"
+        "from repro.serve.schemas import EvaluateRequest as wire\n"
+        "assert EvaluateRequest is wire\n")
     assert "repro.serve.schemas" in loaded
+
+
+def test_facade_prices_and_parses_without_numpy():
+    loaded = _loaded_after(
+        BLOCK_NUMPY + "import repro.api\n"
+        "from repro.api import EvaluateRequest, Scenario\n"
+        "result = Scenario(n_transistors=1e7, feature_um=0.18).evaluate()\n"
+        "assert result.ok and result.backend == 'python'\n"
+        "request = EvaluateRequest.from_json(\n"
+        "    '{\"scenario\": {\"n_transistors\": 1e7, \"feature_um\": 0.18}}')\n"
+        "assert request.scenarios == (result.scenario,)\n")
+    assert "repro.engine.points" in loaded  # the evaluation really ran
+    assert "repro.serve.schemas" in loaded
+    assert _present(loaded, ["numpy", "repro.data"]) == []
 
 
 def test_serve_entry_point_loads_no_tooling():
@@ -107,7 +121,7 @@ def test_serve_entry_point_loads_no_tooling():
 
 def test_served_evaluate_loads_no_numpy():
     loaded = _loaded_after(
-        "import io, json, sys, threading, urllib.request\n"
+        BLOCK_NUMPY + "import io, json, threading, urllib.request\n"
         "from repro.serve.__main__ import main\n"
         "out, ready, stop = io.StringIO(), threading.Event(), threading.Event()\n"
         "real, sys.stdout = sys.stdout, out\n"
