@@ -23,21 +23,26 @@ Unlike the fixed-``Y`` eq. (4) used for Figure 4, here yield *responds*
 to the design density (denser layout ⇒ smaller die but more critical
 area per cm²), which is exactly the coupled trade-off §3.1 says design
 objectives must optimise.
+
+The arithmetic is :class:`repro.engine.pykernels.Eq7Point`'s, set up
+once per operating point by :meth:`GeneralizedCostModel.sd_curve`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine import pykernels as pyk
+from ..errors import DomainError
 from ..obs.instrument import traced
-from ..units import um_to_cm
-from ..validation import check_fraction, check_positive
+from ..validation import as_array, check_fraction, check_positive
 from ..wafer.cost import WaferCostModel
 from ..wafer.specs import WAFER_200MM, WaferSpec
 from ..yieldmodels.composite import CompositeYield
-from .design import DesignCostModel
+from .design import DesignCostModel, margin_power
 from .masks import MaskSetCostModel
 from .test import TestCostModel
 from .total import CostBreakdown
@@ -76,9 +81,7 @@ class GeneralizedCostModel:
         n_wafers = check_positive(n_wafers, "n_wafers")
         c_de = self.design_model.cost(n_transistors, sd)
         c_ma = self.mask_model.cost(feature_um) if self.include_masks else 0.0
-        result = (np.asarray(c_de) + c_ma) / (np.asarray(n_wafers, dtype=float) * self.wafer.area_cm2)
-        args = (n_transistors, sd, n_wafers)
-        return result if any(np.ndim(a) for a in args) else float(result)
+        return pyk.amortised(c_de, c_ma, n_wafers * self.wafer.area_cm2)
 
     def yield_at(self, n_transistors, sd, feature_um, n_wafers):
         """``Y(A_w, λ, N_w, s_d, N_tr)`` in (0, 1]."""
@@ -88,42 +91,82 @@ class GeneralizedCostModel:
     @traced(equation="7")
     def transistor_cost(self, sd, n_transistors, feature_um, n_wafers,
                         maturity: float = 1.0):
-        """``C_tr`` per eq. (7), $/useful transistor."""
+        """``C_tr`` per eq. (7), $/useful transistor: ``sd_curve(...)(sd)``."""
         sd = check_positive(sd, "sd")
-        feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
-        cm = self.cm_sq(feature_um, n_wafers, maturity)
-        cd = self.cd_sq(n_transistors, sd, feature_um, n_wafers)
-        ct = 0.0
-        if self.test_model is not None:
-            ct = self.test_model.cost_per_cm2(sd, feature_um, n_transistors)
-        y = self.yield_at(n_transistors, sd, feature_um, n_wafers)
-        result = (
-            np.asarray(sd, dtype=float)
-            * np.asarray(feature_cm, dtype=float) ** 2
-            * (np.asarray(cm) + np.asarray(cd) + np.asarray(ct))
-            / (self.utilization * np.asarray(y))
-        )
-        args = (sd, n_transistors, feature_um, n_wafers)
-        return result if any(np.ndim(a) for a in args) else float(result)
+        return self.sd_curve(n_transistors, feature_um, n_wafers, maturity)(sd)
+
+    def sd_curve(self, n_transistors, feature_um, n_wafers,
+                 maturity: float = 1.0):
+        """Eq. (7) at a fixed operating point, as a function of ``s_d`` alone.
+
+        Checks the scalar fixed arguments once and sets up the
+        :class:`~repro.engine.pykernels.Eq7Point` kept as
+        ``curve.point``. ``curve(sd)`` prices a scalar ``sd`` with its
+        ``terms`` from NumPy's ``(s_d − s_d0)^p2``, and an array with
+        its ``sums``; a cost out of float range raises the scalar
+        path's :class:`DomainError` for the first such point.
+        """
+        feature_um = pyk.positive(feature_um, "feature_um")
+        n_wafers = pyk.positive(n_wafers, "n_wafers")
+        n_transistors = pyk.positive(n_transistors, "n_transistors")
+        lambda_sq = pyk.lambda_sq(feature_um)
+        cm_sq = self.cm_sq(feature_um, n_wafers, maturity)
+        try:
+            c_ma = self.mask_model.cost(feature_um) if self.include_masks else 0.0
+        except DomainError as exc:
+            c_ma = exc  # raised after the margin check, as eq. (5) orders it
+        design = self.design_model
+        point = pyk.Eq7Point(
+            n_transistors, feature_um, n_wafers, cm_sq,
+            pyk.amplitude(n_transistors, design.a0, design.p1), lambda_sq,
+            c_ma, n_wafers * self.wafer.area_cm2, self.utilization,
+            self.yield_model.fault_density(feature_um, n_wafers), design.sd0,
+            design.p2, self._yield,
+            None if self.test_model is None else self.test_model.cost_per_cm2)
+        # An overflowing ``N_tr^p1`` prices a grid at ``inf``, which fails.
+        grid_point = (point if point.amplitude is not None
+                      else point._replace(amplitude=math.inf))
+
+        def curve(sd):
+            values = as_array(sd)
+            if values is None:
+                sd = pyk.positive(sd, "sd")
+                return point.terms(sd, margin_power(point.margin(sd),
+                                                    point.p2))[-1]
+            m = design.margin(values)
+            if isinstance(c_ma, DomainError):
+                raise c_ma
+            with np.errstate(all="ignore"):
+                power = m ** point.p2
+                cost = grid_point.sums(values, power)[-1]
+            ok = (cost < math.inf) & (power < math.inf)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise point.error(float(values.flat[i]), float(power.flat[i]))
+            return cost
+
+        curve.point = point
+        return curve
+
+    def _yield(self, sd, area, fault_density):
+        """The composite yield as :class:`~repro.engine.pykernels.Eq7Point`
+        calls it; NumPy's float-range warnings are left to the cost check."""
+        with np.errstate(all="ignore"):
+            return self.yield_model.at_density(sd, area, fault_density)
 
     @traced(equation="7", attach_result=True)
     def breakdown(self, sd, n_transistors, feature_um, n_wafers,
                   maturity: float = 1.0) -> CostBreakdown:
-        """Component split of eq. (7) at a scalar operating point."""
-        sd = check_positive(sd, "sd")
-        feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
-        n_wafers = check_positive(n_wafers, "n_wafers")
-        y = float(self.yield_at(n_transistors, sd, feature_um, n_wafers))
-        silicon = feature_cm**2 * sd / (y * self.utilization)
-        wafer_cm2 = n_wafers * self.wafer.area_cm2
-        mask_sq = (self.mask_model.cost(feature_um) / wafer_cm2) if self.include_masks else 0.0
-        design_sq = self.design_model.cost(n_transistors, sd) / wafer_cm2
-        test_sq = 0.0
-        if self.test_model is not None:
-            test_sq = self.test_model.cost_per_cm2(sd, feature_um, n_transistors)
-        cm = float(self.cm_sq(feature_um, n_wafers, maturity))
-        parts = [float(silicon * sq) for sq in (cm, design_sq, mask_sq, test_sq)]
-        return CostBreakdown(*parts, total=parts[0] + parts[1] + parts[2] + parts[3])
+        """Component split of eq. (7) at a scalar operating point.
+
+        The components are the terms eq. (7) sums, and ``total`` is the
+        cost it returns: :meth:`transistor_cost`'s value, and its errors.
+        """
+        sd = pyk.positive(sd, "sd")
+        point = self.sd_curve(n_transistors, feature_um, n_wafers,
+                              maturity).point
+        power = margin_power(point.margin(sd), point.p2)
+        return CostBreakdown(*point.breakdown(sd, power))
 
 
 DEFAULT_GENERALIZED_MODEL = GeneralizedCostModel()

@@ -16,6 +16,13 @@ with realistic die-per-wafer edge losses (see
 :mod:`repro.wafer.geometry`) the wafer view is slightly more expensive
 — eq. (3) is, as §2.5 stresses, a deliberately *optimistic lower
 bound*.
+
+Every function takes floats or NumPy arrays. A result that leaves the
+float range is a :class:`DomainError`, with one message on the scalar
+and the array path and never a ``RuntimeWarning``: ``λ²`` overflowing
+or underflowing to 0 gives
+:func:`repro.engine.pykernels.lambda_sq_message`, and any other
+non-finite result names the first operating point that made it.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..density.metrics import area_from_sd
+from ..errors import DomainError
 from ..obs.instrument import traced
 from ..units import um_to_cm
 from ..validation import check_fraction, check_positive
+from .total import _lambda_sq
 
 __all__ = [
     "transistor_cost_wafer_view",
@@ -34,6 +43,19 @@ __all__ = [
     "good_transistors_per_wafer",
     "sd_for_transistor_cost",
 ]
+
+
+def _finite(value, what: str, **point):
+    """``value``, computed under ``np.errstate``, as a float for scalar
+    arguments or an array, or a :class:`DomainError` naming the first
+    ``point`` entry where it is not finite."""
+    ok = np.isfinite(value)
+    if ok.all():
+        return value if np.ndim(value) else float(value)
+    index = int(np.argmin(ok))
+    at = ", ".join(f"{name}={float(np.broadcast_to(arg, ok.shape).flat[index])!r}"
+                   for name, arg in point.items())
+    raise DomainError(f"{what} is not finite for {at}")
 
 
 @traced(equation="1")
@@ -55,13 +77,12 @@ def transistor_cost_wafer_view(wafer_cost_usd, n_transistors, dice_per_wafer, yi
     n_transistors = check_positive(n_transistors, "n_transistors")
     dice_per_wafer = check_positive(dice_per_wafer, "dice_per_wafer")
     yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-    result = np.asarray(wafer_cost_usd, dtype=float) / (
-        np.asarray(n_transistors, dtype=float)
-        * np.asarray(dice_per_wafer, dtype=float)
-        * np.asarray(yield_fraction, dtype=float)
-    )
-    args = (wafer_cost_usd, n_transistors, dice_per_wafer, yield_fraction)
-    return result if any(np.ndim(a) for a in args) else float(result)
+    with np.errstate(over="ignore", divide="ignore"):
+        result = np.divide(wafer_cost_usd,
+                           np.multiply(n_transistors, dice_per_wafer) * yield_fraction)
+    return _finite(result, "eq. (1) transistor cost",
+                   wafer_cost_usd=wafer_cost_usd, n_transistors=n_transistors,
+                   dice_per_wafer=dice_per_wafer, yield_fraction=yield_fraction)
 
 
 @traced(equation="3")
@@ -80,17 +101,14 @@ def transistor_cost(cost_per_cm2, feature_um, sd, yield_fraction):
         Manufacturing yield ``Y`` in (0, 1].
     """
     cost_per_cm2 = check_positive(cost_per_cm2, "cost_per_cm2")
-    feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
+    feature_um = check_positive(feature_um, "feature_um")
     sd = check_positive(sd, "sd")
     yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-    result = (
-        np.asarray(cost_per_cm2, dtype=float)
-        * np.asarray(feature_cm, dtype=float) ** 2
-        * np.asarray(sd, dtype=float)
-        / np.asarray(yield_fraction, dtype=float)
-    )
-    args = (cost_per_cm2, feature_um, sd, yield_fraction)
-    return result if any(np.ndim(a) for a in args) else float(result)
+    lambda_sq = _lambda_sq(um_to_cm(feature_um), feature_um)
+    with np.errstate(over="ignore"):
+        result = np.multiply(cost_per_cm2, lambda_sq) * sd / yield_fraction
+    return _finite(result, "eq. (3) transistor cost", cost_per_cm2=cost_per_cm2,
+                   feature_um=feature_um, sd=sd, yield_fraction=yield_fraction)
 
 
 @traced(equation="3")
@@ -103,9 +121,11 @@ def die_cost(cost_per_cm2, feature_um, sd, n_transistors, yield_fraction):
     area = area_from_sd(sd, n_transistors, feature_um)
     cost_per_cm2 = check_positive(cost_per_cm2, "cost_per_cm2")
     yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-    result = np.asarray(cost_per_cm2, dtype=float) * np.asarray(area) / np.asarray(yield_fraction, dtype=float)
-    args = (cost_per_cm2, feature_um, sd, n_transistors, yield_fraction)
-    return result if any(np.ndim(a) for a in args) else float(result)
+    with np.errstate(over="ignore"):
+        result = np.multiply(cost_per_cm2, area) / yield_fraction
+    return _finite(result, "eq. (3) die cost", cost_per_cm2=cost_per_cm2,
+                   feature_um=feature_um, sd=sd, n_transistors=n_transistors,
+                   yield_fraction=yield_fraction)
 
 
 @traced(equation="3")
@@ -115,16 +135,16 @@ def good_transistors_per_wafer(wafer_area_cm2, feature_um, sd, yield_fraction):
     ``N = A_w · Y / (λ² s_d)`` — the reciprocal structure of eq. (3).
     """
     wafer_area_cm2 = check_positive(wafer_area_cm2, "wafer_area_cm2")
-    feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
+    feature_um = check_positive(feature_um, "feature_um")
     sd = check_positive(sd, "sd")
     yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-    result = (
-        np.asarray(wafer_area_cm2, dtype=float)
-        * np.asarray(yield_fraction, dtype=float)
-        / (np.asarray(feature_cm, dtype=float) ** 2 * np.asarray(sd, dtype=float))
-    )
-    args = (wafer_area_cm2, feature_um, sd, yield_fraction)
-    return result if any(np.ndim(a) for a in args) else float(result)
+    lambda_sq = _lambda_sq(um_to_cm(feature_um), feature_um)
+    with np.errstate(over="ignore", divide="ignore"):
+        result = np.divide(np.multiply(wafer_area_cm2, yield_fraction),
+                           np.multiply(lambda_sq, sd))
+    return _finite(result, "good transistors per wafer",
+                   wafer_area_cm2=wafer_area_cm2, feature_um=feature_um, sd=sd,
+                   yield_fraction=yield_fraction)
 
 
 @traced(equation="3")
@@ -136,12 +156,12 @@ def sd_for_transistor_cost(target_cost_usd, cost_per_cm2, feature_um, yield_frac
     """
     target_cost_usd = check_positive(target_cost_usd, "target_cost_usd")
     cost_per_cm2 = check_positive(cost_per_cm2, "cost_per_cm2")
-    feature_cm = um_to_cm(check_positive(feature_um, "feature_um"))
+    feature_um = check_positive(feature_um, "feature_um")
     yield_fraction = check_fraction(yield_fraction, "yield_fraction")
-    result = (
-        np.asarray(target_cost_usd, dtype=float)
-        * np.asarray(yield_fraction, dtype=float)
-        / (np.asarray(cost_per_cm2, dtype=float) * np.asarray(feature_cm, dtype=float) ** 2)
-    )
-    args = (target_cost_usd, cost_per_cm2, feature_um, yield_fraction)
-    return result if any(np.ndim(a) for a in args) else float(result)
+    lambda_sq = _lambda_sq(um_to_cm(feature_um), feature_um)
+    with np.errstate(over="ignore", divide="ignore"):
+        result = np.divide(np.multiply(target_cost_usd, yield_fraction),
+                           np.multiply(cost_per_cm2, lambda_sq))
+    return _finite(result, "eq. (3) s_d", target_cost_usd=target_cost_usd,
+                   cost_per_cm2=cost_per_cm2, feature_um=feature_um,
+                   yield_fraction=yield_fraction)

@@ -13,7 +13,7 @@ python-level per-point loops. It is the dispatch layer behind
   dispatch over 64k-point blocks, spread across threads for large
   grids; :func:`configure_parallel` turns the threads off) and
   :func:`map_scalar` (the scalar-sweep loop);
-* :mod:`repro.engine.pykernels` — eqs. (2) and (4)–(6) in stdlib
+* :mod:`repro.engine.pykernels` — eqs. (2) and (4)–(7) in stdlib
   floats, written once: the set-up and arithmetic that the cost models
   and single operating points share;
 * :mod:`repro.engine.points` — :func:`price_points`, eq. (4) at single

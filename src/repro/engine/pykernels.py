@@ -1,4 +1,4 @@
-"""Eqs. (2) and (4)–(6), the ``C_MA`` and ``Ct_sq`` terms, written once.
+"""Eqs. (2) and (4)–(7), the ``C_MA`` and ``Ct_sq`` terms, written once.
 
 The one written form of the paper's cost arithmetic and of its
 float-range classification: every failure is a
@@ -16,6 +16,9 @@ power ``(s_d − s_d0)^p2``, which the caller supplies: ``m ** p2`` in
 grids use it, so a point and a grid agree bit for bit. The arithmetic
 uses only operators, so ``sd_curve``'s general array path and the
 component models' array paths run these same functions on arrays.
+
+Eq. (7) is set up as an :class:`Eq7Point` and priced by its
+:meth:`~Eq7Point.terms` the same way, with the yield as a callable.
 
 Every model parameter is an explicit argument, read off the model
 dataclasses (``TotalCostModel.scalar_params``) or :mod:`repro.constants`.
@@ -39,6 +42,8 @@ __all__ = [
     "margin_message",
     "eq6_message",
     "eq4_message",
+    "eq7_message",
+    "die_area",
     "area_from_sd",
     "amplitude",
     "design_cost",
@@ -49,6 +54,7 @@ __all__ = [
     "Eq4Point",
     "Eq4Params",
     "eq4_point",
+    "Eq7Point",
     "price",
     "total_transistor_cost",
 ]
@@ -128,6 +134,12 @@ def eq4_message(sd, feature_um, n_wafers, yield_fraction) -> str:
             f"yield_fraction={yield_fraction!r}")
 
 
+def eq7_message(sd, feature_um, n_wafers) -> str:
+    """The eq.-(7) cost is not a finite float."""
+    return (f"eq. (7) transistor cost is not finite for sd={sd!r}, "
+            f"feature_um={feature_um!r}, n_wafers={n_wafers!r}")
+
+
 # -- eq. (2) -------------------------------------------------------------------
 
 def lambda_sq(feature_um: float) -> float:
@@ -138,6 +150,11 @@ def lambda_sq(feature_um: float) -> float:
     if 0.0 < value < math.inf:
         return value
     raise DomainError(lambda_sq_message(value, feature_um))
+
+
+def die_area(n_transistors, sd, lambda_sq):
+    """Eq. (2) rearranged, unchecked: ``A = N_tr · s_d · λ²`` in cm²."""
+    return n_transistors * sd * lambda_sq
 
 
 def area_from_sd(sd, n_transistors, feature_um) -> float:
@@ -151,7 +168,7 @@ def area_from_sd(sd, n_transistors, feature_um) -> float:
         raise DomainError(lambda_sq_message(square, feature_um))
     if square == math.inf:
         raise DomainError(area_message(feature_um, sd, n_transistors))
-    return n_transistors * sd * square
+    return die_area(n_transistors, sd, square)
 
 
 # -- eq. (6) -------------------------------------------------------------------
@@ -354,6 +371,73 @@ def eq4_point(n_transistors, feature_um, n_wafers, yield_fraction,
 
 
 _SCALAR_CHECKS = (positive, fraction, lambda_sq, amplitude)
+
+
+# -- eq. (7) at one operating point --------------------------------------------
+
+class Eq7Point(NamedTuple):
+    """Eq. (7) set up at one operating point by
+    ``GeneralizedCostModel.sd_curve``: ``cm_sq`` is ``Cm_sq(A_w, λ, N_w)``,
+    ``fault_density`` the composite yield's ``D``, and ``amplitude`` and
+    ``c_ma`` are as :class:`Eq4Point` keeps them. ``yield_at(s_d, A, D)``
+    is the yield of a die of area ``A``, and ``test`` is ``None`` or
+    ``Ct_sq(s_d, λ, N_tr)``.
+    """
+
+    n_transistors: float
+    feature_um: float
+    n_wafers: float
+    cm_sq: float
+    amplitude: float | None
+    lambda_sq: float
+    c_ma: float
+    wafer_cm2: float
+    utilization: float
+    fault_density: float
+    sd0: float
+    p2: float
+    yield_at: object
+    test: object
+
+    margin = Eq4Point.margin
+
+    def sums(self, sd, power):
+        """``(λ²·s_d, u·Y, C_DE, Ct_sq, C_tr)``, unchecked: eqs. (2), (5)–(7);
+        ``C_tr = λ²·s_d · (Cm_sq + Cd_sq + Ct_sq)/(u·Y)``."""
+        c_de = self.amplitude / power
+        cd_sq = amortised(c_de, self.c_ma, self.wafer_cm2)
+        ct_sq = (0.0 if self.test is None
+                 else self.test(sd, self.feature_um, self.n_transistors))
+        area = die_area(self.n_transistors, sd, self.lambda_sq)
+        usable = self.utilization * self.yield_at(sd, area, self.fault_density)
+        footprint = sd * self.lambda_sq
+        return (footprint, usable, c_de, ct_sq,
+                footprint * (self.cm_sq + cd_sq + ct_sq) / usable)
+
+    def error(self, sd: float, power: float) -> DomainError:
+        """Why the cost at a scalar ``sd`` left the float range."""
+        if self.amplitude is None or not 0.0 < power < math.inf:
+            return DomainError(eq6_message(self.n_transistors, sd))
+        return DomainError(eq7_message(sd, self.feature_um, self.n_wafers))
+
+    def terms(self, sd: float, power: float) -> tuple:
+        """:meth:`sums` at a scalar ``sd`` past :meth:`margin`, or the
+        :meth:`error` it raises; ``terms(...)[-1]`` is the eq.-(7) cost."""
+        try:
+            parts = (self.sums(sd, power) if self.amplitude is not None
+                     and 0.0 < power < math.inf else None)
+        except ZeroDivisionError:  # ``u·Y`` or the test density underflowed
+            parts = None
+        if parts is None or not parts[-1] < math.inf:
+            raise self.error(sd, power)
+        return parts
+
+    def breakdown(self, sd: float, power: float) -> tuple:
+        """``(manufacturing, design, masks, test, total)`` in $/transistor."""
+        footprint, usable, c_de, ct_sq, total = self.terms(sd, power)
+        share = footprint / usable
+        return (share * self.cm_sq, share * (c_de / self.wafer_cm2),
+                share * (self.c_ma / self.wafer_cm2), share * ct_sq, total)
 
 
 def price(sd, n_transistors, feature_um, n_wafers, yield_fraction,

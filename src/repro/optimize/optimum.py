@@ -395,18 +395,19 @@ def optimal_sd_generalized(
 ) -> OptimumResult:
     """Cost-minimising ``s_d`` for the eq.-(7) model (yield coupled).
 
-    ``retry`` hardens convergence stalls as in :func:`optimal_sd`.
+    A golden-section search over
+    :meth:`~repro.cost.generalized.GeneralizedCostModel.sd_curve`, which
+    checks the fixed arguments once. ``retry`` hardens convergence
+    stalls as in :func:`optimal_sd`.
     """
     sd0 = model.design_model.sd0
     lo = sd0 * (1 + 1e-6) + 1e-9
     if sd_max <= lo:
         raise DomainError(f"sd_max={sd_max} must exceed sd0={sd0}")
 
-    def fn(sd: float) -> float:
-        return float(model.transistor_cost(sd, n_transistors, feature_um, n_wafers))
-
     sd_opt, cost_opt, iters, attempts = retrying_golden_min(
-        fn, lo, sd_max, tol, max_iter,
+        model.sd_curve(n_transistors, feature_um, n_wafers), lo, sd_max, tol,
+        max_iter,
         solver="optimize.optimum.optimal_sd_generalized", retry=retry, lo_floor=sd0)
     obs_metrics.set_gauge("optimize_optimal_sd_iterations", iters)
     return OptimumResult(sd_opt=sd_opt, cost_opt=cost_opt, iterations=iters,

@@ -7,12 +7,12 @@ exceptions (the HTTP layer maps them to 422 with the taxonomy code),
 MASK/COLLECT return 200 responses carrying a ``diagnostics`` array
 mirroring :class:`repro.robust.DiagnosticLog`.
 
-A request holds facade :class:`repro.api.Scenario` objects, which
-carry the default model. ``/evaluate`` prices them with
-:func:`repro.engine.points.price_points` under
-``PAPER_FIGURE4_MODEL.scalar_params``: a few microseconds of stdlib
-arithmetic per point, the same function and floats as
-``repro.api.evaluate_many``, and no NumPy import. The grid routes call
+A request holds facade :class:`repro.api.Scenario` objects; a wire
+scenario carries the default model. ``/evaluate`` prices each one as
+``repro.api.evaluate_many`` does, with
+:func:`repro.engine.points.price_points` under its own model's pricing:
+a few microseconds of stdlib arithmetic per point, the same floats as
+``Scenario.evaluate``, and no NumPy import. The grid routes call
 the ``Scenario`` methods, which import NumPy on first use; without it
 they raise :class:`repro.errors.ExecutionError`, which the HTTP layer
 maps to 503.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from ..cost.total import PAPER_FIGURE4_MODEL
+from ..api import _pricing
 from ..engine.points import price_points
 from ..errors import CollectedErrors, ExecutionError
 from .schemas import (
@@ -77,7 +77,8 @@ class CostService:
         scenarios = request.scenarios
         try:
             values, diagnostics = price_points(
-                scenarios, PAPER_FIGURE4_MODEL.scalar_params, request.policy)
+                scenarios, [_pricing(s.cost_model) for s in scenarios],
+                request.policy)
         except CollectedErrors as exc:
             return EvaluateResponse(results=(),
                                     diagnostics=_diag_payloads(exc.diagnostics))

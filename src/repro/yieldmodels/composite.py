@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..density.metrics import area_from_sd
 from ..validation import check_fraction, check_positive
 from .critical_area import DEFAULT_CRITICAL_AREA_MODEL, CriticalAreaModel
@@ -67,10 +65,16 @@ class CompositeYield:
     def fault_density(self, feature_um, n_wafers):
         """Effective kill-fault density at this node and volume (/cm²)."""
         n_wafers = check_positive(n_wafers, "n_wafers")
-        multiplier = self.learning.multiplier(n_wafers)
-        return self.defects.density(feature_um, maturity_factor=multiplier) \
-            if np.ndim(feature_um) or np.ndim(n_wafers) \
-            else float(self.defects.density(feature_um, maturity_factor=multiplier))
+        return self.defects.density(
+            feature_um, maturity_factor=self.learning.multiplier(n_wafers))
+
+    def at_density(self, sd, area_cm2, fault_density):
+        """``Y`` of a die of ``area_cm2`` drawn at ``s_d``, at
+        ``fault_density`` (/cm²): the statistic of its critical-area
+        fault count, times ``Y_sys``. The part of eq. (7)'s yield that
+        depends on ``s_d``; floats or NumPy arrays."""
+        faults = self.critical_area.faults_per_die(area_cm2, sd, fault_density)
+        return self.statistic.yield_from_faults(faults) * self.systematic_yield
 
     def __call__(self, n_transistors, sd, feature_um, n_wafers=1.0e9):
         """``Y(s_d, λ, N_tr, N_w)`` per eq. (7).
@@ -92,12 +96,7 @@ class CompositeYield:
         float or ndarray in (0, 1].
         """
         area = self.die_area_cm2(n_transistors, sd, feature_um)
-        density = self.fault_density(feature_um, n_wafers)
-        faults = self.critical_area.faults_per_die(area, sd, density)
-        random_yield = self.statistic.yield_from_faults(faults)
-        result = np.asarray(random_yield) * self.systematic_yield
-        is_array = any(np.ndim(a) for a in (n_transistors, sd, feature_um, n_wafers))
-        return result if is_array else float(result)
+        return self.at_density(sd, area, self.fault_density(feature_um, n_wafers))
 
 
 DEFAULT_COMPOSITE_YIELD = CompositeYield()

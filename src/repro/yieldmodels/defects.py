@@ -66,7 +66,7 @@ class DefectDensityModel:
         maturity_factor = check_positive(maturity_factor, "maturity_factor")
         scale = (self.reference_feature_um / np.asarray(feature_um, dtype=float)) ** self.feature_exponent
         result = self.reference_density_per_cm2 * scale * maturity_factor
-        return result if np.ndim(feature_um) else float(result)
+        return result if np.ndim(result) else float(result)
 
 
 #: Anchored so the paper's Y = 0.4 / 0.8 / 0.9 operating points are reachable.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost import DEFAULT_GENERALIZED_MODEL, GeneralizedCostModel, TestCostModel
 from repro.errors import DomainError
@@ -71,11 +73,34 @@ class TestTransistorCost:
             DEFAULT_GENERALIZED_MODEL.transistor_cost(50, 1e7, 0.18, 5000)
 
 
+CONFIGS = {
+    "default": DEFAULT_GENERALIZED_MODEL,
+    "test_u07": GeneralizedCostModel(test_model=TestCostModel(), utilization=0.7),
+    "no_masks_poisson": GeneralizedCostModel(
+        include_masks=False, yield_model=CompositeYield(statistic=PoissonYield())),
+}
+
+
 class TestBreakdown:
-    def test_components_sum(self):
-        m = DEFAULT_GENERALIZED_MODEL
-        b = m.breakdown(300, 1e7, 0.18, 5000)
-        assert b.total == pytest.approx(m.transistor_cost(300, 1e7, 0.18, 5000), rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.sampled_from(sorted(CONFIGS)),
+           sd=st.floats(min_value=100.0 + 1e-9, max_value=1e5),
+           n_transistors=st.floats(min_value=1e3, max_value=1e10),
+           feature_um=st.floats(min_value=0.01, max_value=2.0),
+           n_wafers=st.floats(min_value=1.0, max_value=1e7),
+           maturity=st.floats(min_value=0.01, max_value=1.0))
+    def test_total_is_transistor_cost(self, config, sd, **point):
+        m = CONFIGS[config]
+        try:
+            b = m.breakdown(sd, **point)
+        except DomainError as exc:  # e.g. a huge die's yield underflows to 0
+            with pytest.raises(DomainError) as raised:
+                m.transistor_cost(sd, **point)
+            assert str(raised.value) == str(exc)
+            return
+        assert b.total == m.transistor_cost(sd, **point)
+        assert b.total == pytest.approx(
+            b.manufacturing + b.design + b.masks + b.test, rel=1e-12)
 
     def test_mask_component_positive_by_default(self):
         b = DEFAULT_GENERALIZED_MODEL.breakdown(300, 1e7, 0.18, 5000)
@@ -85,8 +110,6 @@ class TestBreakdown:
         with_test = GeneralizedCostModel(test_model=TestCostModel())
         b = with_test.breakdown(300, 1e7, 0.18, 5000)
         assert b.test > 0
-        assert b.total == pytest.approx(
-            with_test.transistor_cost(300, 1e7, 0.18, 5000), rel=1e-12)
 
 
 class TestNanometerChallenge:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost import (
     die_cost,
@@ -57,10 +59,15 @@ class TestEquation1:
         c = transistor_cost_wafer_view(4000.0, 1e7, 100, 0.5)
         assert c == pytest.approx(8e-6)
 
-    def test_agrees_with_eq3_when_nch_is_area_ratio(self):
+    @settings(max_examples=100, deadline=None)
+    @given(cm_sq=st.floats(min_value=0.5, max_value=100.0),
+           lam=st.floats(min_value=0.03, max_value=2.0),
+           sd=st.floats(min_value=20.0, max_value=2000.0),
+           y=st.floats(min_value=0.05, max_value=1.0),
+           n_tr=st.floats(min_value=1e4, max_value=1e9))
+    def test_agrees_with_eq3_when_nch_is_area_ratio(self, cm_sq, lam, sd, y,
+                                                    n_tr):
         # Eq (1) == eq (3) when N_ch prices usable silicon exactly.
-        cm_sq = 8.0
-        lam, sd, y, n_tr = 0.25, 300.0, 0.8, 1e7
         die_area = n_tr * sd * (lam * 1e-4) ** 2
         n_ch = WAFER_200MM.usable_area_cm2 / die_area
         wafer_cost = cm_sq * WAFER_200MM.usable_area_cm2

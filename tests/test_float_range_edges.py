@@ -5,7 +5,8 @@ A cost that leaves the float range is a classified
 a silent ``inf`` or 0: the same message from ``Scenario.evaluate`` (the
 scalar kernels), ``Scenario.sweep`` (``sd_curve``, whether it takes the
 in-place path or not) and a served ``/evaluate``, and one diagnostic per
-point under ``MASK``. CI runs this file with ``-W error::RuntimeWarning``.
+point under ``MASK``. Eq. (7) and eqs. (1)/(3) classify their float
+range too. CI runs the suite with ``-W error::RuntimeWarning``.
 """
 
 import math
@@ -17,11 +18,18 @@ import numpy as np
 import pytest
 
 from repro.api import Scenario
-from repro.cost import PAPER_FIGURE4_MODEL, TestCostModel, TotalCostModel
+from repro.cost import (
+    DEFAULT_GENERALIZED_MODEL,
+    PAPER_FIGURE4_MODEL,
+    TestCostModel,
+    TotalCostModel,
+    die_cost,
+    transistor_cost,
+)
 from repro.cost.total import _lambda_sq
 from repro.density import area_from_sd
-from repro.engine import pykernels
-from repro.engine.kernels import Eq4SdKernel
+from repro.engine import evaluate_grid, pykernels
+from repro.engine.kernels import Eq4SdKernel, Eq7SdKernel
 from repro.errors import DomainError
 from repro.optimize import volume_sweep
 from repro.robust import ErrorPolicy
@@ -224,3 +232,60 @@ def test_subnormal_feature_is_a_422_on_the_wire():
     assert refused.value.error.message == UNDERFLOW
     assert masked.results[0].cost_per_transistor_usd is None
     assert masked.diagnostics[0].message == UNDERFLOW
+
+
+# -- eq. (7) --------------------------------------------------------------------
+
+#: (sd, message): each breaks eq. (7) at 1e7 transistors, 0.18 µm and
+#: 5,000 wafers only by leaving the float range.
+EQ7_EDGES = [
+    (1e300, "eq. (6) design cost is out of float range for "
+            "n_transistors=10000000.0, sd=1e+300"),
+    (1e250, "eq. (7) transistor cost is not finite for sd=1e+250, "
+            "feature_um=0.18, n_wafers=5000.0"),
+]
+EQ7_POINT = (1e7, 0.18, 5_000.0)
+
+
+@pytest.mark.parametrize("sd, message", EQ7_EDGES)
+def test_eq7_point_breakdown_and_grid_raise_the_same_message(sd, message):
+    model = DEFAULT_GENERALIZED_MODEL
+    assert _message(lambda: model.transistor_cost(sd, *EQ7_POINT)) == message
+    assert _message(lambda: model.breakdown(sd, *EQ7_POINT)) == message
+    grid = np.array([300.0, sd, 400.0])
+    assert _message(lambda: model.transistor_cost(grid, *EQ7_POINT)) == message
+
+
+def test_eq7_kernel_masks_each_point_out_of_range():
+    model = DEFAULT_GENERALIZED_MODEL
+    kernel = Eq7SdKernel(model, *EQ7_POINT)
+    grid = [300.0] + [sd for sd, _ in EQ7_EDGES]
+    masked = evaluate_grid(kernel, grid, policy=ErrorPolicy.MASK,
+                           where="test.eq7", equation="7", parameter="sd")
+    assert masked.values[0] == model.transistor_cost(300.0, *EQ7_POINT)
+    assert np.isnan(masked.values[1:]).all()
+    assert [(d.index, d.message) for d in masked.diagnostics] == \
+        [(1, EQ7_EDGES[0][1]), (2, EQ7_EDGES[1][1])]
+    assert _message(lambda: evaluate_grid(
+        kernel, grid, where="test.eq7", equation="7",
+        parameter="sd")) == EQ7_EDGES[0][1]
+
+
+# -- eqs. (1)/(3) ---------------------------------------------------------------
+
+def test_eq3_edges_have_one_message_on_both_paths():
+    tiny = ("eq. (3) transistor cost is not finite for cost_per_cm2=8.0, "
+            "feature_um=0.18, sd=300.0, yield_fraction=5e-324")
+    assert _message(lambda: transistor_cost(8.0, 0.18, 300.0, 5e-324)) == tiny
+    assert _message(lambda: transistor_cost(
+        8.0, 0.18, 300.0, np.array([0.8, 5e-324]))) == tiny
+    huge = "lambda^2 overflows for feature_um=1e+200"
+    assert _message(lambda: transistor_cost(8.0, 1e200, 300.0, 0.8)) == huge
+    assert _message(lambda: transistor_cost(
+        8.0, np.array([0.18, 1e200]), 300.0, 0.8)) == huge
+    die = ("eq. (3) die cost is not finite for cost_per_cm2=8.0, "
+           "feature_um=0.18, sd=300.0, n_transistors=10000000.0, "
+           "yield_fraction=5e-324")
+    assert _message(lambda: die_cost(8.0, 0.18, 300.0, 1e7, 5e-324)) == die
+    assert _message(lambda: die_cost(
+        8.0, 0.18, np.array([300.0, 300.0]), 1e7, np.array([0.8, 5e-324]))) == die

@@ -6,8 +6,9 @@ to constants must reproduce the fixed-parameter total model exactly,
 which in turn reproduces bare manufacturing cost at infinite volume.
 """
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost import (
     GeneralizedCostModel,
@@ -42,14 +43,18 @@ def frozen_generalized(y_target: float, cm_sq: float) -> GeneralizedCostModel:
     )
 
 
-class TestTowerConsistency:
-    POINTS = [
-        (150.0, 1e7, 0.18, 5_000, 0.4, 8.0),
-        (300.0, 1e7, 0.18, 5_000, 0.4, 8.0),
-        (700.0, 5e7, 0.13, 50_000, 0.9, 12.0),
-    ]
+#: Operating points drawn over paper-era magnitudes, ``s_d`` above ``s_d0``.
+POINTS = dict(sd=st.floats(min_value=101.0, max_value=5_000.0),
+              n_tr=st.floats(min_value=1e4, max_value=1e9),
+              lam=st.floats(min_value=0.03, max_value=1.0),
+              nw=st.floats(min_value=10.0, max_value=1e7),
+              y=st.floats(min_value=0.05, max_value=1.0),
+              cm=st.floats(min_value=0.5, max_value=100.0))
 
-    @pytest.mark.parametrize("sd,n_tr,lam,nw,y,cm", POINTS)
+
+class TestTowerConsistency:
+    @settings(max_examples=100, deadline=None)
+    @given(**POINTS)
     def test_generalized_matches_total_when_frozen(self, sd, n_tr, lam, nw, y, cm):
         frozen = frozen_generalized(y, cm)
         fixed = TotalCostModel(include_masks=False)
@@ -57,7 +62,8 @@ class TestTowerConsistency:
         b = fixed.transistor_cost(sd, n_tr, lam, nw, y, cm)
         assert a == pytest.approx(b, rel=1e-6)
 
-    @pytest.mark.parametrize("sd,n_tr,lam,nw,y,cm", POINTS)
+    @settings(max_examples=100, deadline=None)
+    @given(**POINTS)
     def test_frozen_breakdowns_match(self, sd, n_tr, lam, nw, y, cm):
         frozen = frozen_generalized(y, cm)
         fixed = TotalCostModel(include_masks=False)
@@ -66,7 +72,11 @@ class TestTowerConsistency:
         assert ba.manufacturing == pytest.approx(bb.manufacturing, rel=1e-6)
         assert ba.design == pytest.approx(bb.design, rel=1e-6)
 
-    @pytest.mark.parametrize("sd,n_tr,lam,nw,y,cm", POINTS)
+    @pytest.mark.parametrize("sd,n_tr,lam,nw,y,cm", [
+        (150.0, 1e7, 0.18, 5_000, 0.4, 8.0),
+        (300.0, 1e7, 0.18, 5_000, 0.4, 8.0),
+        (700.0, 5e7, 0.13, 50_000, 0.9, 12.0),
+    ])
     def test_total_matches_eq3_at_infinite_volume(self, sd, n_tr, lam, nw, y, cm):
         fixed = TotalCostModel(include_masks=False)
         total = fixed.transistor_cost(sd, n_tr, lam, 1e15, y, cm)

@@ -222,10 +222,21 @@ class TestOptimalSdGeneralized:
         res = optimal_sd_generalized(DEFAULT_GENERALIZED_MODEL, 1e7, 0.18, 5000)
         assert 100 < res.sd_opt < 5000
 
-    def test_volume_moves_optimum_down(self):
-        lo = optimal_sd_generalized(DEFAULT_GENERALIZED_MODEL, 1e7, 0.18, 2000)
-        hi = optimal_sd_generalized(DEFAULT_GENERALIZED_MODEL, 1e7, 0.18, 500_000)
-        assert hi.sd_opt < lo.sd_opt
+    @settings(max_examples=25, deadline=None)
+    @given(n_transistors=st.floats(min_value=1e5, max_value=1e9),
+           feature_um=st.floats(min_value=0.05, max_value=0.5),
+           n_wafers=st.floats(min_value=100.0, max_value=1e5),
+           factor=st.floats(min_value=2.0, max_value=1e3))
+    def test_volume_moves_optimum_down(self, n_transistors, feature_um,
+                                       n_wafers, factor):
+        # Figure 4: more wafers amortise the design cost, so the
+        # optimum moves towards the full-custom bound. A wide bracket
+        # keeps it interior.
+        def optimum(volume):
+            return optimal_sd_generalized(
+                DEFAULT_GENERALIZED_MODEL, n_transistors, feature_um, volume,
+                sd_max=1e5).sd_opt
+        assert optimum(n_wafers * factor) < optimum(n_wafers)
 
 
 class TestOptimumVsVolume:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cost import (
     PAPER_DESIGN_COST_MODEL,
     PAPER_FIGURE4_MODEL,
+    TotalCostModel,
     die_cost,
     sd_for_transistor_cost,
     transistor_cost,
@@ -120,6 +121,14 @@ class TestEq4Properties:
         b = PAPER_FIGURE4_MODEL.breakdown(sd, n, lam, nw, y, cm)
         total = PAPER_FIGURE4_MODEL.transistor_cost(sd, n, lam, nw, y, cm)
         assert b.total == pytest.approx(total, rel=1e-9)
+
+    @given(sds_above_bound, counts, features, volumes)
+    @settings(max_examples=50)
+    def test_cd_sq_halves_when_volume_doubles(self, sd, n, lam, nw):
+        # Eq. (5): (C_MA + C_DE)/(N_w·A_w), mask set included.
+        model = TotalCostModel()
+        assert model.design_cost_per_cm2(n, sd, lam, 2 * nw) == \
+            model.design_cost_per_cm2(n, sd, lam, nw) / 2
 
     @given(sds_above_bound, counts, features, volumes, yields, cm_sqs,
            st.floats(min_value=1.5, max_value=10.0))

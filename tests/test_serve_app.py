@@ -24,8 +24,12 @@ import pytest
 
 from repro import obs
 from repro.api import Scenario, evaluate
+from repro.cost import TotalCostModel
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeClient, ServeError, start_server
+from repro.serve.schemas import EvaluateRequest
+from repro.serve.service import CostService
+from repro.wafer import WAFER_300MM
 
 BASE = {"n_transistors": 1e7, "feature_um": 0.18, "sd": 300.0,
         "n_wafers": 5_000.0, "yield_fraction": 0.4, "cost_per_cm2": 8.0}
@@ -57,6 +61,17 @@ class TestEvaluateRoute:
         assert point.area_cm2 == expected.area_cm2
         assert point.die_cost_usd == expected.die_cost_usd
         assert point.ok
+
+    def test_in_process_service_prices_each_scenarios_model(self):
+        base = Scenario(n_transistors=1e7, feature_um=0.18)
+        scenarios = (base,
+                     base.replace(model=TotalCostModel(utilization=0.5)),
+                     base.replace(model=TotalCostModel(test_model=None,
+                                                       include_masks=True),
+                                  wafer=WAFER_300MM))
+        response = CostService().evaluate(EvaluateRequest(scenarios=scenarios))
+        assert [p.cost_per_transistor_usd for p in response.results] == [
+            s.evaluate().cost_per_transistor_usd for s in scenarios]
 
     def test_batch_preserves_order_and_labels(self, client):
         scenarios = [{**BASE, "sd": 150.0 + 50.0 * i, "label": f"p{i}"}
