@@ -101,8 +101,8 @@ def area_from_sd(sd, n_transistors, feature_um):
     feature_cm = um_to_cm(feature_um)
     with np.errstate(over="ignore", under="ignore"):
         square = np.square(feature_cm)
-    area = pyk.die_area(n_transistors, sd, square)
-    bad = ~((0.0 < square) & (square < np.inf))
+        area = pyk.die_area(n_transistors, sd, square)
+    bad = ~((0.0 < square) & (area < np.inf))
     if bad.any():
         index = int(np.argmax(np.broadcast_to(bad, np.shape(area))))
 

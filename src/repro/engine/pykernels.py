@@ -111,7 +111,8 @@ def lambda_sq_message(lambda_sq, feature_um) -> str:
 
 
 def area_message(feature_um, sd, n_transistors) -> str:
-    """Eq. (2)'s die area left the float range because ``λ²`` overflowed."""
+    """Eq. (2)'s die area ``N_tr · s_d · λ²`` overflowed (``λ²`` itself, or
+    the product)."""
     return (f"implied die area overflows for feature_um={feature_um!r}, "
             f"sd={sd!r}, n_transistors={n_transistors!r}")
 
@@ -166,9 +167,10 @@ def area_from_sd(sd, n_transistors, feature_um) -> float:
     square = feature_cm * feature_cm
     if not square:
         raise DomainError(lambda_sq_message(square, feature_um))
-    if square == math.inf:
+    area = die_area(n_transistors, sd, square)
+    if area == math.inf:
         raise DomainError(area_message(feature_um, sd, n_transistors))
-    return die_area(n_transistors, sd, square)
+    return area
 
 
 # -- eq. (6) -------------------------------------------------------------------

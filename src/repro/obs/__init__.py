@@ -27,13 +27,13 @@ from .. import _lazy
 
 __getattr__, __dir__ = _lazy.attach(__name__, {
     "export": (
-        "export_jsonl", "format_metrics_table", "format_span_tree",
+        "collapsed_from_spans", "export_jsonl", "format_collapsed",
+        "format_hot_report", "format_metrics_table", "format_span_tree",
         "format_summary_table", "read_jsonl", "span_to_dict", "summary",
     ),
     "exposition": (
-        "MetricsEndpoint", "health_payload", "parse_prometheus",
-        "registry_from_records", "render_prometheus", "spans_to_otlp",
-        "start_metrics_endpoint", "write_snapshot",
+        "health_payload", "parse_prometheus", "registry_from_records",
+        "render_prometheus", "spans_to_otlp", "write_snapshot",
     ),
     "instrument": ("enabled", "span_name_for", "traced"),
     "metrics": (
@@ -42,18 +42,14 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
         "set_gauge",
     ),
     "telemetry": ("bridge_engine_metrics", "note_evaluation"),
-    "perf": (
-        "DurationSketch", "SpanProfiler", "collapsed_from_spans",
-        "format_collapsed", "format_hot_report", "hot_spans",
-    ),
+    "perf": ("DurationSketch",),
     "provenance": (
         "Provenance", "ProvenanceLedger", "attach", "get_ledger",
         "provenance_of", "record_provenance", "summarize_value",
     ),
     "trace": (
-        "Span", "Stopwatch", "Tracer", "add_span_hook", "current_span",
-        "disable", "enable", "get_tracer", "is_enabled", "remove_span_hook",
-        "span",
+        "Span", "Stopwatch", "Tracer", "current_span", "disable", "enable",
+        "get_tracer", "is_enabled", "span",
     ),
     "history": (
         "HISTORY_SCHEMA_ID", "DriftReport", "DriftVerdict", "HistoryStore",
@@ -67,13 +63,11 @@ __all__ = [
     "Span",
     "Stopwatch",
     "Tracer",
-    "add_span_hook",
     "current_span",
     "disable",
     "enable",
     "get_tracer",
     "is_enabled",
-    "remove_span_hook",
     "span",
     # instrument
     "enabled",
@@ -95,21 +89,14 @@ __all__ = [
     "bridge_engine_metrics",
     "note_evaluation",
     # exposition
-    "MetricsEndpoint",
     "health_payload",
     "parse_prometheus",
     "registry_from_records",
     "render_prometheus",
     "spans_to_otlp",
-    "start_metrics_endpoint",
     "write_snapshot",
     # perf
     "DurationSketch",
-    "SpanProfiler",
-    "collapsed_from_spans",
-    "format_collapsed",
-    "format_hot_report",
-    "hot_spans",
     # provenance
     "Provenance",
     "ProvenanceLedger",
@@ -131,7 +118,10 @@ __all__ = [
     "recording",
     "render_html_dashboard",
     # export
+    "collapsed_from_spans",
     "export_jsonl",
+    "format_collapsed",
+    "format_hot_report",
     "format_metrics_table",
     "format_span_tree",
     "format_summary_table",

@@ -1,4 +1,4 @@
-"""Exporters: JSON-lines traces, text span trees, metric tables.
+"""Exporters: JSON-lines traces, span reports, metric tables.
 
 Three consumers, three formats:
 
@@ -7,10 +7,17 @@ Three consumers, three formats:
   interchange format ``tools/trace_report.py`` re-reads;
 * **humans, structure** — :func:`format_span_tree` renders the call
   tree with total/self times, collapsing same-named siblings
-  (``cost.total... ×104``) so optimiser inner loops stay readable;
-* **humans, aggregate** — :func:`summary` /
-  :func:`format_summary_table` roll spans up per name (calls, total,
-  self, mean), and :func:`format_metrics_table` prints the registry.
+  (``cost.total... ×104``) so optimiser inner loops stay readable, and
+  :func:`collapsed_from_spans` / :func:`format_collapsed` give the same
+  tree as flamegraph collapsed stacks;
+* **humans, aggregate** — :func:`summary` rolls spans up per name
+  (calls, total, self, mean); :func:`format_summary_table` prints it by
+  total time and :func:`format_hot_report` by self time, and
+  :func:`format_metrics_table` prints the registry.
+
+Every span report reads span dicts (:func:`span_to_dict`, or a
+:func:`read_jsonl` export; non-span records are ignored) and, given
+``records=None``, the live global tracer.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from . import provenance as _provenance
 from . import trace as _trace
 
 __all__ = [
+    "collapsed_from_spans",
     "export_jsonl",
+    "format_collapsed",
+    "format_hot_report",
     "format_metrics_table",
     "format_span_tree",
     "format_summary_table",
@@ -48,6 +58,13 @@ def span_to_dict(sp: "_trace.Span") -> dict:
         "self": sp.self_time,
         "attrs": sp.attrs,
     }
+
+
+def _span_records(records: "list[dict] | None") -> list[dict]:
+    """The span dicts of ``records``, or of the live tracer if ``None``."""
+    if records is None:
+        return [span_to_dict(sp) for sp in _trace.get_tracer().spans]
+    return [r for r in records if r.get("type", "span") == "span"]
 
 
 def export_jsonl(path, tracer: "_trace.Tracer | None" = None,
@@ -94,11 +111,7 @@ def export_jsonl(path, tracer: "_trace.Tracer | None" = None,
              "p99": _json_safe(p99), "max": _json_safe(mx),
              "buckets": {str(i): n for i, n in sorted(s.buckets.items())}}))
     for rec in ledger.records:
-        lines.append(json.dumps(
-            {"type": "provenance", "source": rec.source,
-             "equation": rec.equation, "params": rec.params,
-             "dataset": rec.dataset,
-             "rows": None if rec.rows is None else list(rec.rows)}))
+        lines.append(json.dumps({"type": "provenance", **rec.to_dict()}))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
 
@@ -157,14 +170,10 @@ def _tree_lines(lines: list[str], siblings: list[dict],
 def format_span_tree(records: list[dict] | None = None) -> str:
     """Indented span tree with total/self times.
 
-    Accepts span dicts (as produced by :func:`span_to_dict` or read
-    back via :func:`read_jsonl`; non-span records are ignored) or, by
-    default, the live global tracer. Same-named siblings collapse into
-    one ``name xN`` line with summed times.
+    Same-named siblings collapse into one ``name xN`` line with summed
+    times.
     """
-    if records is None:
-        records = [span_to_dict(sp) for sp in _trace.get_tracer().spans]
-    spans = [r for r in records if r.get("type", "span") == "span"]
+    spans = _span_records(records)
     if not spans:
         return "(no spans recorded)"
     ids = {s["id"] for s in spans}
@@ -182,30 +191,31 @@ def format_span_tree(records: list[dict] | None = None) -> str:
     return "\n".join(lines)
 
 
-def summary(tracer: "_trace.Tracer | None" = None) -> list[dict]:
-    """Per-name roll-up of the trace: calls, total, self, and mean time.
+def summary(records: "list[dict] | None" = None) -> list[dict]:
+    """Per-name roll-up of the spans: calls, total, self, and mean time.
 
-    Sorted by total time, descending — the profile view.
+    One row dict per span name (``name``, ``calls``, ``total_s``,
+    ``self_s``, ``mean_s``, the mean total per call), sorted by total
+    time, descending — the profile view.
     """
-    tracer = tracer if tracer is not None else _trace.get_tracer()
     agg: dict[str, dict] = {}
-    for sp in tracer.spans:
-        row = agg.get(sp.name)
+    for sp in _span_records(records):
+        row = agg.get(sp["name"])
         if row is None:
-            row = agg[sp.name] = {"name": sp.name, "calls": 0,
-                                  "total_s": 0.0, "self_s": 0.0}
+            row = agg[sp["name"]] = {"name": sp["name"], "calls": 0,
+                                     "total_s": 0.0, "self_s": 0.0}
         row["calls"] += 1
-        row["total_s"] += sp.duration
-        row["self_s"] += sp.self_time
+        row["total_s"] += sp["duration"]
+        row["self_s"] += sp["self"]
     out = sorted(agg.values(), key=lambda r: r["total_s"], reverse=True)
     for row in out:
         row["mean_s"] = row["total_s"] / row["calls"]
     return out
 
 
-def format_summary_table(tracer: "_trace.Tracer | None" = None) -> str:
+def format_summary_table(records: "list[dict] | None" = None) -> str:
     """The :func:`summary` roll-up as an aligned text table."""
-    rows = summary(tracer)
+    rows = summary(records)
     if not rows:
         return "(no spans recorded)"
     return format_table(
@@ -214,6 +224,69 @@ def format_summary_table(tracer: "_trace.Tracer | None" = None) -> str:
           r["mean_s"] * 1e3) for r in rows],
         float_spec=".3f",
     )
+
+
+def format_hot_report(records: "list[dict] | None" = None,
+                      top: int = 15) -> str:
+    """The :func:`summary` rows ranked by self time, as a text table.
+
+    Self time — what a span cost itself, excluding its children — is
+    the number that says what to optimise; ``self_%`` is each name's
+    share of all self time. Only the ``top`` rows are shown (all when
+    ``top <= 0``).
+    """
+    rows = sorted(summary(records), key=lambda r: r["self_s"], reverse=True)
+    if not rows:
+        return "(no spans recorded)"
+    grand_self = sum(r["self_s"] for r in rows)
+    rows = rows[:top] if top > 0 else rows
+    return format_table(
+        ["span", "calls", "self_ms", "self_%", "total_ms", "mean_ms"],
+        [(r["name"], r["calls"], r["self_s"] * 1e3,
+          100.0 * r["self_s"] / grand_self if grand_self else 0.0,
+          r["total_s"] * 1e3, r["mean_s"] * 1e3) for r in rows],
+        float_spec=".3f", title=f"hot spans (top {len(rows)} by self time)")
+
+
+def collapsed_from_spans(records: "list[dict] | None" = None) -> dict[str, int]:
+    """Flamegraph collapsed stacks of the span tree (self time per path).
+
+    Each span adds its *self* time in microseconds to the stack key
+    ``root;child;...;span``, summed over same-keyed spans, so the
+    output renders directly as a flamegraph of the span hierarchy.
+    """
+    spans = _span_records(records)
+    by_id = {sp["id"]: sp for sp in spans}
+    paths: dict[int, str] = {}
+
+    def path_of(sp: dict) -> str:
+        cached = paths.get(sp["id"])
+        if cached is not None:
+            return cached
+        parent = by_id.get(sp["parent_id"])
+        path = sp["name"] if parent is None else f"{path_of(parent)};{sp['name']}"
+        paths[sp["id"]] = path
+        return path
+
+    out: dict[str, int] = {}
+    for sp in spans:
+        micros = int(round(sp["self"] * 1e6))
+        if micros <= 0:
+            continue
+        key = path_of(sp)
+        out[key] = out.get(key, 0) + micros
+    return out
+
+
+def format_collapsed(collapsed: dict[str, int]) -> str:
+    """Collapsed stacks as ``stack microseconds`` lines (flamegraph input).
+
+    Lines are key-sorted so the output is stable across runs and diffs
+    cleanly in CI artifacts.
+    """
+    if not collapsed:
+        return "(no samples)"
+    return "\n".join(f"{key} {count}" for key, count in sorted(collapsed.items()))
 
 
 def format_metrics_table(registry: "_metrics.MetricsRegistry | None" = None) -> str:

@@ -1,6 +1,6 @@
-"""Exposition: Prometheus text format, OTLP-style spans, HTTP endpoint.
+"""Exposition: Prometheus text format, OTLP-style spans, snapshots.
 
-The machine-scrapable half of the observability layer. Three outputs:
+The machine-scrapable half of the observability layer. Two outputs:
 
 * :func:`render_prometheus` — the registry in the Prometheus text
   exposition format (version 0.0.4): counters and gauges as plain
@@ -11,15 +11,14 @@ The machine-scrapable half of the observability layer. Three outputs:
   round-trip tests (and by anyone debugging a scrape);
 * :func:`spans_to_otlp` — completed spans as OTLP/JSON
   (``resourceSpans`` → ``scopeSpans`` → ``spans`` with hex ids and
-  unix-nano times), importable by any OTLP-compatible viewer;
-* :func:`start_metrics_endpoint` — an HTTP endpoint serving ``GET
-  /metrics`` (bridged + rendered live) and ``GET /healthz``, on the
-  same :mod:`repro.obs.transport` event loop server as
-  :mod:`repro.serve`. :meth:`MetricsEndpoint.close` stops it.
+  unix-nano times), importable by any OTLP-compatible viewer.
 
-:func:`write_snapshot` bundles everything (``metrics.prom``,
-``spans.otlp.json``, ``provenance.json``) into a directory — what the
-CLI's ``--telemetry DIR`` flag and the CI artifact upload call.
+``GET /metrics`` and ``GET /healthz`` are served by :mod:`repro.serve`,
+which renders them with :func:`render_prometheus` and
+:func:`health_payload`. :func:`write_snapshot` bundles everything
+(``metrics.prom``, ``spans.otlp.json``, ``provenance.json``) into a
+directory — what the CLI's ``--telemetry DIR`` flag and the CI
+artifact upload call.
 
 Everything here is stdlib-only, so exposition works in deployments
 without NumPy (the engine bridge degrades to a no-op there).
@@ -41,13 +40,11 @@ from . import trace as _trace
 from .metrics import HISTOGRAM_BUCKET_BOUNDS, MetricsRegistry
 
 __all__ = [
-    "MetricsEndpoint",
     "health_payload",
     "parse_prometheus",
     "registry_from_records",
     "render_prometheus",
     "spans_to_otlp",
-    "start_metrics_endpoint",
     "write_snapshot",
 ]
 
@@ -58,11 +55,10 @@ _PROCESS_START = time.monotonic()
 def health_payload() -> dict:
     """The ``/healthz`` liveness body: provenance + schema contract.
 
-    One JSON-safe dict shared by the metrics endpoint and the future
-    serve layer: the running checkout's git sha, the schema versions a
-    client may rely on (run-history store, bench reports, the
-    Prometheus text format ``/metrics`` speaks), and process uptime in
-    seconds.
+    One JSON-safe dict, served by :mod:`repro.serve`: the running
+    checkout's git sha, the schema versions a client may rely on
+    (run-history store, bench reports, the Prometheus text format
+    ``/metrics`` speaks), and process uptime in seconds.
     """
     from ..bench.schema import SCHEMA_ID as BENCH_SCHEMA_ID
     from .history import HISTORY_SCHEMA_ID, git_sha
@@ -402,79 +398,6 @@ def spans_to_otlp(tracer: "_trace.Tracer | None" = None,
     }
 
 
-class MetricsEndpoint:
-    """Handle on a running metrics HTTP server (see
-    :func:`start_metrics_endpoint`)."""
-
-    def __init__(self, server):
-        self._server = server
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0`` auto-assignment)."""
-        return self._server.port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the endpoint (``http://host:port``)."""
-        return self._server.url
-
-    def close(self) -> None:
-        """Stop serving and release the port (idempotent)."""
-        self._server.close()
-
-    def __enter__(self) -> "MetricsEndpoint":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def start_metrics_endpoint(host: str = "127.0.0.1", port: int = 0,
-                           registry: "MetricsRegistry | None" = None,
-                           ) -> MetricsEndpoint:
-    """Serve ``GET /metrics`` and ``GET /healthz`` from a daemon thread.
-
-    ``/metrics`` bridges engine-side state into the registry and
-    renders it live on every scrape; ``/healthz`` answers the
-    :func:`health_payload` JSON liveness probe (git sha, schema
-    versions, uptime). ``port=0`` binds an ephemeral port — read it back
-    from :attr:`MetricsEndpoint.port`. The caller owns the returned
-    endpoint and should :meth:`~MetricsEndpoint.close` it (or use it as
-    a context manager). Both routes run on the transport's worker
-    pool, off the :mod:`repro.obs.transport` event loop.
-    """
-    import asyncio
-
-    from . import transport as _transport
-
-    reg = registry if registry is not None else _metrics.get_registry()
-
-    def render_metrics() -> _transport.Reply:
-        _telemetry.bridge_engine_metrics(reg)
-        return _transport.Reply(
-            200, render_prometheus(reg).encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8")
-
-    def render_health() -> _transport.Reply:
-        return _transport.Reply(
-            200, (json.dumps(health_payload(), sort_keys=True)
-                  + "\n").encode("utf-8"))
-
-    routes = {"/metrics": render_metrics, "/healthz": render_health}
-
-    def handle(request):
-        render = routes.get(request.path) if request.method == "GET" \
-            else None
-        if render is None:
-            return _transport.Reply(404, b"not found\n",
-                                    "text/plain; charset=utf-8")
-        return asyncio.to_thread(render)
-
-    return MetricsEndpoint(_transport.HttpServer(
-        host, port, handle, name="repro-metrics-endpoint"))
-
-
 def write_snapshot(directory,
                    registry: "MetricsRegistry | None" = None,
                    tracer: "_trace.Tracer | None" = None,
@@ -501,11 +424,7 @@ def write_snapshot(directory,
     paths["metrics"].write_text(render_prometheus(registry))
     paths["spans"].write_text(
         json.dumps(spans_to_otlp(tracer), indent=2) + "\n")
-    provenance_records = [
-        {"source": rec.source, "equation": rec.equation,
-         "params": rec.params, "dataset": rec.dataset,
-         "rows": None if rec.rows is None else list(rec.rows)}
-        for rec in ledger.records]
-    paths["provenance"].write_text(
-        json.dumps({"records": provenance_records}, indent=2) + "\n")
+    paths["provenance"].write_text(json.dumps(
+        {"records": [rec.to_dict() for rec in ledger.records]},
+        indent=2) + "\n")
     return paths

@@ -85,6 +85,12 @@ class Provenance:
     dataset: str | None = None
     rows: tuple | None = None
 
+    def to_dict(self) -> dict:
+        """The record as a JSON-friendly dict (the export payload)."""
+        return {"source": self.source, "equation": self.equation,
+                "params": self.params, "dataset": self.dataset,
+                "rows": None if self.rows is None else list(self.rows)}
+
 
 @dataclass
 class ProvenanceLedger:

@@ -31,13 +31,11 @@ __all__ = [
     "Span",
     "Stopwatch",
     "Tracer",
-    "add_span_hook",
     "current_span",
     "disable",
     "enable",
     "get_tracer",
     "is_enabled",
-    "remove_span_hook",
     "span",
 ]
 
@@ -48,29 +46,6 @@ _ENABLED: bool = False
 _CURRENT: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
-
-#: Live span-event subscribers, called ``hook(event, span)`` with
-#: ``event`` in {"enter", "exit"}. Only the profiler installs one, so
-#: the per-span cost while nobody listens is a truthiness check.
-_SPAN_HOOKS: list = []
-
-
-def add_span_hook(hook) -> None:
-    """Subscribe ``hook(event, span)`` to live span enter/exit events.
-
-    Used by :class:`repro.obs.perf.SpanProfiler` to follow the span
-    path in real time; hooks run synchronously inside ``__enter__`` /
-    ``__exit__``, so keep them fast.
-    """
-    if hook not in _SPAN_HOOKS:
-        _SPAN_HOOKS.append(hook)
-
-
-def remove_span_hook(hook) -> None:
-    """Unsubscribe a hook added via :func:`add_span_hook` (idempotent)."""
-    if hook in _SPAN_HOOKS:
-        _SPAN_HOOKS.remove(hook)
-
 
 def enable() -> None:
     """Turn observability on globally (tracing, metrics, provenance)."""
@@ -165,9 +140,6 @@ class Span:
     def __enter__(self) -> "Span":
         """Open the span and make it the current context span."""
         self._token = _CURRENT.set(self)
-        if _SPAN_HOOKS:
-            for hook in _SPAN_HOOKS:
-                hook("enter", self)
         self.start = time.perf_counter()
         return self
 
@@ -182,9 +154,6 @@ class Span:
             parent.child_time += self.duration
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
-        if _SPAN_HOOKS:
-            for hook in _SPAN_HOOKS:
-                hook("exit", self)
         _TRACER.record(self)
 
     def __repr__(self) -> str:

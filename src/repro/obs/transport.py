@@ -1,10 +1,9 @@
 """A small HTTP/1.1 server on one :mod:`asyncio` event loop.
 
-Both HTTP surfaces of the library run on this transport:
-:func:`repro.obs.start_metrics_endpoint` and
-:func:`repro.serve.start_server`. It lives in ``repro.obs`` so the
-metrics endpoint needs nothing from ``repro.serve``, and it is
-stdlib-only, like the rest of the package.
+:func:`repro.serve.start_server`, the library's one HTTP surface
+(``/evaluate`` and the grid routes, ``/metrics`` and ``/healthz``),
+runs on this transport. It is stdlib-only, like the rest of the
+package.
 
 :class:`HttpServer` binds a listening socket in the calling thread
 (so a busy port fails there), then serves from one event loop on a
@@ -107,12 +106,6 @@ class Reply:
         self.body = body
         self.content_type = content_type
         self.headers = headers
-
-
-def _text_error(status: int, exc: BaseException, request) -> Reply:
-    """Default error body: ``<exception class>: <message>`` as text."""
-    return Reply(status, f"{type(exc).__name__}: {exc}\n".encode("utf-8"),
-                 "text/plain; charset=utf-8")
 
 
 def _status_line(status: int) -> str:
@@ -310,16 +303,15 @@ class HttpServer:
     server's bounded pool of :data:`WORKER_THREADS` threads.
     ``error_reply(status, exc, request)`` renders the replies the
     transport makes itself: a 400 when framing fails (``request`` is
-    ``None``) and a 500 when an exception escapes the handler (default:
-    plain text). ``port=0`` binds an ephemeral port; read it back from
+    ``None``) and a 500 when an exception escapes the handler.
+    ``port=0`` binds an ephemeral port; read it back from
     :attr:`port`.
     """
 
     def __init__(self, host: str, port: int, handler, *,
-                 error_reply=None, name: str = "repro-http") -> None:
+                 error_reply, name: str = "repro-http") -> None:
         self.handler = handler
-        self.error_reply = error_reply if error_reply is not None \
-            else _text_error
+        self.error_reply = error_reply
         self.read_timeout_s = READ_TIMEOUT_S
         self.max_buffer = MAX_HEADER_BYTES + 4 + MAX_BODY_BYTES
         self._connections: set = set()

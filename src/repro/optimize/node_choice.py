@@ -27,7 +27,6 @@ stratification the high-cost era forces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from ..cost.generalized import GeneralizedCostModel
@@ -35,14 +34,13 @@ from ..errors import DomainError
 from ..interconnect.delay import PredictionErrorModel
 from ..obs.instrument import traced
 from ..robust.policy import DiagnosticLog, ErrorPolicy
+from ..robust.solvers import golden_min
 from ..validation import check_positive
 
 __all__ = ["NodeChoice", "evaluate_nodes", "optimal_node", "DEFAULT_NODE_LADDER_UM"]
 
 #: The paper-era node ladder (µm).
 DEFAULT_NODE_LADDER_UM = (0.5, 0.35, 0.25, 0.18, 0.13, 0.10, 0.07)
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -121,22 +119,8 @@ def _optimise_sd(model: GeneralizedCostModel, n_transistors: float,
     def cost(sd: float) -> float:
         return _unit_cost(model, sd, n_transistors, feature_um, n_units)[0]
 
-    a, b = lo, sd_max
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = cost(c), cost(d)
-    for _ in range(300):
-        if abs(b - a) <= 1e-9 * (abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = cost(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = cost(d)
-    sd_opt = 0.5 * (a + b)
+    sd_opt, _, _ = golden_min(cost, lo, sd_max, 1e-9, 300,
+                              solver="optimize.node_choice")
     return sd_opt, _unit_cost(model, sd_opt, n_transistors, feature_um, n_units)
 
 

@@ -3,7 +3,8 @@
 ``compare_reports`` gets synthetic-report golden tests for every
 verdict; the CLI gets a tmp-path bench suite whose speed is controlled
 through an environment variable, so a 10x fault-injected slowdown must
-flip the exit code from 0 to 1.
+flip the exit code from 0 to 1. ``--trace`` must leave its three span
+artifacts next to the report.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.bench import (
     IMPROVEMENT,
     MISSING,
@@ -145,6 +147,23 @@ def test_cli_detects_injected_tenfold_slowdown(bench_dir, monkeypatch,
     captured = capsys.readouterr()
     assert "gate: FAIL" in captured.out
     assert "regression: sleepy" in captured.err
+
+
+def test_cli_trace_writes_the_span_artifacts(bench_dir, monkeypatch):
+    monkeypatch.setenv("REPRO_TEST_BENCH_COST_MS", "1")
+    monkeypatch.delenv("REPRO_HISTORY", raising=False)
+    out = bench_dir / "out"
+    try:
+        assert run_cli(bench_dir, "--trace", "--output-dir", str(out)) == 0
+    finally:
+        obs.reset()
+    spans = [r for r in obs.read_jsonl(out / "bench_trace.jsonl")
+             if r["type"] == "span"]
+    assert [sp["name"] for sp in spans] == ["bench.sleepy"]
+    assert (out / "bench_flame.txt").read_text().startswith("bench.sleepy ")
+    hot = (out / "hot_spans.txt").read_text().splitlines()
+    assert hot[0] == "hot spans (top 1 by self time)"
+    assert hot[-1].split("|")[0].strip() == "bench.sleepy"
 
 
 def test_cli_update_baseline_accepts_new_cost(bench_dir, monkeypatch):

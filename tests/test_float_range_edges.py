@@ -30,6 +30,7 @@ from repro.cost.total import _lambda_sq
 from repro.density import area_from_sd
 from repro.engine import evaluate_grid, pykernels
 from repro.engine.kernels import Eq4SdKernel, Eq7SdKernel
+from repro.engine.points import price_points
 from repro.errors import DomainError
 from repro.optimize import volume_sweep
 from repro.robust import ErrorPolicy
@@ -111,6 +112,26 @@ def test_area_overflow_has_one_message():
     assert _message(lambda: area_from_sd(
         np.array([300.0, 400.0]), 1e7, np.array([0.18, 1e200]))) == \
         AREA_OVERFLOW
+
+
+PRODUCT_OVERFLOW = ("implied die area overflows for feature_um=0.18, "
+                    "sd=1e+300, n_transistors=1e+300")
+
+
+def test_area_product_overflow_has_one_message():
+    # λ² is finite here; only the product N_tr·s_d·λ² overflows.
+    assert _message(lambda: area_from_sd(1e300, 1e300, 0.18)) == \
+        PRODUCT_OVERFLOW
+    assert _message(lambda: pykernels.area_from_sd(1e300, 1e300, 0.18)) == \
+        PRODUCT_OVERFLOW
+    assert _message(lambda: area_from_sd(
+        np.array([300.0, 1e300, 1e300]), 1e300, 0.18)) == PRODUCT_OVERFLOW
+    # Under MASK the failed area reads NaN, like any other area failure.
+    values, _ = price_points([Scenario(n_transistors=1e300, feature_um=0.18,
+                                       sd=1e300)],
+                             PAPER_FIGURE4_MODEL.scalar_params,
+                             policy=ErrorPolicy.MASK)
+    assert all(math.isnan(v) for v in values[0])
 
 
 @pytest.mark.parametrize("field, value, message", EDGES[3:], ids=IDS[3:])

@@ -1,16 +1,15 @@
-"""Exposition tests: Prometheus rendering, parsing, OTLP, HTTP endpoint.
+"""Exposition tests: Prometheus rendering, parsing, OTLP, snapshots.
 
 ``render_prometheus`` must emit text a real scraper accepts — the
 acceptance check here is the round trip through the strict grammar
-validator ``parse_prometheus`` — and the stdlib HTTP endpoint must
-serve live registry values. The snapshot bundle (what the CLI's
-``--telemetry`` flag and CI upload) is checked file by file.
+validator ``parse_prometheus``. The snapshot bundle (what the CLI's
+``--telemetry`` flag and CI upload) is checked file by file. The live
+``/metrics`` and ``/healthz`` routes are ``repro.serve``'s, tested in
+``tests/test_serve_app.py``.
 """
 
 import json
 import math
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro.obs.exposition import (
     registry_from_records,
     render_prometheus,
     spans_to_otlp,
-    start_metrics_endpoint,
     write_snapshot,
 )
 from repro.obs.metrics import HISTOGRAM_BUCKET_BOUNDS, MetricsRegistry
@@ -215,54 +213,6 @@ class TestOtlp:
             int(spans["outer"]["startTimeUnixNano"])
 
 
-class TestEndpoint:
-    def _get(self, url: str) -> tuple[int, bytes]:
-        with urllib.request.urlopen(url, timeout=5) as resp:
-            return resp.status, resp.read()
-
-    def test_serves_live_metrics_and_health(self):
-        obs.enable()
-        obs.inc("served_total", 2.0, labels={"route": "metrics"})
-        with start_metrics_endpoint() as endpoint:
-            assert endpoint.port > 0
-            status, body = self._get(endpoint.url + "/metrics")
-            assert status == 200
-            samples = {s["name"]: s for s in
-                       parse_prometheus(body.decode())}
-            assert samples["served_total"]["value"] == 2.0
-            # Live, not a snapshot: a later inc shows on the next scrape.
-            obs.inc("served_total", 1.0, labels={"route": "metrics"})
-            _, body = self._get(endpoint.url + "/metrics")
-            samples = {s["name"]: s for s in
-                       parse_prometheus(body.decode())}
-            assert samples["served_total"]["value"] == 3.0
-            status, body = self._get(endpoint.url + "/healthz")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
-
-    def test_unknown_route_is_404(self):
-        with start_metrics_endpoint() as endpoint:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(endpoint.url + "/nope")
-            assert err.value.code == 404
-
-    def test_healthz_reports_provenance_contract(self):
-        from repro.bench.schema import SCHEMA_ID as BENCH_SCHEMA_ID
-        from repro.obs.history import HISTORY_SCHEMA_ID
-        with start_metrics_endpoint() as endpoint:
-            status, body = self._get(endpoint.url + "/healthz")
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["status"] == "ok"
-        assert payload["git_sha"]  # "unknown" outside git, never empty
-        assert payload["schemas"] == {
-            "history": HISTORY_SCHEMA_ID,
-            "bench": BENCH_SCHEMA_ID,
-            "prometheus_text": "0.0.4",
-        }
-        assert payload["uptime_s"] >= 0.0
-
-
 class TestSnapshot:
     def test_bundle_files_and_content(self, tmp_path):
         obs.enable()
@@ -279,3 +229,20 @@ class TestSnapshot:
                  otlp["resourceSpans"][0]["scopeSpans"][0]["spans"]]
         assert "snap.outer" in names
         assert "records" in json.loads(paths["provenance"].read_text())
+
+    def test_provenance_records_match_the_jsonl_export(self, tmp_path):
+        obs.enable()
+        obs.record_provenance("cost.eq4", "4", {"sd": 300.0},
+                              dataset="table_a1", rows=(1, 2))
+        obs.record_provenance("cost.eq3", "3")
+        obs.disable()
+        paths = write_snapshot(tmp_path / "bundle")
+        obs.export_jsonl(tmp_path / "trace.jsonl")
+        exported = [{k: v for k, v in rec.items() if k != "type"}
+                    for rec in obs.read_jsonl(tmp_path / "trace.jsonl")
+                    if rec["type"] == "provenance"]
+        snapshot = json.loads(paths["provenance"].read_text())["records"]
+        assert snapshot == exported
+        assert snapshot[0] == {"source": "cost.eq4", "equation": "4",
+                               "params": {"sd": 300.0},
+                               "dataset": "table_a1", "rows": [1, 2]}

@@ -6,7 +6,7 @@ This file imports the real ``repro.obs`` under an import hook that
 *blocks* ``numpy`` (package initialisers load their submodules on first
 use, so nothing pulls the model stack in) and keeps that world for the
 whole module while it exercises the Prometheus render/parse path,
-snapshots and the run history.
+snapshots, the span reports and the run history.
 
 Like ``test_engine_nonumpy.py``, every import here is lazy so the CI
 ``no-numpy`` job can run this file on a stdlib-only interpreter.
@@ -108,3 +108,31 @@ def test_run_history_store_without_numpy(nobs, tmp_path):
         assert {v.key for v in report.flagged} >= {"scrapes_total"}
         html = nobs.render_html_dashboard(store, drift=report)
         assert "<svg" in html and 'class="drift"' in html
+
+
+def test_span_reports_without_numpy(nobs, tmp_path):
+    # What `--trace/--profile`, `repro.bench --trace` and
+    # tools/trace_report.py print: tree, roll-up, hot spans, flamegraph
+    # stacks, and a JSONL export read back.
+    import time
+
+    nobs.enable()
+    with nobs.span("nonumpy.outer"):
+        with nobs.span("nonumpy.inner"):
+            deadline = time.perf_counter() + 1e-3  # whole microseconds of self time
+            while time.perf_counter() < deadline:
+                pass
+    nobs.disable()
+    assert "nonumpy.inner" in nobs.format_span_tree()
+    assert [r["name"] for r in nobs.summary()] == \
+        ["nonumpy.outer", "nonumpy.inner"]
+    assert "nonumpy.inner" in nobs.format_summary_table()
+    assert "hot spans (top 2 by self time)" in nobs.format_hot_report()
+    assert "nonumpy.outer;nonumpy.inner" in nobs.collapsed_from_spans()
+    path = tmp_path / "trace.jsonl"
+    assert nobs.export_jsonl(path) >= 2
+    records = nobs.read_jsonl(path)
+    assert nobs.summary(records) == nobs.summary()
+    assert nobs.format_collapsed(nobs.collapsed_from_spans(records)) == \
+        nobs.format_collapsed(nobs.collapsed_from_spans())
+    assert "numpy" not in sys.modules

@@ -1,9 +1,9 @@
-"""Profiler, collapsed-stack, and hot-span report behaviour.
+"""Span reports: the per-name roll-up, hot spans and collapsed stacks.
 
-The profiler is deterministic in its *keys* (same code → same stacks),
-so tests assert stack structure and conservation properties, never
-exact timings. ``collapsed_from_spans`` / ``hot_spans`` are pure
-functions of span dicts and get synthetic-record golden tests.
+``summary``, ``format_hot_report`` and ``collapsed_from_spans`` are
+pure functions of span dicts and get synthetic-record golden tests;
+given no records they read the live tracer, which must give the same
+answer as its own JSONL export.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import pytest
 
 from repro import obs
 from repro.obs import (
-    SpanProfiler,
     collapsed_from_spans,
     format_collapsed,
     format_hot_report,
-    hot_spans,
+    summary,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,9 +28,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(autouse=True)
 def clean_obs():
+    obs.reset()
     obs.enable()
     yield
     obs.disable()
+    obs.reset()
 
 
 def spin(seconds: float) -> None:
@@ -39,45 +40,6 @@ def spin(seconds: float) -> None:
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline:
         pass
-
-
-# -- SpanProfiler ------------------------------------------------------
-
-def test_profiler_attributes_time_under_span_paths():
-    with SpanProfiler() as prof:
-        with obs.span("outer"):
-            with obs.span("inner"):
-                spin(0.01)
-    collapsed = prof.collapsed()
-    assert collapsed, "profiler recorded nothing"
-    inner_keys = [k for k in collapsed if k.startswith("outer;inner")]
-    assert inner_keys, f"no outer;inner stacks in {sorted(collapsed)}"
-    # The busy-wait function itself shows up as a frame on that path.
-    assert any("spin" in k for k in inner_keys)
-
-
-def test_profiler_total_bounded_by_wall_time():
-    # Charged time can undershoot wall time (the hook's own execution
-    # is deliberately excluded) but must never exceed it.
-    t0 = time.perf_counter()
-    with SpanProfiler() as prof:
-        with obs.span("work"):
-            spin(0.01)
-    wall = time.perf_counter() - t0
-    assert 0.0 < prof.total_seconds() <= wall * 1.05
-
-
-def test_profiler_start_stop_idempotent_and_detaches():
-    prof = SpanProfiler().start()
-    prof.start()  # second start is a no-op
-    prof.stop()
-    prof.stop()  # second stop is a no-op
-    assert sys.getprofile() is None
-    # Spans opened after stop() no longer reach the profiler.
-    before = dict(prof._times)
-    with obs.span("late"):
-        spin(0.002)
-    assert prof._times == before
 
 
 # -- collapsed_from_spans ----------------------------------------------
@@ -121,24 +83,58 @@ def test_format_collapsed_stable_lines():
     assert format_collapsed({}) == "(no samples)"
 
 
-# -- hot_spans ---------------------------------------------------------
+# -- summary / format_hot_report ----------------------------------------
 
-def test_hot_spans_ranked_by_self_time():
-    rows = hot_spans(synthetic_records())
+def table_rows(text: str) -> list[list[str]]:
+    """The body cells of a ``format_table`` rendering (title, header and
+    rule dropped)."""
+    lines = text.splitlines()
+    body = lines[lines.index(next(l for l in lines if l.startswith("---"))) + 1:]
+    return [[cell.strip() for cell in line.split("|")] for line in body]
+
+
+def test_summary_rolls_up_per_name_by_total_time():
+    rows = summary(synthetic_records())
     assert [r["name"] for r in rows] == ["root", "child", "leaf"]
     root = rows[0]
     assert root["calls"] == 2
     assert root["self_s"] == pytest.approx(0.013)
     assert root["total_s"] == pytest.approx(0.020)
     assert root["mean_s"] == pytest.approx(0.010)
-    assert root["self_pct"] == pytest.approx(100 * 0.013 / 0.020)
-    assert sum(r["self_pct"] for r in rows) == pytest.approx(100.0)
 
 
-def test_hot_spans_top_truncates():
-    rows = hot_spans(synthetic_records(), top=1)
+def test_summary_of_the_live_tracer_matches_its_export(tmp_path):
+    with obs.span("a"):
+        with obs.span("b"):
+            spin(0.002)
+        with obs.span("b"):
+            pass
+    obs.export_jsonl(tmp_path / "trace.jsonl")
+    assert summary() == summary(obs.read_jsonl(tmp_path / "trace.jsonl"))
+
+
+def test_hot_report_ranks_by_self_time():
+    # Self time and total time rank these differently.
+    records = synthetic_records()[:3] + [
+        {"type": "span", "id": 5, "parent_id": None, "name": "flat",
+         "depth": 0, "start": 0.2, "duration": 0.012, "self": 0.012}]
+    text = format_hot_report(records)
+    assert text.splitlines()[0] == "hot spans (top 4 by self time)"
+    rows = table_rows(text)
+    assert [r[0] for r in rows] == ["flat", "root", "child", "leaf"]
+    grand = 0.012 + 0.010 + 0.005 + 0.002
+    assert float(rows[0][3]) == pytest.approx(100 * 0.012 / grand, abs=1e-3)
+    assert sum(float(r[3]) for r in rows) == pytest.approx(100.0, abs=1e-2)
+    # root: 1 call, self 10 ms, total 17 ms, mean 17 ms.
+    assert rows[1][1:] == ["1", "10.000", f"{100 * 0.010 / grand:.3f}",
+                           "17.000", "17.000"]
+
+
+def test_hot_report_top_truncates_but_shares_all_self_time():
+    rows = table_rows(format_hot_report(synthetic_records(), top=1))
     assert len(rows) == 1
-    assert rows[0]["name"] == "root"
+    assert rows[0][0] == "root"
+    assert float(rows[0][3]) == pytest.approx(100 * 0.013 / 0.020)
 
 
 def test_format_hot_report_renders_table():
@@ -181,6 +177,16 @@ def test_trace_report_hot_mode(tmp_path):
     proc_default = run_tool("--hot", str(path))
     assert proc_default.returncode == 0
     assert "outer" in proc_default.stdout
+
+
+def test_trace_report_default_mode_prints_the_shared_roll_up(tmp_path):
+    path = write_trace(tmp_path)
+    proc = run_tool(str(path))
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stdout.rstrip("\n")
+    assert report.startswith("spans: 2 | metrics: ")
+    assert report.endswith(
+        "roll-up\n" + obs.format_summary_table(obs.read_jsonl(path)))
 
 
 def test_trace_report_bad_usage_exits_2(tmp_path):

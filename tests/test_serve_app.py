@@ -10,8 +10,9 @@ ends. Pinned here:
 * the acceptance burst: 64 concurrent ``/evaluate`` clients, each
   point sent twice, produce results bit-identical to sequential
   ``Scenario.evaluate`` calls;
-* rate limiting (429 + ``Retry-After``), 400/404 mapping, and the
-  request span/counter telemetry.
+* rate limiting (429 + ``Retry-After``), 400/404 mapping, the
+  request span/counter telemetry, the live ``/metrics`` scrape and the
+  ``/healthz`` contract.
 """
 
 import json
@@ -194,6 +195,11 @@ class TestErrorContract:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
 
+    def test_unknown_get_route_is_404(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"{server.url}/nope", timeout=10)
+        assert excinfo.value.code == 404
+
     def test_convergence_failure_carries_its_code(self, client):
         # An absurdly tight bracket cannot converge: the 422 body must
         # name ConvergenceError, not a generic failure.
@@ -276,10 +282,31 @@ class TestTelemetry:
         spans = [sp.name for sp in obs.get_tracer().spans]
         assert "serve.evaluate" in spans
 
+    def test_metrics_scrape_is_live(self, registry, client):
+        served = registry.counter("served_total", {"route": "metrics"})
+        served.inc(2.0)
+        samples = {s["name"]: s for s in
+                   obs.parse_prometheus(client.metrics())}
+        assert samples["served_total"]["value"] == 2.0
+        # Live, not a snapshot: a later inc shows on the next scrape.
+        served.inc(1.0)
+        samples = {s["name"]: s for s in
+                   obs.parse_prometheus(client.metrics())}
+        assert samples["served_total"]["value"] == 3.0
+        assert samples["served_total"]["labels"] == {"route": "metrics"}
+
     def test_healthz_reports_schema_contract(self, client):
+        from repro.bench.schema import SCHEMA_ID as BENCH_SCHEMA_ID
+        from repro.obs.history import HISTORY_SCHEMA_ID
         payload = client.healthz()
         assert payload["status"] == "ok"
-        assert payload["schemas"]["prometheus_text"] == "0.0.4"
+        assert payload["git_sha"]  # "unknown" outside git, never empty
+        assert payload["schemas"] == {
+            "history": HISTORY_SCHEMA_ID,
+            "bench": BENCH_SCHEMA_ID,
+            "prometheus_text": "0.0.4",
+        }
+        assert payload["uptime_s"] >= 0.0
 
 
 class TestCliEntryPoint:

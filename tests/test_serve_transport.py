@@ -1,7 +1,7 @@
 """The event-loop HTTP transport under hostile and keep-alive clients.
 
-``repro.serve`` and ``repro.obs.start_metrics_endpoint`` frame HTTP
-themselves (``repro.obs.transport``). Pinned here, over raw sockets
+``repro.serve`` frames HTTP itself (``repro.obs.transport``). Pinned
+here, over raw sockets
 where a well-behaved client library would refuse to send the request:
 
 * every framing error answers 400 with an ``ErrorResponse`` and closes
@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import start_metrics_endpoint, transport
+from repro.obs import transport
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeClient, start_server
 
@@ -132,16 +132,6 @@ class TestFramingErrors:
         assert "UTF-8" in error["message"]
         assert next_status == 200
         assert json.loads(next_body)["status"] == "ok"
-
-    def test_metrics_endpoint_answers_framing_errors_too(self):
-        with start_metrics_endpoint() as endpoint:
-            reply, body, closed = _raw(endpoint.port, b"GARBAGE\r\n\r\n")
-            assert reply.status == 400
-            assert body.startswith(b"DomainError: malformed request line")
-            assert closed
-            reply, _, _ = _raw(endpoint.port,
-                               b"GET /healthz HTTP/1.0\r\n\r\n")
-            assert reply.status == 200
 
 
 class TestReadTimeout:

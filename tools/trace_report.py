@@ -41,6 +41,7 @@ from repro.obs import (  # noqa: E402
     format_collapsed,
     format_hot_report,
     format_span_tree,
+    format_summary_table,
     read_jsonl,
     registry_from_records,
     render_prometheus,
@@ -80,18 +81,7 @@ def render(records: list[dict]) -> str:
         format_span_tree(records),
     ]
     if spans:
-        agg: dict[str, dict] = {}
-        for sp in spans:
-            row = agg.setdefault(sp["name"], {"calls": 0, "total": 0.0, "self": 0.0})
-            row["calls"] += 1
-            row["total"] += sp["duration"]
-            row["self"] += sp["self"]
-        rows = sorted(agg.items(), key=lambda kv: kv[1]["total"], reverse=True)
-        sections += ["", format_table(
-            ["span", "calls", "total_ms", "self_ms"],
-            [(name, r["calls"], r["total"] * 1e3, r["self"] * 1e3)
-             for name, r in rows],
-            float_spec=".3f", title="roll-up")]
+        sections += ["", "roll-up", format_summary_table(records)]
     return "\n".join(sections)
 
 
